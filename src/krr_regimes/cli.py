@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
@@ -41,6 +40,7 @@ from .simulator import LamSchedule, LearningCurve, SimConfig, fit_decay_exponent
     learning_curve
 from .spectrum import DEFAULT_P_SIMULATION, DEFAULT_P_THEORY, PowerLawParams, \
     power_law_spectrum
+from .table import write_table
 from .theory import excess_error_closed, optimal_lambda
 
 OUTDIR_ENV = "KRR_REGIMES_OUTDIR"
@@ -61,31 +61,33 @@ class RunManifest:
     outputs: list[str] = field(default_factory=list)
     wall_time_s: float = 0.0
 
-    def write(self, path) -> None:
-        with open(path, "w") as f:
-            json.dump(asdict(self), f, indent=2, sort_keys=True, default=_json_default)
-            f.write("\n")
+
+def _write_manifest(path, args, t0: float, outputs: list[str], seed: int | None = None,
+                    **results) -> None:
+    """Manifest of a finished command; results are recorded among its params."""
+    manifest = RunManifest(args.command, __version__, {**_params_of(args), **results}, seed,
+                           outputs, time.time() - t0)
+    _write_json(path, asdict(manifest))
+
+
+def _write_json(path, obj) -> None:
+    with open(path, "w") as f:
+        json.dump(obj, f, indent=2, sort_keys=True, default=_json_default)
+        f.write("\n")
 
 
 def _json_default(value):
-    if isinstance(value, float) and math.isinf(value):
-        return "inf"
-    if isinstance(value, np.floating):
-        return float(value)
-    if isinstance(value, np.integer):
-        return int(value)
+    if isinstance(value, (np.floating, np.integer)):
+        return value.item()
     raise TypeError(f"not JSON serializable: {value!r}")
 
 
-def _outdir() -> str:
-    return os.environ.get(OUTDIR_ENV, ".")
-
-
 def _outpath(args, name: str) -> str:
+    """--out, or name, placed in the output directory unless it names a directory."""
     base = args.out if args.out else name
     if os.path.dirname(base):
         return base
-    return os.path.join(_outdir(), base)
+    return os.path.join(os.environ.get(OUTDIR_ENV, "."), base)
 
 
 def _int_list(text: str) -> list[int]:
@@ -95,13 +97,6 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers: {err}")
 
 
-def _float_pair(text: str) -> tuple[float, float]:
-    toks = text.split(",")
-    if len(toks) != 2:
-        raise argparse.ArgumentTypeError("expected lo,hi")
-    return float(toks[0]), float(toks[1])
-
-
 def _int_pair(text: str) -> tuple[int, int]:
     toks = text.split(",")
     if len(toks) != 2:
@@ -109,68 +104,51 @@ def _int_pair(text: str) -> tuple[int, int]:
     return int(toks[0]), int(toks[1])
 
 
-def _log_grid(text: str) -> np.ndarray:
+def _grid(text: str, log: bool) -> np.ndarray:
     toks = text.split(",")
     if len(toks) != 3:
         raise argparse.ArgumentTypeError("expected min,max,count")
     lo, hi, count = float(toks[0]), float(toks[1]), int(toks[2])
-    if not 0 < lo <= hi or count < 1 or (lo == hi and count != 1):
-        raise argparse.ArgumentTypeError("grid needs 0 < min <= max and count >= 1")
-    return np.geomspace(lo, hi, count)
+    if lo > hi or (log and lo <= 0) or count < 1 or (lo == hi and count != 1):
+        raise argparse.ArgumentTypeError(
+            "grid needs min <= max, count >= 1 and, on a log grid, min > 0")
+    return (np.geomspace if log else np.linspace)(lo, hi, count)
+
+
+def _log_grid(text: str) -> np.ndarray:
+    return _grid(text, log=True)
 
 
 def _lin_grid(text: str) -> np.ndarray:
-    toks = text.split(",")
-    if len(toks) != 3:
-        raise argparse.ArgumentTypeError("expected min,max,count")
-    lo, hi, count = float(toks[0]), float(toks[1]), int(toks[2])
-    if lo > hi or count < 1 or (lo == hi and count != 1):
-        raise argparse.ArgumentTypeError("grid needs min <= max and count >= 1")
-    return np.linspace(lo, hi, count)
+    return _grid(text, log=False)
 
 
-def _ell_lambda0_of(args) -> tuple[float, float]:
-    """(ell, lambda0) equivalent of the command's ridge flags, for labeling."""
-    if getattr(args, "ell", None) is not None:
-        return args.ell, args.lambda0
-    lam = args.lam
-    if lam == 0.0:
-        return math.inf, 1.0
-    return 0.0, lam
-
-
-def _write_rows_csv(path, header, rows) -> None:
-    import csv as _csv
-
-    with open(path, "w", newline="") as f:
-        w = _csv.writer(f)
-        w.writerow(header)
-        w.writerows(rows)
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+def _schedule_of(args) -> LamSchedule:
+    """Ridge schedule named by the --lam / --ell / --cv flags."""
+    if getattr(args, "cv", False):
+        return LamSchedule("cv")
+    if args.ell is not None:
+        return LamSchedule("power", lambda0=args.lambda0, ell=args.ell)
+    return LamSchedule("fixed", lam=args.lam)
 
 
 def cmd_theory(args) -> int:
     t0 = time.time()
     spectrum = power_law_spectrum(PowerLawParams(args.alpha, args.r, args.p))
-    ell, lambda0 = _ell_lambda0_of(args)
+    schedule = _schedule_of(args)
     rows = []
     for n in args.n:
-        lam = args.lam if args.ell is None else (
-            0.0 if math.isinf(args.ell) else args.lambda0 * float(n) ** (-args.ell))
+        lam = schedule.lam_at(n)
         dec = excess_error_closed(n, lam, args.sigma, spectrum)
+        ell, lambda0 = schedule.regime_point(lam)
         label = classify(RegimeQuery(alpha=args.alpha, r=args.r, sigma=args.sigma,
                                      ell=ell, n=float(n), lambda0=lambda0))
-        rows.append([n, _fmt(lam), _fmt(dec.sample_variance), _fmt(dec.noise_variance),
-                     _fmt(dec.total), label.region.value, _fmt(label.exponent)])
+        rows.append([n, lam, dec.sample_variance, dec.noise_variance, dec.total,
+                     label.region.value, label.exponent])
     out = _outpath(args, "theory_curve.csv")
-    _write_rows_csv(out, ["n", "lambda", "sample_variance", "noise_variance",
-                          "excess", "region", "exponent"], rows)
-    manifest = RunManifest("theory", __version__, _params_of(args), None, [out],
-                           time.time() - t0)
-    manifest.write(out + ".manifest.json")
+    write_table(out, ["n", "lambda", "sample_variance", "noise_variance",
+                      "excess", "region", "exponent"], rows)
+    _write_manifest(out + ".manifest.json", args, t0, [out])
     print(out)
     return 0
 
@@ -181,22 +159,14 @@ def cmd_simulate(args) -> int:
     theory_spectrum = None
     if args.theory_p is not None and args.theory_p != args.p:
         theory_spectrum = power_law_spectrum(PowerLawParams(args.alpha, args.r, args.theory_p))
-    if args.cv:
-        schedule = LamSchedule("cv")
-    elif args.ell is not None:
-        schedule = LamSchedule("power", lambda0=args.lambda0, ell=args.ell)
-    else:
-        schedule = LamSchedule("fixed", lam=args.lam)
     config = SimConfig(spectrum=spectrum, n_values=tuple(args.n), sigma=args.sigma,
-                       lam_schedule=schedule, trials=args.trials,
+                       lam_schedule=_schedule_of(args), trials=args.trials,
                        master_seed=args.seed, theory_spectrum=theory_spectrum,
                        regime_params=(args.alpha, args.r), workers=args.workers)
     curve = learning_curve(config)
     out = _outpath(args, "learning_curve.csv")
     curve.to_csv(out)
-    manifest = RunManifest("simulate", __version__, _params_of(args), args.seed, [out],
-                           time.time() - t0)
-    manifest.write(out + ".manifest.json")
+    _write_manifest(out + ".manifest.json", args, t0, [out], seed=args.seed)
     print(out)
     return 0
 
@@ -205,17 +175,13 @@ def cmd_phase_diagram(args) -> int:
     t0 = time.time()
     diagram = phase_diagram(args.alpha, args.r, args.sigma, args.lambda0,
                             args.n_grid, args.ell_grid)
-    base = args.out if args.out else "phase_diagram"
-    if not os.path.dirname(base):
-        base = os.path.join(_outdir(), base)
+    base = _outpath(args, "phase_diagram")
     grid_out = base + "_grid.csv"
     lines_out = base + "_lines.csv"
     write_phase_diagram_csv(diagram, grid_out)
     write_crossover_lines_csv(diagram.lines, lines_out)
-    manifest = RunManifest("phase-diagram", __version__, _params_of(args), None,
-                           [grid_out, lines_out], time.time() - t0)
-    manifest.params["optimal_point"] = list(diagram.lines.optimal_point)
-    manifest.write(base + ".manifest.json")
+    _write_manifest(base + ".manifest.json", args, t0, [grid_out, lines_out],
+                    optimal_point=list(diagram.lines.optimal_point))
     print(grid_out)
     print(lines_out)
     return 0
@@ -267,22 +233,16 @@ def cmd_estimate(args) -> int:
             "optimal_decay_ell": a_hat / (1.0 + 2.0 * a_hat * m_hat),
         },
     }
-    base = args.out if args.out else "estimate"
-    if not os.path.dirname(base):
-        base = os.path.join(_outdir(), base)
+    base = _outpath(args, "estimate")
     json_out = base + "_estimate.json"
     tails_out = base + "_tails.csv"
-    with open(json_out, "w") as f:
-        json.dump(report, f, indent=2, sort_keys=True)
-        f.write("\n")
+    _write_json(json_out, report)
     tails_to_csv(cap_tail, src_tail, tails_out)
     outputs = [json_out, tails_out]
     if args.decomposition_out:
         dec.to_csv(args.decomposition_out)
         outputs.append(args.decomposition_out)
-    manifest = RunManifest("estimate", __version__, _params_of(args), args.seed,
-                           outputs, time.time() - t0)
-    manifest.write(base + ".manifest.json")
+    _write_manifest(base + ".manifest.json", args, t0, outputs, seed=args.seed)
     print(json.dumps(report, indent=2, sort_keys=True))
     return 0
 
@@ -294,9 +254,7 @@ def cmd_fit_slope(args) -> int:
     report = {"slope": slope, "stderr": stderr, "window": [lo, hi],
               "points": hi - lo + 1}
     if args.out:
-        with open(_outpath(args, "slope.json"), "w") as f:
-            json.dump(report, f, indent=2, sort_keys=True)
-            f.write("\n")
+        _write_json(_outpath(args, "slope.json"), report)
     print(json.dumps(report, indent=2, sort_keys=True))
     return 0
 
@@ -309,12 +267,10 @@ def cmd_optimal_lambda(args) -> int:
     for n in args.n:
         lam_star, excess_star = optimal_lambda(n, args.sigma, spectrum, grid)
         decay = optimal_decay(args.alpha, args.r, args.sigma, float(n))
-        rows.append([n, _fmt(lam_star), _fmt(excess_star), decay.zone])
+        rows.append([n, lam_star, excess_star, decay.zone])
     out = _outpath(args, "optimal_lambda.csv")
-    _write_rows_csv(out, ["n", "lam_star", "excess_star", "zone"], rows)
-    manifest = RunManifest("optimal-lambda", __version__, _params_of(args), None, [out],
-                           time.time() - t0)
-    manifest.write(out + ".manifest.json")
+    write_table(out, ["n", "lam_star", "excess_star", "zone"], rows)
+    _write_manifest(out + ".manifest.json", args, t0, [out])
     print(out)
     return 0
 
@@ -331,7 +287,16 @@ def _params_of(args) -> dict:
     return params
 
 
-def build_parser():
+def build_parser(supplied=()):
+    """The CLI parser and its subparsers by name.
+
+    Flags named in supplied (the keys of a config file) are not required,
+    since the file provides them.
+    """
+
+    def required(*dests) -> bool:
+        return not set(dests) & set(supplied)
+
     parser = argparse.ArgumentParser(
         prog="krr-regimes",
         description="Learning-curve regimes for ridge regression with power-law spectra.")
@@ -348,21 +313,22 @@ def build_parser():
         return p
 
     p = add("theory", cmd_theory, help="closed-form learning curve")
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--r", type=float, required=True)
+    p.add_argument("--alpha", type=float, required=required("alpha"))
+    p.add_argument("--r", type=float, required=required("r"))
     p.add_argument("--sigma", type=float, default=0.0)
-    group = p.add_mutually_exclusive_group(required=True)
+    group = p.add_mutually_exclusive_group(required=required("lam", "ell"))
     group.add_argument("--lam", type=float, help="fixed regularization")
     group.add_argument("--ell", type=float, help="decay exponent of lambda0 * n^-ell ('inf' for zero)")
     p.add_argument("--lambda0", type=float, default=1.0)
     p.add_argument("--p", type=int, default=DEFAULT_P_THEORY)
-    p.add_argument("--n", type=_int_list, required=True, help="comma-separated sample counts")
+    p.add_argument("--n", type=_int_list, required=required("n"),
+                   help="comma-separated sample counts")
 
     p = add("simulate", cmd_simulate, help="Monte-Carlo learning curve with theory column")
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--r", type=float, required=True)
+    p.add_argument("--alpha", type=float, required=required("alpha"))
+    p.add_argument("--r", type=float, required=required("r"))
     p.add_argument("--sigma", type=float, default=0.0)
-    group = p.add_mutually_exclusive_group(required=True)
+    group = p.add_mutually_exclusive_group(required=required("lam", "ell", "cv"))
     group.add_argument("--lam", type=float)
     group.add_argument("--ell", type=float)
     group.add_argument("--cv", action="store_true", help="pick lambda by cross-validation")
@@ -370,7 +336,7 @@ def build_parser():
     p.add_argument("--p", type=int, default=DEFAULT_P_SIMULATION)
     p.add_argument("--theory-p", type=int, default=None,
                    help="separate truncation for the theory column")
-    p.add_argument("--n", type=_int_list, required=True)
+    p.add_argument("--n", type=_int_list, required=required("n"))
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=1)
@@ -382,11 +348,15 @@ def build_parser():
     p.add_argument("--lambda0", type=float, default=1.0)
     p.add_argument("--n-grid", type=_log_grid, default=_log_grid("1,1e6,25"))
     p.add_argument("--ell-grid", type=_lin_grid, default=_lin_grid("0,4,33"))
+    # The manifest records the asymptotic optimum among the params; this
+    # default lets those params be fed back through --config.
+    p.set_defaults(optimal_point=None)
 
     p = add("estimate", cmd_estimate, help="capacity/source estimation from a dataset CSV")
     p.add_argument("dataset")
-    p.add_argument("--kernel", choices=["rbf", "polynomial", "linear"], required=True)
-    p.add_argument("--gamma", type=float, required=True)
+    p.add_argument("--kernel", choices=["rbf", "polynomial", "linear"],
+                   required=required("kernel"))
+    p.add_argument("--gamma", type=float, required=required("gamma"))
     p.add_argument("--degree", type=int, default=5)
     p.add_argument("--fit-range-capacity", type=_int_pair, default=None)
     p.add_argument("--fit-range-source", type=_int_pair, default=None)
@@ -405,38 +375,55 @@ def build_parser():
                    help="inclusive 0-based row range lo,hi")
 
     p = add("optimal-lambda", cmd_optimal_lambda, help="per-n optimal regularization")
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--r", type=float, required=True)
+    p.add_argument("--alpha", type=float, required=required("alpha"))
+    p.add_argument("--r", type=float, required=required("r"))
     p.add_argument("--sigma", type=float, default=0.0)
     p.add_argument("--p", type=int, default=DEFAULT_P_THEORY)
-    p.add_argument("--n", type=_int_list, required=True)
+    p.add_argument("--n", type=_int_list, required=required("n"))
     p.add_argument("--lam-grid", type=_log_grid, default=_log_grid("1e-10,1e2,301"))
-    p.add_argument("--include-zero", action="store_true", default=True)
+    p.add_argument("--include-zero", action=argparse.BooleanOptionalAction, default=True,
+                   help="also try lam = 0")
 
     return parser, subparsers
 
 
+def _read_config(argv) -> dict:
+    """The JSON object named by --config PATH or --config=PATH, or {} without one."""
+    pre = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv)[0].config
+    if path is None:
+        return {}
+    with open(path) as f:
+        config = json.load(f)
+    if not isinstance(config, dict):
+        raise ValueError("expected a JSON object")
+    return config
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser, subparsers = build_parser()
-    if "--config" in argv:
-        try:
-            with open(argv[argv.index("--config") + 1]) as f:
-                config = json.load(f)
-        except (IndexError, OSError, json.JSONDecodeError) as err:
-            print(f"error: cannot read config file: {err}", file=sys.stderr)
-            return USAGE_EXIT
-        for p in subparsers.values():
-            p.set_defaults(**config)
-            # values supplied through the file satisfy required flags/groups
-            for action in p._actions:
-                if action.dest in config:
-                    action.required = False
-            for group in p._mutually_exclusive_groups:
-                if group.required and any(a.dest in config for a in group._group_actions):
-                    group.required = False
     try:
+        config = _read_config(argv)
+    except (argparse.ArgumentError, OSError, ValueError) as err:
+        print(f"error: cannot read config file: {err}", file=sys.stderr)
+        return USAGE_EXIT
+    parser, subparsers = build_parser(config)
+    try:
+        # Two passes: the first finds the command and its options, the
+        # second parses again with the config values as defaults, so flags
+        # given on the command line win.
         args = parser.parse_args(argv)
+        if config:
+            sub = subparsers[args.command]
+            # A key is known if the manifest would record it among the params.
+            unknown = sorted(set(config) - set(_params_of(args)))
+            if unknown:
+                sub.error(f"unknown config key(s): {', '.join(unknown)}")
+            if config.get("command", args.command) != args.command:
+                sub.error(f"config file is for the {config['command']!r} command")
+            sub.set_defaults(**config)
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_EXIT
     try:

@@ -25,6 +25,7 @@ from .errors import (
     SchemaError,
 )
 from .spectrum import Spectrum
+from .table import write_table
 
 DEFAULT_EIGENVALUE_FLOOR = 1e-12
 LOW_R2_WARNING = 0.95
@@ -92,12 +93,8 @@ class FeatureDecomposition:
         return Spectrum(self.eigenvalues[keep], self.theta_star[keep] ** 2)
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["k", "eigenvalue", "theta_star"])
-            for k in range(self.eigenvalues.size):
-                w.writerow([k + 1, f"{self.eigenvalues[k]:.17g}",
-                            f"{self.theta_star[k]:.17g}"])
+        write_table(path, ("k", "eigenvalue", "theta_star"),
+                    zip(range(1, self.eigenvalues.size + 1), self.eigenvalues, self.theta_star))
 
 
 def feature_decomposition(gram: np.ndarray, labels: np.ndarray,
@@ -153,11 +150,8 @@ def cumulative_tails(eigenvalues: np.ndarray, teacher_sq: np.ndarray):
 
 
 def tails_to_csv(cap_tail: np.ndarray, src_tail: np.ndarray, path) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["k", "cap_tail", "src_tail"])
-        for k in range(len(cap_tail)):
-            w.writerow([k + 1, f"{cap_tail[k]:.17g}", f"{src_tail[k]:.17g}"])
+    write_table(path, ("k", "cap_tail", "src_tail"),
+                zip(range(1, len(cap_tail) + 1), cap_tail, src_tail))
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,6 @@ factor-3 tolerance window.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -18,6 +17,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import InvalidParameterError
+from .table import write_table
 
 
 class Region(str, Enum):
@@ -277,22 +277,14 @@ def phase_diagram(alpha: float, r: float, sigma: float, lambda0: float,
 
 def write_phase_diagram_csv(diagram: PhaseDiagram, path) -> None:
     """Grid CSV with columns (n, ell, region, exponent)."""
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["n", "ell", "region", "exponent"])
-        for i, ell in enumerate(diagram.ell_grid):
-            for j, n in enumerate(diagram.n_grid):
-                lab = diagram.labels[i][j]
-                w.writerow([f"{n:.17g}", f"{ell:.17g}", lab.region.value,
-                            f"{lab.exponent:.17g}"])
+    write_table(path, ("n", "ell", "region", "exponent"),
+                ((n, ell, lab.region.value, lab.exponent)
+                 for ell, row in zip(diagram.ell_grid, diagram.labels)
+                 for n, lab in zip(diagram.n_grid, row)))
 
 
 def write_crossover_lines_csv(lines: CrossoverLines, path) -> None:
     """Polyline CSV with columns (line_id, n, ell)."""
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["line_id", "n", "ell"])
-        for n, ell in lines.noise_line:
-            w.writerow(["noise", f"{n:.17g}", f"{ell:.17g}"])
-        for n, ell in lines.reg_line:
-            w.writerow(["regularization", f"{n:.17g}", f"{ell:.17g}"])
+    write_table(path, ("line_id", "n", "ell"),
+                [("noise", n, ell) for n, ell in lines.noise_line]
+                + [("regularization", n, ell) for n, ell in lines.reg_line])

@@ -9,10 +9,9 @@ form against the known teacher, which removes test-set sampling noise.
 
 from __future__ import annotations
 
-import csv
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -20,12 +19,12 @@ import scipy.linalg
 from .errors import (
     DegenerateWindowError,
     InvalidParameterError,
-    SchemaError,
     SingularSystemError,
     SolverError,
 )
 from .regimes import RegimeQuery, classify
 from .spectrum import Spectrum
+from .table import read_table, write_table
 from .theory import excess_error_closed
 
 _JITTER_REL = 1e-12
@@ -59,6 +58,18 @@ class LamSchedule:
                 return 0.0
             return self.lambda0 * float(n) ** (-self.ell)
         return None
+
+    def regime_point(self, lam: float) -> tuple[float, float]:
+        """Phase-diagram (ell, lambda0) of lam, the value this schedule resolved to.
+
+        A power schedule is its own point.  Otherwise lam = 0 is ell = inf, and
+        a positive lam at a given n matches ell = 0 with prefactor lam.
+        """
+        if self.kind == "power":
+            return self.ell, self.lambda0
+        if lam == 0.0:
+            return math.inf, 1.0
+        return 0.0, lam
 
 
 @dataclass(frozen=True)
@@ -94,6 +105,11 @@ class SimConfig:
             raise InvalidParameterError("workers must be >= 1")
 
 
+# Column order of the curve CSV; it is also CurveRow's field order.
+_CURVE_HEADER = ("n", "lambda", "mean_excess", "std_excess", "trials", "theory_excess",
+                 "regime")
+
+
 @dataclass(frozen=True)
 class CurveRow:
     n: int
@@ -110,33 +126,15 @@ class LearningCurve:
     rows: tuple[CurveRow, ...] = field(default_factory=tuple)
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["n", "lambda", "mean_excess", "std_excess", "trials",
-                        "theory_excess", "regime"])
-            for row in self.rows:
-                w.writerow([row.n, f"{row.lam_used:.17g}", f"{row.mean_excess:.17g}",
-                            f"{row.std_excess:.17g}", row.trials,
-                            f"{row.theory_excess:.17g}", row.regime])
+        write_table(path, _CURVE_HEADER, (astuple(row) for row in self.rows))
 
     @staticmethod
     def from_csv(path) -> "LearningCurve":
-        with open(path, newline="") as f:
-            reader = csv.reader(f)
-            header = next(reader, None)
-            expected = ["n", "lambda", "mean_excess", "std_excess", "trials",
-                        "theory_excess", "regime"]
-            if header is None or [h.strip() for h in header] != expected:
-                raise SchemaError(f"{path}: expected header {','.join(expected)}")
-            rows = []
-            for rec in reader:
-                if not rec:
-                    continue
-                rows.append(CurveRow(n=int(rec[0]), lam_used=float(rec[1]),
-                                     mean_excess=float(rec[2]), std_excess=float(rec[3]),
-                                     trials=int(rec[4]), theory_excess=float(rec[5]),
-                                     regime=rec[6]))
-        return LearningCurve(rows=tuple(rows))
+        return LearningCurve(rows=tuple(
+            CurveRow(n=int(rec[0]), lam_used=float(rec[1]), mean_excess=float(rec[2]),
+                     std_excess=float(rec[3]), trials=int(rec[4]),
+                     theory_excess=float(rec[5]), regime=rec[6])
+            for rec in read_table(path, _CURVE_HEADER)))
 
 
 def trial_seed(master_seed: int, n: int, trial_index: int) -> np.random.SeedSequence:
@@ -270,16 +268,6 @@ def grid_search_lambda(features: np.ndarray, labels: np.ndarray,
     return float(lam_grid[best_i])
 
 
-def _run_trial(spectrum: Spectrum, n: int, sigma: float, lam: float | None,
-               schedule: LamSchedule, master_seed: int, t: int):
-    features, labels = sample_dataset(spectrum, n, sigma, trial_seed(master_seed, n, t))
-    lam_t = lam
-    if lam_t is None:
-        lam_t = schedule.lam_at(n)
-    w = ridge_fit(features, labels, lam_t)
-    return excess_error_empirical(w, spectrum), lam_t
-
-
 def learning_curve(config: SimConfig) -> LearningCurve:
     """Monte-Carlo learning curve with attached closed-form theory column.
 
@@ -301,29 +289,23 @@ def learning_curve(config: SimConfig) -> LearningCurve:
             lam = grid_search_lambda(features, labels, config.lam_schedule.grid,
                                      config.lam_schedule.k_folds)
 
-        results: list[float | None] = [None] * config.trials
-        failures: list[Exception] = []
-
-        def run(t: int) -> float:
-            return _run_trial(spectrum, n, config.sigma, lam,
-                              config.lam_schedule, config.master_seed, t)[0]
+        def run(t: int) -> float | SolverError:
+            """Excess error of trial t, or the solver failure it met."""
+            features, labels = sample_dataset(
+                spectrum, n, config.sigma, trial_seed(config.master_seed, n, t))
+            try:
+                w = ridge_fit(features, labels, lam)
+            except SolverError as err:
+                return err
+            return excess_error_empirical(w, spectrum)
 
         if config.workers == 1:
-            for t in range(config.trials):
-                try:
-                    results[t] = run(t)
-                except SolverError as err:
-                    failures.append(err)
+            outcomes = [run(t) for t in range(config.trials)]
         else:
             with ThreadPoolExecutor(max_workers=config.workers) as pool:
-                futures = [pool.submit(run, t) for t in range(config.trials)]
-            for t, fut in enumerate(futures):
-                try:
-                    results[t] = fut.result()
-                except SolverError as err:
-                    failures.append(err)
-
-        values = np.array([v for v in results if v is not None], dtype=float)
+                outcomes = list(pool.map(run, range(config.trials)))
+        failures = [o for o in outcomes if isinstance(o, SolverError)]
+        values = np.array([o for o in outcomes if not isinstance(o, SolverError)], dtype=float)
         if len(failures) > 0.1 * config.trials or values.size == 0:
             raise failures[0]
         mean = float(values.mean())
@@ -332,13 +314,7 @@ def learning_curve(config: SimConfig) -> LearningCurve:
         regime = ""
         if config.regime_params is not None:
             alpha, r = config.regime_params
-            if config.lam_schedule.kind == "power":
-                ell, lam0 = config.lam_schedule.ell, config.lam_schedule.lambda0
-            elif lam == 0.0:
-                ell, lam0 = math.inf, 1.0
-            else:
-                # Fixed positive lam at this n matches ell = 0 with prefactor lam.
-                ell, lam0 = 0.0, lam
+            ell, lam0 = config.lam_schedule.regime_point(lam)
             label = classify(RegimeQuery(alpha=alpha, r=r, sigma=config.sigma,
                                          ell=ell, n=float(n), lambda0=lam0))
             regime = label.region.value

@@ -8,17 +8,19 @@ unit prefactor) or empirical (measured from data and loaded from CSV).
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError, SchemaError
+from .errors import InvalidParameterError
+from .table import read_table, write_table
 
 # Truncation defaults: simulation-facing callers keep the feature space small
 # enough to sample, theory-facing callers push the truncation one decade further.
 DEFAULT_P_SIMULATION = 10_000
 DEFAULT_P_THEORY = 100_000
+
+_HEADER = ("k", "eigenvalue", "teacher_sq")
 
 
 @dataclass(frozen=True)
@@ -89,26 +91,14 @@ class Spectrum:
 
     def to_csv(self, path) -> None:
         """Write columns (k, eigenvalue, teacher_sq) with a header row."""
-        with open(path, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["k", "eigenvalue", "teacher_sq"])
-            for k in range(self.p):
-                w.writerow([k + 1, f"{self.eigenvalues[k]:.17g}", f"{self.teacher_sq[k]:.17g}"])
+        write_table(path, _HEADER,
+                    zip(range(1, self.p + 1), self.eigenvalues, self.teacher_sq))
 
     @staticmethod
     def from_csv(path) -> "Spectrum":
-        with open(path, newline="") as f:
-            reader = csv.reader(f)
-            header = next(reader, None)
-            if header is None or [h.strip() for h in header[:3]] != ["k", "eigenvalue", "teacher_sq"]:
-                raise SchemaError(f"{path}: expected header 'k,eigenvalue,teacher_sq'")
-            eig, tsq = [], []
-            for row in reader:
-                if not row:
-                    continue
-                eig.append(float(row[1]))
-                tsq.append(float(row[2]))
-        return Spectrum(np.array(eig), np.array(tsq))
+        rows = read_table(path, _HEADER)
+        return Spectrum(np.array([float(row[1]) for row in rows]),
+                        np.array([float(row[2]) for row in rows]))
 
 
 def power_law_spectrum(params: PowerLawParams) -> Spectrum:
@@ -130,76 +120,3 @@ def teacher_variance(spectrum: Spectrum) -> float:
     """
     terms = spectrum.eigenvalues * spectrum.teacher_sq
     return float(terms[::-1].sum())
-
-
-# The source/capacity diagnostic classifies the growth of partial-sum
-# increments by their log-log slope s:  s < -1 means summable (satisfied),
-# s == -1 is the log-divergent limiting case (boundary), s > -1 diverges.
-_SLOPE_TOL = 0.05
-
-
-@dataclass(frozen=True)
-class SourceCapacityReport:
-    """Diagnostic verdicts for the trace and alignment summability conditions.
-
-    A finite truncation cannot decide convergence, so this reports the
-    fitted tail slope of the summand sequences plus a three-way status:
-    'satisfied', 'boundary' (logarithmically divergent limiting case) or
-    'violated'.
-    """
-
-    capacity_status: str
-    capacity_slope: float
-    source_status: str
-    source_slope: float
-    bounded: bool = field(default=False)
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "bounded", self.capacity_status != "violated" and self.source_status != "violated"
-        )
-
-
-def _tail_slope(terms: np.ndarray) -> float:
-    """Log-log slope of per-index terms over the upper half of the index range."""
-    n = terms.size
-    lo = n // 2
-    k = np.arange(lo + 1, n + 1, dtype=float)
-    vals = terms[lo:]
-    keep = vals > 0
-    if keep.sum() < 3:
-        return float("nan")
-    x = np.log(k[keep])
-    y = np.log(vals[keep])
-    return float(np.polyfit(x, y, 1)[0])
-
-
-def _status(slope: float) -> str:
-    if np.isnan(slope):
-        return "satisfied"
-    if slope < -1.0 - _SLOPE_TOL:
-        return "satisfied"
-    if slope <= -1.0 + _SLOPE_TOL:
-        return "boundary"
-    return "violated"
-
-
-def check_source_capacity(spectrum: Spectrum, alpha: float, r: float) -> SourceCapacityReport:
-    """Diagnose whether the spectrum is compatible with exponents (alpha, r).
-
-    Checks the finite-p proxies of the two summability conditions: the
-    capacity proxy sums eigenvalue^(1/alpha), the source proxy sums
-    eigenvalue^(1-2r) * teacher_sq.  Purely diagnostic.
-    """
-    if not alpha > 0:
-        raise InvalidParameterError(f"alpha must be positive, got {alpha}")
-    cap_terms = spectrum.eigenvalues ** (1.0 / alpha)
-    src_terms = spectrum.eigenvalues ** (1.0 - 2.0 * r) * spectrum.teacher_sq
-    cap_slope = _tail_slope(cap_terms)
-    src_slope = _tail_slope(src_terms)
-    return SourceCapacityReport(
-        capacity_status=_status(cap_slope),
-        capacity_slope=cap_slope,
-        source_status=_status(src_slope),
-        source_slope=src_slope,
-    )

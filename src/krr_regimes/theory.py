@@ -191,22 +191,18 @@ class FixedPointState:
     """Converged order parameters of the coupled self-consistent equations.
 
     V, q, m are the order parameters (mean resolvent trace, student
-    self-overlap, teacher-student overlap); V_hat, q_hat, m_hat their
-    conjugates.  rho is the teacher variance.  The excess error equals
-    rho - 2 m + q; the stored ``excess`` field carries that combination
-    accumulated per-mode during the iteration, which stays accurate when
-    the excess sits many orders of magnitude below rho and the naive
-    three-term difference would cancel catastrophically.  In the
-    interpolation limit (lam = 0 with more modes than samples) V diverges
-    while the conjugates vanish; V is then reported as inf.
+    self-overlap, teacher-student overlap); rho is the teacher variance.
+    The excess error equals rho - 2 m + q; the stored ``excess`` field
+    carries that combination accumulated per-mode during the iteration,
+    which stays accurate when the excess sits many orders of magnitude
+    below rho and the naive three-term difference would cancel
+    catastrophically.  In the interpolation limit (lam = 0 with more modes
+    than samples) V diverges and is reported as inf.
     """
 
     V: float
     q: float
     m: float
-    V_hat: float
-    q_hat: float
-    m_hat: float
     rho: float
     excess: float
     converged: bool
@@ -230,8 +226,7 @@ def solve_fixed_point(n: int, lam: float, sigma: float, spectrum: Spectrum,
     cancellation of forming rho - 2 m + q from its converged parts.  The
     overlap m is iterated alongside for reporting and q is recovered from
     the identity q = excess + 2 m - rho.  All states relax as
-    x_new = (1 - damping) * x_old + damping * update; conjugates are
-    recomputed from the state each round.
+    x_new = (1 - damping) * x_old + damping * update.
 
     Non-convergence after max_iter returns a state flagged unconverged.
     A meaningfully negative excess error raises NegativeExcessError.
@@ -290,17 +285,8 @@ def solve_fixed_point(n: int, lam: float, sigma: float, spectrum: Spectrum,
     if excess < -tol * max(1.0, rho):
         raise NegativeExcessError(f"excess error {excess:.3e} is negative at convergence")
     q = excess + 2.0 * m - rho
-
-    if lam > 0.0:
-        V = zeta / lam - 1.0
-        v_hat = (n / p) * lam / zeta
-        q_hat = (n / p) * (excess + sig2) * (lam / zeta) ** 2
-    else:
-        V = math.inf
-        v_hat = 0.0
-        q_hat = 0.0
-    return FixedPointState(V=V, q=q, m=m, V_hat=v_hat, q_hat=q_hat, m_hat=v_hat,
-                           rho=rho, excess=excess, converged=converged,
+    V = zeta / lam - 1.0 if lam > 0.0 else math.inf
+    return FixedPointState(V=V, q=q, m=m, rho=rho, excess=excess, converged=converged,
                            iterations=iterations, residual=residual)
 
 

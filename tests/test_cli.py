@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 
 import numpy as np
 import pytest
@@ -199,6 +200,10 @@ def test_fit_slope_degenerate_window(tmp_path):
     path = tmp_path / "c.csv"
     _slope_csv(path, [(10, 1.0), (100, 0.5), (1000, 0.25)])
     assert main(["fit-slope", str(path), "--window", "0,1"]) == 4
+    # a row shorter than the header is a schema error, not a crash
+    with open(path, "a", newline="") as f:
+        f.write("10000,0,0.125\r\n")
+    assert main(["fit-slope", str(path)]) == 4
 
 
 def test_optimal_lambda_command(tmp_path):
@@ -226,6 +231,64 @@ def test_config_file_supplies_defaults(tmp_path):
     code = main(["theory", "--config", str(cfg), "--n", "75", "--out", str(out2)])
     assert code == 0
     assert [r[0] for r in _read_csv(out2)[1:]] == ["75"]
+
+
+def test_optimal_lambda_include_zero_toggle(tmp_path):
+    args = ["optimal-lambda", "--alpha", "2", "--r", "0.5", "--sigma", "0", "--p", "2000",
+            "--n", "100", "--lam-grid", "1e-6,1,13"]
+    assert main(args + ["--out", str(tmp_path / "with.csv")]) == 0
+    assert float(_read_csv(tmp_path / "with.csv")[1][1]) == 0.0
+    assert main(args + ["--no-include-zero", "--out", str(tmp_path / "without.csv")]) == 0
+    # without noise the smallest ridge wins, so dropping 0 leaves the smallest grid point
+    assert float(_read_csv(tmp_path / "without.csv")[1][1]) == np.geomspace(1e-6, 1, 13)[0]
+
+
+def test_config_equals_form_and_unknown_key(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"alpha": 2.0, "r": 0.5, "lam": 0.0, "p": 1000, "n": [50]}))
+    out = tmp_path / "t.csv"
+    assert main(["theory", f"--config={cfg}", "--out", str(out)]) == 0
+    assert [r[0] for r in _read_csv(out)[1:]] == ["50"]
+    cfg.write_text(json.dumps({"alpha": 2.0, "r": 0.5, "lam": 0.0, "n": [50], "sigmaa": 0.1}))
+    assert main(["theory", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "sigmaa" in capsys.readouterr().err
+    cfg.write_text(json.dumps({"command": "simulate", "alpha": 2.0, "r": 0.5, "lam": 0.0,
+                               "n": [50]}))
+    assert main(["theory", "--config", str(cfg), "--out", str(out)]) == 2
+
+
+_REPLAY_ARGS = {
+    "theory": ["--alpha", "2", "--r", "0.5", "--sigma", "0.1", "--ell", "1",
+               "--lambda0", "0.01", "--p", "2000", "--n", "100,300"],
+    "simulate": ["--alpha", "2", "--r", "0.5", "--sigma", "0.1", "--lam", "0", "--p", "200",
+                 "--n", "16,32", "--trials", "3", "--seed", "4"],
+    "phase-diagram": ["--lambda0", "1e-4", "--n-grid", "1,1e4,5", "--ell-grid", "0,4,5"],
+    "optimal-lambda": ["--alpha", "2", "--r", "0.5", "--sigma", "0.5", "--p", "2000",
+                       "--n", "100,200", "--lam-grid", "1e-6,1,13"],
+    "estimate": ["--kernel", "linear", "--gamma", "1"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_REPLAY_ARGS))
+def test_manifest_params_replay_byte_identical(tmp_path, command):
+    positional = []
+    if command == "estimate":
+        positional = [str(tmp_path / "data.csv")]
+        _planted_csv(positional[0], n_tot=80, p=30)
+    first, replay = tmp_path / "first", tmp_path / "replay"
+    first.mkdir()
+    replay.mkdir()
+    assert main([command, *positional, *_REPLAY_ARGS[command],
+                 "--out", str(first / "out")]) == 0
+    (manifest_path,) = first.glob("*.manifest.json")
+    manifest = json.loads(manifest_path.read_text())
+    cfg = tmp_path / "params.json"
+    cfg.write_text(json.dumps(manifest["params"]))
+    assert main([command, *positional, "--config", str(cfg),
+                 "--out", str(replay / "out")]) == 0
+    for output in manifest["outputs"]:
+        name = os.path.basename(output)
+        assert (replay / name).read_bytes() == (first / name).read_bytes(), name
 
 
 def test_outdir_env_var(tmp_path, monkeypatch):

@@ -256,10 +256,13 @@ def test_fit_decay_exponent_degenerate_window():
 
 def test_curve_csv_roundtrip(tmp_path):
     cfg = _config(trials=3, sigma=0.1, regime_params=(2.0, 0.5))
-    curve = learning_curve(cfg)
     path = tmp_path / "curve.csv"
-    curve.to_csv(path)
-    assert LearningCurve.from_csv(path) == curve
+    # a simulated curve, and hand-made rows with extreme values and no regime label
+    for curve in (learning_curve(cfg),
+                  LearningCurve((CurveRow(1, 0.0, 5e-324, 1.0 / 3.0, 1, 1e300, ""),
+                                 CurveRow(10**6, 0.1, 2.0 / 3.0, 0.0, 7, 1e-300, "")))):
+        curve.to_csv(path)
+        assert LearningCurve.from_csv(path) == curve
 
 
 def test_trial_seed_splittable():

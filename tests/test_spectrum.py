@@ -5,7 +5,6 @@ from krr_regimes.errors import InvalidParameterError, SchemaError
 from krr_regimes.spectrum import (
     PowerLawParams,
     Spectrum,
-    check_source_capacity,
     power_law_spectrum,
     teacher_variance,
 )
@@ -80,41 +79,26 @@ def test_teacher_variance_monotone_in_p_and_bounded():
     assert prev < ZETA3  # zeta(1 + 2 r alpha) bound for r > 0
 
 
-def test_source_capacity_boundary_at_own_exponents():
-    sp = power_law_spectrum(PowerLawParams(2.0, 0.5, 2000))
-    rep = check_source_capacity(sp, 2.0, 0.5)
-    assert rep.capacity_status == "boundary"
-    assert rep.source_status == "boundary"
-    assert rep.bounded
-
-
-def test_source_capacity_violated_at_larger_alpha():
-    sp = power_law_spectrum(PowerLawParams(2.0, 0.5, 2000))
-    rep = check_source_capacity(sp, 4.0, 0.5)
-    assert rep.capacity_status == "violated"
-    assert not rep.bounded
-
-
-def test_source_capacity_trivial_short_spectrum():
-    rep = check_source_capacity(Spectrum(np.array([1.0]), np.array([1.0])), 2.0, 0.5)
-    assert rep.capacity_status == "satisfied"
-    assert rep.bounded
-
-
 def test_csv_roundtrip(tmp_path):
-    sp = power_law_spectrum(PowerLawParams(1.65, 0.097, 50))
     path = tmp_path / "spectrum.csv"
-    sp.to_csv(path)
-    back = Spectrum.from_csv(path)
-    assert np.array_equal(back.eigenvalues, sp.eigenvalues)
-    assert np.array_equal(back.teacher_sq, sp.teacher_sq)
+    # a power law, and an empirical spectrum with extreme and inexact values
+    for sp in (power_law_spectrum(PowerLawParams(1.65, 0.097, 50)),
+               Spectrum(np.array([1.0, 1.0 / 3.0, 1e-300, 5e-324]),
+                        np.array([0.0, 2.0 / 3.0, 1e300, 0.1]))):
+        sp.to_csv(path)
+        back = Spectrum.from_csv(path)
+        assert np.array_equal(back.eigenvalues, sp.eigenvalues)
+        assert np.array_equal(back.teacher_sq, sp.teacher_sq)
 
 
 def test_csv_bad_header(tmp_path):
     path = tmp_path / "bad.csv"
-    path.write_text("a,b,c\n1,1,1\n")
-    with pytest.raises(SchemaError):
-        Spectrum.from_csv(path)
+    # wrong names, a short row, and an extra trailing column
+    for text in ("a,b,c\n1,1,1\n", "k,eigenvalue,teacher_sq\n1,1\n",
+                 "k,eigenvalue,teacher_sq,extra\n1,1,1,1\n"):
+        path.write_text(text)
+        with pytest.raises(SchemaError):
+            Spectrum.from_csv(path)
 
 
 def test_truncate():
