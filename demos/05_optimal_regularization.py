@@ -11,6 +11,7 @@ import numpy as np
 from krr_regimes import (
     PowerLawParams,
     fit_loglog_slope,
+    noisy_optimum,
     optimal_decay,
     optimal_lambda,
     power_law_spectrum,
@@ -33,8 +34,6 @@ for n in ns:
 big = ns >= 1e4
 slope_excess, _ = fit_loglog_slope(ns[big], np.array(excesses)[big])
 slope_lam, _ = fit_loglog_slope(ns[big], np.array(lams)[big])
-m = min(R, 1.0)
-print(f"\nlarge-n excess slope  {slope_excess:+.3f}  "
-      f"(prediction {-2 * ALPHA * m / (1 + 2 * ALPHA * m):+.3f})")
-print(f"large-n lambda* slope {slope_lam:+.3f}  "
-      f"(prediction {-ALPHA / (1 + 2 * ALPHA * m):+.3f})")
+ell_star, rate = noisy_optimum(ALPHA, R)
+print(f"\nlarge-n excess slope  {slope_excess:+.3f}  (prediction {-rate:+.3f})")
+print(f"large-n lambda* slope {slope_lam:+.3f}  (prediction {-ell_star:+.3f})")

@@ -15,11 +15,14 @@ import numpy as np
 from krr_regimes import (
     KernelSpec,
     PowerLawParams,
+    Region,
     cumulative_tails,
     estimate_alpha_r,
     feature_decomposition,
     gram_matrix,
+    noisy_optimum,
     power_law_spectrum,
+    region_exponent,
     sample_dataset,
 )
 
@@ -45,11 +48,10 @@ print(f"fit quality: r2 = {estimate.r2_capacity:.5f} / {estimate.r2_source:.5f}"
 print(f"floored modes: {decomposition.n_floored} below "
       f"{decomposition.floor:.2e}")
 
-m = min(estimate.r_hat, 1.0)
-a = estimate.alpha_hat
+ridgeless = region_exponent(Region.GREEN_NOISELESS_UNREG, estimate.alpha_hat, estimate.r_hat)
+ell_star, rate = noisy_optimum(estimate.alpha_hat, estimate.r_hat)
 print("\npredicted decays from the recovered exponents:")
-print(f"  noiseless ridgeless:   n^-{2 * a * m:.3f}")
+print(f"  noiseless ridgeless:   n^-{ridgeless:.3f}")
 print(f"  noisy ridgeless:       plateau")
-print(f"  noisy optimally tuned: n^-{2 * a * m / (1 + 2 * a * m):.3f} "
-      f"with lambda* ~ n^-{a / (1 + 2 * a * m):.3f}")
+print(f"  noisy optimally tuned: n^-{rate:.3f} with lambda* ~ n^-{ell_star:.3f}")
 print(f"\ntotal {time.time() - t0:.1f}s")

@@ -15,7 +15,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -34,7 +33,7 @@ from .errors import (
     SchemaError,
     SolverError,
 )
-from .regimes import RegimeQuery, classify, optimal_decay, phase_diagram, \
+from .regimes import Region, noisy_optimum, optimal_decay, phase_diagram, region_exponent, \
     write_crossover_lines_csv, write_phase_diagram_csv
 from .simulator import LamSchedule, LearningCurve, SimConfig, fit_decay_exponent, \
     learning_curve
@@ -50,24 +49,13 @@ NUMERICAL_EXIT = 3
 DATA_EXIT = 4
 
 
-@dataclass
-class RunManifest:
-    """Everything needed to reproduce a command's outputs bit-exactly."""
-
-    command: str
-    version: str
-    params: dict
-    master_seed: int | None
-    outputs: list[str] = field(default_factory=list)
-    wall_time_s: float = 0.0
-
-
 def _write_manifest(path, args, t0: float, outputs: list[str], seed: int | None = None,
                     **results) -> None:
-    """Manifest of a finished command; results are recorded among its params."""
-    manifest = RunManifest(args.command, __version__, {**_params_of(args), **results}, seed,
-                           outputs, time.time() - t0)
-    _write_json(path, asdict(manifest))
+    """Manifest of a finished command: everything needed to reproduce its outputs
+    bit-exactly.  results are recorded among its params."""
+    _write_json(path, {"command": args.command, "version": __version__,
+                       "params": {**_params_of(args), **results}, "master_seed": seed,
+                       "outputs": outputs, "wall_time_s": time.time() - t0})
 
 
 def _write_json(path, obj) -> None:
@@ -140,9 +128,7 @@ def cmd_theory(args) -> int:
     for n in args.n:
         lam = schedule.lam_at(n)
         dec = excess_error_closed(n, lam, args.sigma, spectrum)
-        ell, lambda0 = schedule.regime_point(lam)
-        label = classify(RegimeQuery(alpha=args.alpha, r=args.r, sigma=args.sigma,
-                                     ell=ell, n=float(n), lambda0=lambda0))
+        label = schedule.label(args.alpha, args.r, args.sigma, n, lam)
         rows.append([n, lam, dec.sample_variance, dec.noise_variance, dec.total,
                      label.region.value, label.exponent])
     out = _outpath(args, "theory_curve.csv")
@@ -210,12 +196,11 @@ def cmd_estimate(args) -> int:
     est = estimate_alpha_r(cap_tail, src_tail, args.fit_range_capacity,
                            args.fit_range_source)
 
-    m_hat = min(est.r_hat, 1.0)
-    a_hat = est.alpha_hat
-    ell = args.ell
+    a_hat, r_hat, ell = est.alpha_hat, est.r_hat, args.ell
+    ell_star, noisy_rate = noisy_optimum(a_hat, r_hat)
     report = {
         "alpha_hat": a_hat,
-        "r_hat": est.r_hat,
+        "r_hat": r_hat,
         "r2_capacity": est.r2_capacity,
         "r2_source": est.r2_source,
         "fit_range_capacity": list(est.fit_range_capacity),
@@ -224,13 +209,13 @@ def cmd_estimate(args) -> int:
         "eigenvalue_floor": dec.floor,
         "n_floored": dec.n_floored,
         "predicted_exponents": {
-            "GreenNoiselessUnreg": 2.0 * a_hat * m_hat,
-            "RedNoisyUnreg": 0.0,
-            "BlueNoiselessReg_at_ell": 2.0 * ell * m_hat,
-            "OrangeNoisyReg_at_ell": (a_hat - ell) / a_hat,
+            "GreenNoiselessUnreg": region_exponent(Region.GREEN_NOISELESS_UNREG, a_hat, r_hat),
+            "RedNoisyUnreg": region_exponent(Region.RED_NOISY_UNREG, a_hat, r_hat),
+            "BlueNoiselessReg_at_ell": region_exponent(Region.BLUE_NOISELESS_REG, a_hat, r_hat, ell),
+            "OrangeNoisyReg_at_ell": region_exponent(Region.ORANGE_NOISY_REG, a_hat, r_hat, ell),
             "ell_used": ell,
-            "noisy_optimal": 2.0 * a_hat * m_hat / (1.0 + 2.0 * a_hat * m_hat),
-            "optimal_decay_ell": a_hat / (1.0 + 2.0 * a_hat * m_hat),
+            "noisy_optimal": noisy_rate,
+            "optimal_decay_ell": ell_star,
         },
     }
     base = _outpath(args, "estimate")
@@ -312,31 +297,34 @@ def build_parser(supplied=()):
         subparsers[name] = p
         return p
 
+    def model(p, p_default):
+        """Flags of the power-law model, its noise, truncation and sample counts."""
+        p.add_argument("--alpha", type=float, required=required("alpha"))
+        p.add_argument("--r", type=float, required=required("r"))
+        p.add_argument("--sigma", type=float, default=0.0)
+        p.add_argument("--p", type=int, default=p_default)
+        p.add_argument("--n", type=_int_list, required=required("n"),
+                       help="comma-separated sample counts")
+
+    def schedule(p, *more):
+        """The ridge schedule group; more names its further members."""
+        p.add_argument("--lambda0", type=float, default=1.0)
+        group = p.add_mutually_exclusive_group(required=required("lam", "ell", *more))
+        group.add_argument("--lam", type=float, help="fixed regularization")
+        group.add_argument("--ell", type=float,
+                           help="decay exponent of lambda0 * n^-ell ('inf' for zero)")
+        return group
+
     p = add("theory", cmd_theory, help="closed-form learning curve")
-    p.add_argument("--alpha", type=float, required=required("alpha"))
-    p.add_argument("--r", type=float, required=required("r"))
-    p.add_argument("--sigma", type=float, default=0.0)
-    group = p.add_mutually_exclusive_group(required=required("lam", "ell"))
-    group.add_argument("--lam", type=float, help="fixed regularization")
-    group.add_argument("--ell", type=float, help="decay exponent of lambda0 * n^-ell ('inf' for zero)")
-    p.add_argument("--lambda0", type=float, default=1.0)
-    p.add_argument("--p", type=int, default=DEFAULT_P_THEORY)
-    p.add_argument("--n", type=_int_list, required=required("n"),
-                   help="comma-separated sample counts")
+    model(p, DEFAULT_P_THEORY)
+    schedule(p)
 
     p = add("simulate", cmd_simulate, help="Monte-Carlo learning curve with theory column")
-    p.add_argument("--alpha", type=float, required=required("alpha"))
-    p.add_argument("--r", type=float, required=required("r"))
-    p.add_argument("--sigma", type=float, default=0.0)
-    group = p.add_mutually_exclusive_group(required=required("lam", "ell", "cv"))
-    group.add_argument("--lam", type=float)
-    group.add_argument("--ell", type=float)
-    group.add_argument("--cv", action="store_true", help="pick lambda by cross-validation")
-    p.add_argument("--lambda0", type=float, default=1.0)
-    p.add_argument("--p", type=int, default=DEFAULT_P_SIMULATION)
+    model(p, DEFAULT_P_SIMULATION)
+    schedule(p, "cv").add_argument("--cv", action="store_true",
+                                   help="pick lambda by cross-validation")
     p.add_argument("--theory-p", type=int, default=None,
                    help="separate truncation for the theory column")
-    p.add_argument("--n", type=_int_list, required=required("n"))
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=1)
@@ -375,16 +363,57 @@ def build_parser(supplied=()):
                    help="inclusive 0-based row range lo,hi")
 
     p = add("optimal-lambda", cmd_optimal_lambda, help="per-n optimal regularization")
-    p.add_argument("--alpha", type=float, required=required("alpha"))
-    p.add_argument("--r", type=float, required=required("r"))
-    p.add_argument("--sigma", type=float, default=0.0)
-    p.add_argument("--p", type=int, default=DEFAULT_P_THEORY)
-    p.add_argument("--n", type=_int_list, required=required("n"))
+    model(p, DEFAULT_P_THEORY)
     p.add_argument("--lam-grid", type=_log_grid, default=_log_grid("1e-10,1e2,301"))
     p.add_argument("--include-zero", action=argparse.BooleanOptionalAction, default=True,
                    help="also try lam = 0")
 
     return parser, subparsers
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, float) or _is_int(value)
+
+
+# The JSON shape of the value each flag type produces.
+_CONFIG_SHAPES = {
+    None: lambda v: isinstance(v, str),
+    float: _is_number,
+    int: _is_int,
+    _int_list: lambda v: isinstance(v, list) and all(map(_is_int, v)),
+    _int_pair: lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_int, v)),
+    _log_grid: lambda v: isinstance(v, list) and all(map(_is_number, v)),
+    _lin_grid: lambda v: isinstance(v, list) and all(map(_is_number, v)),
+}
+
+
+def _typed_config(sub, config: dict) -> dict:
+    """config with each string value run through its flag's type; exits 2 naming a bad key.
+
+    Any other value must have the shape its flag produces, or be null for a
+    flag whose default is None.
+    """
+    actions = {action.dest: action for action in sub._actions}
+    typed = dict(config)
+    for key, value in config.items():
+        action = actions.get(key)
+        if action is None or (value is None and action.default is None):
+            continue
+        if isinstance(value, str) and action.type is not None:
+            try:
+                typed[key] = action.type(value)
+            except (argparse.ArgumentTypeError, ValueError) as err:
+                sub.error(f"config key {key!r}: {err}")
+            continue
+        is_bool = isinstance(action.default, bool)
+        fits = isinstance(value, bool) if is_bool else _CONFIG_SHAPES[action.type](value)
+        if not fits or (action.choices is not None and value not in action.choices):
+            sub.error(f"config key {key!r}: {value!r} is not a value its flag takes")
+    return typed
 
 
 def _read_config(argv) -> dict:
@@ -408,7 +437,9 @@ def main(argv=None) -> int:
     except (argparse.ArgumentError, OSError, ValueError) as err:
         print(f"error: cannot read config file: {err}", file=sys.stderr)
         return USAGE_EXIT
-    parser, subparsers = build_parser(config)
+    # null (or false for a switch) leaves a required flag to the command line.
+    parser, subparsers = build_parser(
+        [key for key, value in config.items() if value is not None and value is not False])
     try:
         # Two passes: the first finds the command and its options, the
         # second parses again with the config values as defaults, so flags
@@ -422,7 +453,7 @@ def main(argv=None) -> int:
                 sub.error(f"unknown config key(s): {', '.join(unknown)}")
             if config.get("command", args.command) != args.command:
                 sub.error(f"config file is for the {config['command']!r} command")
-            sub.set_defaults(**config)
+            sub.set_defaults(**_typed_config(sub, config))
             args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_EXIT

@@ -24,7 +24,6 @@ from .errors import (
     OverlapError,
     SchemaError,
 )
-from .spectrum import Spectrum
 from .table import write_table
 
 DEFAULT_EIGENVALUE_FLOOR = 1e-12
@@ -86,11 +85,6 @@ class FeatureDecomposition:
     n_tot: int
     n_floored: int
     floor: float
-
-    def to_spectrum(self) -> Spectrum:
-        """Positive-eigenvalue part as a Spectrum (teacher stored squared)."""
-        keep = self.eigenvalues > 0
-        return Spectrum(self.eigenvalues[keep], self.theta_star[keep] ** 2)
 
     def to_csv(self, path) -> None:
         write_table(path, ("k", "eigenvalue", "theta_star"),

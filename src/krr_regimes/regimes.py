@@ -43,14 +43,9 @@ class RegimeQuery:
     lambda0: float = 1.0
 
     def __post_init__(self):
-        if not self.alpha > 1:
-            raise InvalidParameterError(f"capacity exponent must be > 1, got {self.alpha}")
-        if self.r < 0 or self.sigma < 0:
-            raise InvalidParameterError("source exponent and noise std must be >= 0")
-        if not self.lambda0 > 0:
-            raise InvalidParameterError(f"lambda0 must be > 0, got {self.lambda0}")
-        if self.n < 1:
-            raise InvalidParameterError(f"sample count must be >= 1, got {self.n}")
+        _check_point(self.alpha, self.r, self.sigma, self.n, self.lambda0)
+        if math.isnan(self.ell):
+            raise InvalidParameterError("decay exponent ell must not be NaN")
 
 
 @dataclass(frozen=True)
@@ -62,9 +57,63 @@ class RegimeLabel:
     sublabel: str | None = None
 
 
+def _check_point(alpha: float, r: float, sigma: float, n: float, lambda0: float) -> None:
+    """Reject a phase-diagram point outside the domain; NaN fails every comparison."""
+    if not alpha > 1:
+        raise InvalidParameterError(f"capacity exponent must be > 1, got {alpha}")
+    if not (r >= 0 and sigma >= 0):
+        raise InvalidParameterError("source exponent and noise std must be >= 0")
+    if not lambda0 > 0:
+        raise InvalidParameterError(f"lambda0 must be > 0, got {lambda0}")
+    if not n >= 1:
+        raise InvalidParameterError(f"sample count must be >= 1, got {n}")
+
+
 def _msat(r: float) -> float:
     # Source saturation: exponents depend on r only through min(r, 1).
     return min(r, 1.0)
+
+
+def _pow(base: float, exponent: float) -> float:
+    """base ** exponent, saturating at inf where the result leaves the float range."""
+    try:
+        return base ** exponent
+    except (OverflowError, ZeroDivisionError):
+        return math.inf
+
+
+def region_exponent(region: Region, alpha: float, r: float, ell: float = math.inf) -> float:
+    """Decay exponent of the excess error in region: with m = min(r, 1), 2 alpha m,
+    0 (the noise plateau), 2 ell m or (alpha - ell) / alpha.
+
+    No domain check: exponents estimated from data are reported as they come.
+    """
+    m = _msat(r)
+    if region is Region.GREEN_NOISELESS_UNREG:
+        return 2.0 * alpha * m
+    if region is Region.RED_NOISY_UNREG:
+        return 0.0
+    if region is Region.BLUE_NOISELESS_REG:
+        return 2.0 * ell * m
+    return (alpha - ell) / alpha
+
+
+def noisy_optimum(alpha: float, r: float) -> tuple[float, float]:
+    """Optimal noisy decay ell* = alpha / (1 + 2 alpha m) and its rate 2 alpha m / (1 + 2 alpha m),
+    where the two regularized rates balance.  No domain check."""
+    rate = region_exponent(Region.GREEN_NOISELESS_UNREG, alpha, r)
+    return alpha / (1.0 + rate), rate / (1.0 + rate)
+
+
+def _ridgeless_noise_n(alpha: float, r: float, sigma: float) -> float | None:
+    """Unregularized noise crossover sigma^(-1/(alpha m)); None when m = 0."""
+    m = _msat(r)
+    return _pow(sigma, -1.0 / (alpha * m)) if m > 0 else None
+
+
+def _noise_power(alpha: float, r: float, ell: float) -> float:
+    """Power 1 - (ell/alpha)(1 + 2 alpha m) of n in the regularized noise comparison."""
+    return 1.0 - (ell / alpha) * (1.0 + region_exponent(Region.GREEN_NOISELESS_UNREG, alpha, r))
 
 
 def _noise_scale(sigma: float, lambda0: float, alpha: float, r: float) -> float:
@@ -75,8 +124,8 @@ def _noise_scale(sigma: float, lambda0: float, alpha: float, r: float) -> float:
     sigma^2 lambda0^(-1/alpha) n^((ell-alpha)/alpha), which nets the
     prefactor exponent m + 1/(2 alpha).
     """
-    m = _msat(r)
-    return sigma / lambda0 ** (m + 1.0 / (2.0 * alpha))
+    scale = _pow(lambda0, _msat(r) + 1.0 / (2.0 * alpha))
+    return sigma / scale if scale > 0.0 else math.inf
 
 
 def _is_unregularized(query: RegimeQuery) -> bool:
@@ -98,22 +147,19 @@ def classify(query: RegimeQuery) -> RegimeLabel:
     and is reported with an 'over-regularized' sublabel.
     """
     a, r, sigma, ell, n = query.alpha, query.r, query.sigma, query.ell, query.n
-    m = _msat(r)
 
     if ell < 0:
         return RegimeLabel(Region.BLUE_NOISELESS_REG, 0.0, sublabel="over-regularized")
 
     if _is_unregularized(query):
-        noisy = sigma > 0 and sigma ** 2 >= n ** (-2.0 * a * m)
-        if noisy:
-            return RegimeLabel(Region.RED_NOISY_UNREG, 0.0)
-        return RegimeLabel(Region.GREEN_NOISELESS_UNREG, 2.0 * a * m)
-
-    c = 1.0 - (ell / a) * (1.0 + 2.0 * a * m)
-    noisy = sigma > 0 and _noise_scale(sigma, query.lambda0, a, r) ** 2 >= n ** c
-    if noisy:
-        return RegimeLabel(Region.ORANGE_NOISY_REG, (a - ell) / a)
-    return RegimeLabel(Region.BLUE_NOISELESS_REG, 2.0 * ell * m)
+        noisy = sigma > 0 and _pow(sigma, 2) >= n ** -region_exponent(
+            Region.GREEN_NOISELESS_UNREG, a, r)
+        region = Region.RED_NOISY_UNREG if noisy else Region.GREEN_NOISELESS_UNREG
+    else:
+        noisy = sigma > 0 and _pow(_noise_scale(sigma, query.lambda0, a, r), 2) \
+            >= n ** _noise_power(a, r, ell)
+        region = Region.ORANGE_NOISY_REG if noisy else Region.BLUE_NOISELESS_REG
+    return RegimeLabel(region, region_exponent(region, a, r, ell))
 
 
 def regularization_crossover_n(alpha: float, ell: float, lambda0: float) -> float | None:
@@ -129,7 +175,7 @@ def regularization_crossover_n(alpha: float, ell: float, lambda0: float) -> floa
         return None
     if lambda0 > 1.0:
         return None
-    return lambda0 ** (-1.0 / (alpha - ell))
+    return _pow(lambda0, -1.0 / (alpha - ell))
 
 
 def noise_crossover_n(alpha: float, r: float, sigma: float, ell: float,
@@ -146,8 +192,7 @@ def noise_crossover_n(alpha: float, r: float, sigma: float, ell: float,
     """
     if not sigma > 0:
         raise InvalidParameterError(f"noise std must be > 0, got {sigma}")
-    m = _msat(r)
-    n_unreg = sigma ** (-1.0 / (alpha * m)) if m > 0 else None
+    n_unreg = _ridgeless_noise_n(alpha, r, sigma)
     if ell >= alpha:
         return n_unreg
 
@@ -157,10 +202,10 @@ def noise_crossover_n(alpha: float, r: float, sigma: float, ell: float,
         # The noise catches up while the schedule is still unfelt.
         return n_unreg
 
-    c = 1.0 - (ell / alpha) * (1.0 + 2.0 * alpha * m)
-    if c == 0.0 or m == 0.0:
+    c = _noise_power(alpha, r, ell)
+    if c == 0.0 or n_unreg is None:
         return None
-    n_reg = _noise_scale(sigma, lambda0, alpha, r) ** (2.0 / c)
+    n_reg = _pow(_noise_scale(sigma, lambda0, alpha, r), 2.0 / c)
     if n_reg >= max(1.0, boundary):
         return n_reg
     return None
@@ -184,25 +229,17 @@ class OptimalDecay:
 
 def optimal_decay(alpha: float, r: float, sigma: float, n: float) -> OptimalDecay:
     """Best regularization decay exponent and the resulting error decay."""
-    if not alpha > 1:
-        raise InvalidParameterError(f"capacity exponent must be > 1, got {alpha}")
-    if r < 0 or sigma < 0:
-        raise InvalidParameterError("source exponent and noise std must be >= 0")
-    if n < 1:
-        raise InvalidParameterError(f"sample count must be >= 1, got {n}")
+    _check_point(alpha, r, sigma, n, 1.0)
     m = _msat(r)
-    ell_noisy = alpha / (1.0 + 2.0 * alpha * m)
-    if sigma == 0.0 or m == 0.0:
-        return OptimalDecay((alpha, math.inf), 2.0 * alpha * m, "noiseless")
-    n1 = sigma ** (-1.0 / (alpha * m))
-    n2 = sigma ** (-max(2.0, 1.0 / (alpha * m)))
-    if n < n1:
-        return OptimalDecay((alpha, math.inf), 2.0 * alpha * m, "noiseless")
-    if n > n2:
-        return OptimalDecay((ell_noisy, ell_noisy),
-                            2.0 * alpha * m / (1.0 + 2.0 * alpha * m), "noisy")
-    ell_c = (1.0 - 2.0 * math.log(sigma) / math.log(n)) * ell_noisy if n > 1 else ell_noisy
-    return OptimalDecay((ell_c, ell_c), 2.0 * ell_c * m, "transition")
+    if sigma == 0.0 or m == 0.0 or n < _ridgeless_noise_n(alpha, r, sigma):
+        return OptimalDecay((alpha, math.inf),
+                            region_exponent(Region.GREEN_NOISELESS_UNREG, alpha, r), "noiseless")
+    ell_star, rate = noisy_optimum(alpha, r)
+    if n > _pow(sigma, -max(2.0, 1.0 / (alpha * m))):
+        return OptimalDecay((ell_star, ell_star), rate, "noisy")
+    ell_c = (1.0 - 2.0 * math.log(sigma) / math.log(n)) * ell_star if n > 1 else ell_star
+    return OptimalDecay((ell_c, ell_c),
+                        region_exponent(Region.BLUE_NOISELESS_REG, alpha, r, ell_c), "transition")
 
 
 @dataclass(frozen=True)
@@ -228,17 +265,12 @@ class PhaseDiagram:
 
 def _crossover_lines(alpha: float, r: float, sigma: float, lambda0: float,
                      n_grid: np.ndarray, ell_grid: np.ndarray) -> CrossoverLines:
-    m = _msat(r)
     noise_line: list[tuple[float, float]] = []
-    if sigma > 0 and m > 0:
-        n_vert = sigma ** (-1.0 / (alpha * m))
+    if sigma > 0:
         for ell in ell_grid:
-            if ell >= alpha:
-                noise_line.append((n_vert, float(ell)))
-            else:
-                n_cross = noise_crossover_n(alpha, r, sigma, float(ell), lambda0)
-                if n_cross is not None:
-                    noise_line.append((n_cross, float(ell)))
+            n_cross = noise_crossover_n(alpha, r, sigma, float(ell), lambda0)
+            if n_cross is not None:
+                noise_line.append((n_cross, float(ell)))
 
     reg_line: list[tuple[float, float]] = []
     if lambda0 == 1.0:
@@ -249,9 +281,8 @@ def _crossover_lines(alpha: float, r: float, sigma: float, lambda0: float,
             if n_reg is not None:
                 reg_line.append((n_reg, float(ell)))
 
-    ell_star = alpha / (1.0 + 2.0 * alpha * m)
-    optimal = (ell_star, 2.0 * alpha * m / (1.0 + 2.0 * alpha * m))
-    return CrossoverLines(noise_line=noise_line, reg_line=reg_line, optimal_point=optimal)
+    return CrossoverLines(noise_line=noise_line, reg_line=reg_line,
+                          optimal_point=noisy_optimum(alpha, r))
 
 
 def phase_diagram(alpha: float, r: float, sigma: float, lambda0: float,

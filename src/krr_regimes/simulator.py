@@ -22,7 +22,7 @@ from .errors import (
     SingularSystemError,
     SolverError,
 )
-from .regimes import RegimeQuery, classify
+from .regimes import RegimeLabel, RegimeQuery, classify
 from .spectrum import Spectrum
 from .table import read_table, write_table
 from .theory import excess_error_closed
@@ -32,14 +32,13 @@ _JITTER_REL = 1e-12
 
 @dataclass(frozen=True)
 class LamSchedule:
-    """Regularization schedule: 'fixed' lam, 'power' lambda0 * n^-ell, or 'cv' grid search."""
+    """Regularization schedule: 'fixed' lam, 'power' lambda0 * n^-ell, or 'cv'
+    (5-fold grid search over the default grid)."""
 
     kind: str
     lam: float = 0.0
     lambda0: float = 1.0
     ell: float = 0.0
-    grid: np.ndarray | None = None
-    k_folds: int = 5
 
     def __post_init__(self):
         if self.kind not in ("fixed", "power", "cv"):
@@ -48,6 +47,8 @@ class LamSchedule:
             raise InvalidParameterError("fixed lam must be >= 0")
         if self.kind == "power" and not self.lambda0 > 0:
             raise InvalidParameterError("lambda0 must be > 0")
+        if any(math.isnan(v) for v in (self.lam, self.lambda0, self.ell)):
+            raise InvalidParameterError("schedule values must not be NaN")
 
     def lam_at(self, n: int) -> float | None:
         """Schedule value at sample count n; None for cv (chosen per dataset)."""
@@ -59,17 +60,17 @@ class LamSchedule:
             return self.lambda0 * float(n) ** (-self.ell)
         return None
 
-    def regime_point(self, lam: float) -> tuple[float, float]:
-        """Phase-diagram (ell, lambda0) of lam, the value this schedule resolved to.
+    def label(self, alpha: float, r: float, sigma: float, n: int, lam: float) -> RegimeLabel:
+        """Regime of the row at n whose ridge this schedule resolved to lam.
 
-        A power schedule is its own point.  Otherwise lam = 0 is ell = inf, and
-        a positive lam at a given n matches ell = 0 with prefactor lam.
+        A power schedule is its own phase-diagram point.  Otherwise lam = 0 is
+        ell = inf, and a positive lam at n matches ell = 0 with prefactor lam.
         """
         if self.kind == "power":
-            return self.ell, self.lambda0
-        if lam == 0.0:
-            return math.inf, 1.0
-        return 0.0, lam
+            ell, lambda0 = self.ell, self.lambda0
+        else:
+            ell, lambda0 = (math.inf, 1.0) if lam == 0.0 else (0.0, lam)
+        return classify(RegimeQuery(alpha, r, sigma, ell, float(n), lambda0))
 
 
 @dataclass(frozen=True)
@@ -286,8 +287,7 @@ def learning_curve(config: SimConfig) -> LearningCurve:
             # choice, keeping one regularization per curve row.
             features, labels = sample_dataset(
                 spectrum, n, config.sigma, trial_seed(config.master_seed, n, 0))
-            lam = grid_search_lambda(features, labels, config.lam_schedule.grid,
-                                     config.lam_schedule.k_folds)
+            lam = grid_search_lambda(features, labels)
 
         def run(t: int) -> float | SolverError:
             """Excess error of trial t, or the solver failure it met."""
@@ -314,10 +314,7 @@ def learning_curve(config: SimConfig) -> LearningCurve:
         regime = ""
         if config.regime_params is not None:
             alpha, r = config.regime_params
-            ell, lam0 = config.lam_schedule.regime_point(lam)
-            label = classify(RegimeQuery(alpha=alpha, r=r, sigma=config.sigma,
-                                         ell=ell, n=float(n), lambda0=lam0))
-            regime = label.region.value
+            regime = config.lam_schedule.label(alpha, r, config.sigma, n, lam).region.value
         rows.append(CurveRow(n=int(n), lam_used=float(lam), mean_excess=mean,
                              std_excess=std, trials=int(values.size),
                              theory_excess=float(theory), regime=regime))
@@ -344,6 +341,9 @@ def fit_loglog_slope(x, y) -> tuple[float, float]:
 def fit_decay_exponent(curve: LearningCurve, window: tuple[int, int]) -> tuple[float, float]:
     """Log-log slope of mean excess versus n over rows window[0]..window[1] (inclusive)."""
     lo, hi = window
+    if not 0 <= lo < hi <= len(curve.rows) - 1:
+        raise DegenerateWindowError(
+            f"window {lo},{hi} is not an increasing row range within 0..{len(curve.rows) - 1}")
     rows = curve.rows[lo:hi + 1]
     if len(rows) < 3:
         raise DegenerateWindowError(f"window has {len(rows)} points, need >= 3")

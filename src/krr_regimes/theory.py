@@ -89,8 +89,8 @@ def solve_z(n: int, lam: float, spectrum: Spectrum, tol: float = 1e-10,
     """
     if n < 1:
         raise InvalidParameterError(f"sample count must be >= 1, got {n}")
-    if lam < 0:
-        raise InvalidParameterError(f"regularization must be >= 0, got {lam}")
+    if not 0 <= lam < math.inf:
+        raise InvalidParameterError(f"regularization must be finite and >= 0, got {lam}")
     eig = spectrum.eigenvalues
 
     def g(z):
@@ -169,8 +169,8 @@ def excess_error_closed(n: int, lam: float, sigma: float, spectrum: Spectrum,
     Raises DegenerateDenominatorError when 1 - S2 <= 0 (truncation or
     parameters outside the formula's validity).
     """
-    if sigma < 0:
-        raise InvalidParameterError(f"noise std must be >= 0, got {sigma}")
+    if not 0 <= sigma < math.inf:
+        raise InvalidParameterError(f"noise std must be finite and >= 0, got {sigma}")
     zsol = solve_z(n, lam, spectrum, tol=tol)
     zeta = zsol.z / n
     eig = spectrum.eigenvalues
@@ -233,8 +233,8 @@ def solve_fixed_point(n: int, lam: float, sigma: float, spectrum: Spectrum,
     """
     if n < 1:
         raise InvalidParameterError(f"sample count must be >= 1, got {n}")
-    if lam < 0 or sigma < 0:
-        raise InvalidParameterError("regularization and noise std must be >= 0")
+    if not (0 <= lam < math.inf and 0 <= sigma < math.inf):
+        raise InvalidParameterError("regularization and noise std must be finite and >= 0")
     if not 0.0 < damping <= 1.0:
         raise InvalidParameterError(f"damping must be in (0, 1], got {damping}")
     if p is not None:

@@ -65,6 +65,14 @@ def test_theory_invalid_alpha_is_usage_error(tmp_path):
     code = main(["theory", "--alpha", "0.9", "--r", "0.5", "--lam", "0",
                  "--n", "100", "--out", str(tmp_path / "x.csv")])
     assert code == 2
+    # a non-finite ridge or noise level is a usage error, not a solver failure
+    for flag, value in (("--lam", "nan"), ("--lam", "inf"), ("--sigma", "nan"),
+                        ("--sigma", "inf")):
+        args = {"--lam": "1e-3", "--sigma": "0.1", flag: value}
+        code = main(["theory", "--alpha", "2", "--r", "0.5", "--p", "1000", "--n", "100",
+                     *(tok for item in args.items() for tok in item),
+                     "--out", str(tmp_path / "x.csv")])
+        assert code == 2, (flag, value)
 
 
 def test_simulate_deterministic(tmp_path):
@@ -200,6 +208,10 @@ def test_fit_slope_degenerate_window(tmp_path):
     path = tmp_path / "c.csv"
     _slope_csv(path, [(10, 1.0), (100, 0.5), (1000, 0.25)])
     assert main(["fit-slope", str(path), "--window", "0,1"]) == 4
+    # a window must be an increasing row range inside the curve
+    _slope_csv(path, [(10, 1.0), (100, 0.5), (1000, 0.25), (10000, 0.125)])
+    for window in ("0,100", "-1,3", "2,1"):
+        assert main(["fit-slope", str(path), f"--window={window}"]) == 4, window
     # a row shorter than the header is a schema error, not a crash
     with open(path, "a", newline="") as f:
         f.write("10000,0,0.125\r\n")
@@ -255,6 +267,10 @@ def test_config_equals_form_and_unknown_key(tmp_path, capsys):
     cfg.write_text(json.dumps({"command": "simulate", "alpha": 2.0, "r": 0.5, "lam": 0.0,
                                "n": [50]}))
     assert main(["theory", "--config", str(cfg), "--out", str(out)]) == 2
+    # a value of another shape than its flag produces names the key
+    cfg.write_text(json.dumps({"alpha": 2.0, "r": 0.5, "lam": 0.0, "n": 50}))
+    assert main(["theory", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "'n'" in capsys.readouterr().err
 
 
 _REPLAY_ARGS = {

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from krr_regimes.errors import InvalidParameterError
 from krr_regimes.regimes import (
@@ -9,8 +11,10 @@ from krr_regimes.regimes import (
     RegimeQuery,
     classify,
     noise_crossover_n,
+    noisy_optimum,
     optimal_decay,
     phase_diagram,
+    region_exponent,
     regularization_crossover_n,
     write_crossover_lines_csv,
     write_phase_diagram_csv,
@@ -65,6 +69,48 @@ def test_classify_rejects_bad_query():
         RegimeQuery(alpha=1.0, r=0.5, sigma=0.1, ell=1.0, n=10)
     with pytest.raises(InvalidParameterError):
         RegimeQuery(alpha=2.0, r=0.5, sigma=0.1, ell=1.0, n=10, lambda0=0.0)
+    # NaN in any coordinate is rejected at both entry points; +-inf ell is legal
+    point = dict(alpha=2.0, r=0.5, sigma=0.1, ell=1.0, n=10.0, lambda0=1.0)
+    for key in point:
+        with pytest.raises(InvalidParameterError):
+            RegimeQuery(**{**point, key: math.nan})
+    decay_args = dict(alpha=2.0, r=0.5, sigma=0.1, n=10.0)
+    for key in decay_args:
+        with pytest.raises(InvalidParameterError):
+            optimal_decay(**{**decay_args, key: math.nan})
+    for ell in (math.inf, -math.inf):
+        assert math.isfinite(classify(RegimeQuery(**{**point, "ell": ell})).exponent)
+
+
+_REGIONS = {
+    Region.GREEN_NOISELESS_UNREG, Region.RED_NOISY_UNREG,
+    Region.BLUE_NOISELESS_REG, Region.ORANGE_NOISY_REG,
+}
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(alpha=st.floats(1.0, 1e300, exclude_min=True),
+       r=st.floats(0.0, 1e300),
+       sigma=st.floats(0.0, 1e300),
+       ell=st.floats(allow_nan=False),  # every real, and +-inf
+       n=st.floats(1.0, 1e300),
+       lambda0=st.floats(0.0, 1e300, exclude_min=True))
+def test_rate_formulas_property(alpha, r, sigma, ell, n, lambda0):
+    label = classify(RegimeQuery(alpha=alpha, r=r, sigma=sigma, ell=ell, n=n, lambda0=lambda0))
+    assert label.region in _REGIONS and math.isfinite(label.exponent)
+    if label.sublabel == "over-regularized":
+        assert ell < 0 and label.exponent == 0.0
+    else:
+        assert label.exponent == region_exponent(label.region, alpha, r, ell)
+    # The paper's balance condition: at ell* the noiseless and the noisy
+    # regularized rates both equal the optimal noisy rate.
+    ell_star, rate = noisy_optimum(alpha, r)
+    for region in (Region.BLUE_NOISELESS_REG, Region.ORANGE_NOISY_REG):
+        assert region_exponent(region, alpha, r, ell_star) == pytest.approx(
+            rate, rel=1e-12, abs=1e-12)
+    # At ell = alpha the regularized noiseless rate meets the ridgeless one.
+    assert region_exponent(Region.BLUE_NOISELESS_REG, alpha, r, alpha) \
+        == region_exponent(Region.GREEN_NOISELESS_UNREG, alpha, r)
 
 
 def test_noise_crossover_unregularized():

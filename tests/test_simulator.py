@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -280,3 +281,7 @@ def test_sim_config_validation():
                   lam_schedule=LamSchedule("fixed", lam=0.0), trials=0, master_seed=0)
     with pytest.raises(InvalidParameterError):
         LamSchedule("bogus")
+    for kind in ("fixed", "power", "cv"):
+        for key in ("lam", "lambda0", "ell"):
+            with pytest.raises(InvalidParameterError):
+                LamSchedule(kind, **{key: math.nan})

@@ -178,6 +178,18 @@ def test_fixed_point_rejects_bad_damping():
         solve_fixed_point(10, 0.0, 0.0, sp, damping=0.0)
 
 
+def test_solvers_reject_non_finite_ridge_and_noise():
+    sp = power_law_spectrum(PowerLawParams(2.0, 0.5, 100))
+    for bad in (np.nan, np.inf):
+        for call in (lambda: solve_z(10, bad, sp),
+                     lambda: excess_error_closed(10, bad, 0.1, sp),
+                     lambda: excess_error_closed(10, 1e-3, bad, sp),
+                     lambda: solve_fixed_point(10, bad, 0.1, sp),
+                     lambda: solve_fixed_point(10, 1e-3, bad, sp)):
+            with pytest.raises(InvalidParameterError):
+                call()
+
+
 def test_excess_monotone_in_n():
     # Holds whenever the sample variance dominates or the ridge is fixed
     # positive; the ridgeless noisy plateau is excluded (see below).
