@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -78,11 +79,18 @@ def _outpath(args, name: str) -> str:
     return os.path.join(os.environ.get(OUTDIR_ENV, "."), base)
 
 
+def _finite(values: list[float]) -> list[float]:
+    if not all(map(math.isfinite, values)):
+        raise argparse.ArgumentTypeError(f"values must be finite, got {values}")
+    return values
+
+
 def _int_list(text: str) -> list[int]:
     try:
-        return [int(float(tok)) for tok in text.split(",") if tok]
+        values = [float(tok) for tok in text.split(",") if tok]
     except ValueError as err:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers: {err}")
+    return [int(v) for v in _finite(values)]
 
 
 def _int_pair(text: str) -> tuple[int, int]:
@@ -96,7 +104,8 @@ def _grid(text: str, log: bool) -> np.ndarray:
     toks = text.split(",")
     if len(toks) != 3:
         raise argparse.ArgumentTypeError("expected min,max,count")
-    lo, hi, count = float(toks[0]), float(toks[1]), int(toks[2])
+    lo, hi = _finite([float(toks[0]), float(toks[1])])
+    count = int(toks[2])
     if lo > hi or (log and lo <= 0) or count < 1 or (lo == hi and count != 1):
         raise argparse.ArgumentTypeError(
             "grid needs min <= max, count >= 1 and, on a log grid, min > 0")
@@ -175,6 +184,9 @@ def cmd_phase_diagram(args) -> int:
 
 def cmd_estimate(args) -> int:
     t0 = time.time()
+    if math.isnan(args.ell):
+        # inf is legal: it encodes zero ridge.
+        raise InvalidParameterError("--ell must be a number or +-inf, got nan")
     features, labels = load_dataset_csv(args.dataset)
     if labels is None:
         raise SchemaError(f"{args.dataset}: missing required label column 'y'")
@@ -379,6 +391,10 @@ def _is_number(value) -> bool:
     return isinstance(value, float) or _is_int(value)
 
 
+def _is_finite_number(value) -> bool:
+    return _is_number(value) and math.isfinite(value)
+
+
 # The JSON shape of the value each flag type produces.
 _CONFIG_SHAPES = {
     None: lambda v: isinstance(v, str),
@@ -386,8 +402,8 @@ _CONFIG_SHAPES = {
     int: _is_int,
     _int_list: lambda v: isinstance(v, list) and all(map(_is_int, v)),
     _int_pair: lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_int, v)),
-    _log_grid: lambda v: isinstance(v, list) and all(map(_is_number, v)),
-    _lin_grid: lambda v: isinstance(v, list) and all(map(_is_number, v)),
+    _log_grid: lambda v: isinstance(v, list) and all(map(_is_finite_number, v)),
+    _lin_grid: lambda v: isinstance(v, list) and all(map(_is_finite_number, v)),
 }
 
 

@@ -8,7 +8,7 @@ unit prefactor) or empirical (measured from data and loaded from CSV).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -52,10 +52,17 @@ class Spectrum:
     Teacher coefficients are stored squared: no operation in this package
     needs their sign, and the simulator fixes the sign positive when an
     explicit vector is required.
+
+    law is the (alpha, r) of a spectrum built by ``power_law_spectrum``, whose
+    every mode k has eigenvalue k^-alpha and eigenvalue * teacher_sq =
+    k^-(1 + 2 r alpha); the theory route sums such spectra beyond the first
+    modes in closed form.  It is None for spectra given as arrays.
     """
 
     eigenvalues: np.ndarray
     teacher_sq: np.ndarray
+    law: tuple[float, float] | None = field(default=None, init=False, repr=False,
+                                            compare=False)
 
     def __post_init__(self):
         eig = np.asarray(self.eigenvalues, dtype=float)
@@ -87,7 +94,7 @@ class Spectrum:
             raise InvalidParameterError(f"truncation dimension must be >= 1, got {p}")
         if p >= self.p:
             return self
-        return Spectrum(self.eigenvalues[:p], self.teacher_sq[:p])
+        return _with_law(Spectrum(self.eigenvalues[:p], self.teacher_sq[:p]), self.law)
 
     def to_csv(self, path) -> None:
         """Write columns (k, eigenvalue, teacher_sq) with a header row."""
@@ -109,7 +116,12 @@ def power_law_spectrum(params: PowerLawParams) -> Spectrum:
     # teacher_sq * eigenvalue = k^-(1 + 2 r alpha) exactly, so
     # teacher_sq = k^(alpha - 1 - 2 r alpha)
     teacher_sq = k ** (params.alpha - 1.0 - 2.0 * params.r * params.alpha)
-    return Spectrum(eigenvalues, teacher_sq)
+    return _with_law(Spectrum(eigenvalues, teacher_sq), (params.alpha, params.r))
+
+
+def _with_law(spectrum: Spectrum, law) -> Spectrum:
+    object.__setattr__(spectrum, "law", law)
+    return spectrum
 
 
 def teacher_variance(spectrum: Spectrum) -> float:

@@ -21,6 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq
+from scipy.special import binom, digamma
+from scipy.special import zeta as hurwitz_zeta
 
 from .errors import (
     DegenerateDenominatorError,
@@ -37,26 +39,123 @@ _TINY = 1e-300
 _ZETA_FLOOR = 1e-280
 
 
-def _rsum(terms: np.ndarray) -> float:
-    # Smallest terms first (descending mode index) to limit cancellation.
-    return float(terms[::-1].sum())
+# Spectral sums.  With x_k = zeta / eig_k, every sum the theory needs is
+#     sum_k w_k x_k^e / (1 + x_k)^q,   e = 0 or e = q,
+# with weight w_k = 1 or, teacher-weighted, w_k = teacher_sq_k * eig_k.  A
+# kernel names (q, e, teacher-weighted).
+_DF1 = (1, 0, False)       # sum eig / (zeta + eig)
+_DF2 = (2, 0, False)       # sum (eig / (zeta + eig))^2
+_SAMPLE = (2, 2, True)     # sum teacher_sq eig (zeta / (zeta + eig))^2
+_OVERLAP = (1, 0, True)    # sum teacher_sq eig^2 / (zeta + eig)
+
+# Modes of a power-law spectrum with x_k >= _TAIL_X are summed through the
+# series of x^e / (1 + x)^q in powers of 1/x, each power a difference of
+# Hurwitz zeta values; the modes below are summed term by term.  The series
+# stops once the bound on its next term is below _TAIL_RTOL of its leading
+# term.  It may stop earlier, at a term whose zeta difference has left the
+# normal float range and lost digits, if the bound on that term is below
+# _TAIL_RTOL of the whole sum; otherwise every mode is summed term by term.
+_TAIL_X = 8.0
+_TAIL_RTOL = 1e-17
+# A tail shorter than this many modes is summed term by term: the series
+# costs about as much as summing 20,000 modes one by one.
+_TAIL_MIN_MODES = 20_000
+# Series term indices j, log(j + 1), and the coefficients (-1)^j C(j+q-1, j)
+# of 1/(1 + y)^q = sum_j (-1)^j C(j+q-1, j) y^j for q = 1, 2.  At x >= 8 no
+# series needs more than 22 terms.
+_J = np.arange(64)
+_LOG_J1 = np.log1p(_J)
+_SERIES = {q: (-1.0) ** _J * binom(_J + q - 1, _J) for q in (1, 2)}
+_FLOAT_TINY = np.finfo(float).tiny
 
 
-def _df1(zeta: float, eig: np.ndarray) -> float:
-    """Sum of eig / (zeta + eig)."""
-    return _rsum(eig / (zeta + eig))
+def _spectral_sums(zeta: float, spectrum: Spectrum, kernels) -> list[float]:
+    """The sums named by kernels at effective regularization zeta >= 0.
+
+    The head, modes 1..K with x_k < _TAIL_X, is summed term by term.  The
+    tail, modes K+1..p, is summed in closed form when the spectrum carries
+    its power law; it is empty for other spectra and when it would hold
+    fewer than _TAIL_MIN_MODES modes.
+    """
+    p = spectrum.p
+    head = p
+    if spectrum.law is not None and zeta > 0.0:
+        head = _head_size(zeta, spectrum.law[0], p)
+        if p - head < _TAIL_MIN_MODES:
+            head = p
+    sums = _head_sums(zeta, spectrum, head, kernels)
+    if head < p:
+        tails = _power_law_tails(zeta, spectrum.law, head, p, kernels, sums)
+        if tails is None:
+            return _head_sums(zeta, spectrum, p, kernels)
+        sums = [h + t for h, t in zip(sums, tails)]
+    return sums
 
 
-def _df2(zeta: float, eig: np.ndarray) -> float:
-    """Sum of (eig / (zeta + eig))^2."""
-    return _rsum((eig / (zeta + eig)) ** 2)
+def _head_sums(zeta: float, spectrum: Spectrum, head: int, kernels) -> list[float]:
+    """The sums over modes 1..head, smallest terms first to limit cancellation."""
+    eig = spectrum.eigenvalues[:head]
+    denom = zeta + eig
+    weight = spectrum.teacher_sq[:head] * eig if any(k[2] for k in kernels) else None
+    sums = []
+    for q, e, weighted in kernels:
+        # x/(1+x) = zeta/(zeta+eig) or 1/(1+x) = eig/(zeta+eig), to the power q
+        terms = (zeta if e else eig) / denom
+        if q == 2:
+            terms = terms * terms
+        if weighted:
+            terms = weight * terms
+        sums.append(float(terms[::-1].sum()))
+    return sums
 
 
-def _sample_sum(zeta: float, eig: np.ndarray, tsq: np.ndarray) -> float:
-    """Sum of teacher_sq * eig * (zeta / (zeta + eig))^2."""
-    if zeta == 0.0:
-        return 0.0
-    return _rsum(tsq * eig * (zeta / (zeta + eig)) ** 2)
+def _head_size(zeta: float, alpha: float, p: int) -> int:
+    """Number of modes with x_k = zeta k^alpha below _TAIL_X, at most p."""
+    bound = (_TAIL_X / zeta) ** (1.0 / alpha)
+    return p if bound > p else math.ceil(bound) - 1
+
+
+def _power_law_tails(zeta: float, law, head: int, p: int, kernels, head_sums):
+    """Sums over modes head+1..p of a power-law spectrum, one per kernel.
+
+    Returns None when a series would have to stop, because of underflow,
+    at a term not negligible next to its head sum.
+    """
+    alpha, r = law
+    a = head + 1
+    # Term j of each series is at most (j + 1) x_a^-j times its leading term,
+    # and x_a = zeta a^alpha >= _TAIL_X.
+    bound = np.exp(_LOG_J1 - _J * (math.log(zeta) + alpha * math.log(a)))
+    n_terms = int(np.argmax(bound < _TAIL_RTOL))
+    j = _J[:n_terms]
+    # zeta^-m is formed as mant^-m 2^(-expo m): it overflows by itself at
+    # small zeta, while the terms stay in range.
+    mant, expo = math.frexp(zeta)
+    tails = []
+    for (q, e, weighted), head_sum in zip(kernels, head_sums):
+        m = j + (q - e)                                       # power of 1/x
+        s = alpha * m + (1.0 + 2.0 * r * alpha if weighted else 0.0)
+        powers = _power_sums(s, a, p)
+        terms = _SERIES[q][:n_terms] * np.ldexp(mant ** -m * powers, -expo * m)
+        normal = powers >= _FLOAT_TINY
+        cut = n_terms if normal.all() else int(np.argmin(normal))
+        tail = float(terms[:cut][::-1].sum())
+        if cut < n_terms and (cut == 0 or bound[cut] * abs(terms[0])
+                              >= _TAIL_RTOL * abs(head_sum + tail)):
+            return None
+        tails.append(tail)
+    return tails
+
+
+def _power_sums(s: np.ndarray, a: int, p: int) -> np.ndarray:
+    """sum_{k=a..p} k^-s for each of the increasing exponents s >= 1."""
+    # The Hurwitz zeta function has its pole at s = 1; digamma covers it.
+    start = 1 if s[0] == 1.0 else 0
+    ends = hurwitz_zeta(s[start:, None], np.array([a, p + 1.0]))
+    sums = ends[:, 0] - ends[:, 1]
+    if start:
+        sums = np.concatenate([[digamma(p + 1) - digamma(a)], sums])
+    return sums
 
 
 @dataclass(frozen=True)
@@ -74,27 +173,25 @@ class ZSolution:
     branch: str
 
 
-def _z_equation_gap(z: float, n: int, lam: float, eig: np.ndarray) -> float:
-    zeta = z / n
-    return z - n * lam - zeta * _df1(zeta, eig)
-
-
 def solve_z(n: int, lam: float, spectrum: Spectrum, tol: float = 1e-10,
             max_expansions: int = 200) -> ZSolution:
     """Solve z = n*lam + (z/n) * sum_k eig_k / (z/n + eig_k) by bracketing.
 
     The lower bracket is max(n*lam, tiny positive); the upper bracket starts
     at the provable bound n*lam + tr(Sigma) and is expanded geometrically if
-    floating-point effects ever spoil the sign there.
+    floating-point effects ever spoil the sign there.  It is then stepped
+    down by decades while the gap stays positive, so the root search works
+    inside one decade and never at the tiny z where every mode is in the
+    head of the spectral sum.
     """
     if n < 1:
         raise InvalidParameterError(f"sample count must be >= 1, got {n}")
     if not 0 <= lam < math.inf:
         raise InvalidParameterError(f"regularization must be finite and >= 0, got {lam}")
-    eig = spectrum.eigenvalues
 
     def g(z):
-        return _z_equation_gap(z, n, lam, eig)
+        zeta = z / n
+        return z - n * lam - zeta * _spectral_sums(zeta, spectrum, (_DF1,))[0]
 
     lo = max(n * lam, _TINY)
     g_lo = g(lo)
@@ -108,13 +205,16 @@ def solve_z(n: int, lam: float, spectrum: Spectrum, tol: float = 1e-10,
             return ZSolution(z=lo, residual=0.0, branch="regularization")
         raise NoBracketError("equation gap is positive at the lower bracket")
 
-    hi = n * lam + float(eig.sum()) + 1.0
+    hi = n * lam + float(spectrum.eigenvalues.sum()) + 1.0
     expansions = 0
     while g(hi) <= 0.0:
         hi *= 2.0
         expansions += 1
         if expansions > max_expansions:
             raise NoBracketError("no sign change found within the expansion limit")
+    while hi / 10.0 > lo and g(hi / 10.0) > 0.0:
+        hi /= 10.0
+    lo = max(lo, hi / 10.0)
 
     z = brentq(g, lo, hi, xtol=_TINY, rtol=4 * np.finfo(float).eps, maxiter=300)
     residual = abs(g(z))
@@ -173,14 +273,14 @@ def excess_error_closed(n: int, lam: float, sigma: float, spectrum: Spectrum,
         raise InvalidParameterError(f"noise std must be finite and >= 0, got {sigma}")
     zsol = solve_z(n, lam, spectrum, tol=tol)
     zeta = zsol.z / n
-    eig = spectrum.eigenvalues
-    s2 = _df2(zeta, eig) / n
+    df2, sample_sum = _spectral_sums(zeta, spectrum, (_DF2, _SAMPLE))
+    s2 = df2 / n
     denom = 1.0 - s2
     if denom <= 0.0:
         raise DegenerateDenominatorError(
             f"denominator 1 - S2 = {denom:.3e} is not positive (n={n}, lam={lam})"
         )
-    sample = _sample_sum(zeta, eig, spectrum.teacher_sq) / denom
+    sample = sample_sum / denom
     noise = sigma ** 2 * s2 / denom
     return ErrorDecomposition(sample_variance=sample, noise_variance=noise,
                               total=sample + noise)
@@ -240,8 +340,6 @@ def solve_fixed_point(n: int, lam: float, sigma: float, spectrum: Spectrum,
     if p is not None:
         spectrum = spectrum.truncate(p)
     p = spectrum.p
-    eig = spectrum.eigenvalues
-    tsq = spectrum.teacher_sq
     rho = teacher_variance(spectrum)
 
     sig2 = sigma ** 2
@@ -253,7 +351,7 @@ def solve_fixed_point(n: int, lam: float, sigma: float, spectrum: Spectrum,
     elif p <= n:
         zeta = 0.0
     else:
-        zeta = float(eig.sum()) / n
+        zeta = float(spectrum.eigenvalues.sum()) / n
     excess = 0.0
     m = 0.0
 
@@ -261,10 +359,10 @@ def solve_fixed_point(n: int, lam: float, sigma: float, spectrum: Spectrum,
     residual = math.inf
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        zeta_upd = lam + (zeta / n) * _df1(zeta, eig) if zeta > 0.0 else lam
-        m_upd = _rsum(tsq * eig ** 2 / (zeta + eig))
-        excess_upd = _sample_sum(zeta, eig, tsq) \
-            + (excess + sig2) * _df2(zeta, eig) / n
+        df1, df2, sample_sum, m_upd = _spectral_sums(
+            zeta, spectrum, (_DF1, _DF2, _SAMPLE, _OVERLAP))
+        zeta_upd = lam + (zeta / n) * df1 if zeta > 0.0 else lam
+        excess_upd = sample_sum + (excess + sig2) * df2 / n
 
         zeta_new = (1.0 - damping) * zeta + damping * zeta_upd
         if 0.0 < zeta_new < _ZETA_FLOOR:

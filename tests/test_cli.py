@@ -73,6 +73,11 @@ def test_theory_invalid_alpha_is_usage_error(tmp_path):
                      *(tok for item in args.items() for tok in item),
                      "--out", str(tmp_path / "x.csv")])
         assert code == 2, (flag, value)
+    # a non-finite sample count is rejected where it enters
+    for value in ("inf", "1e400", "nan", "100,inf"):
+        code = main(["theory", "--alpha", "2", "--r", "0.5", "--lam", "0", "--n", value,
+                     "--out", str(tmp_path / "x.csv")])
+        assert code == 2, value
 
 
 def test_simulate_deterministic(tmp_path):
@@ -129,6 +134,21 @@ def test_phase_diagram_degenerate_grid(tmp_path):
     assert code == 0
     grid = _read_csv(tmp_path / "pd3_grid.csv")
     assert len(grid) == 2
+    # non-finite grid ends are rejected where they enter
+    for flag, value in (("--n-grid", "1,inf,5"), ("--n-grid", "nan,10,5"),
+                        ("--ell-grid", "0,inf,5"), ("--ell-grid", "-inf,1,5")):
+        code = main(["phase-diagram", flag, value, "--out", str(tmp_path / "pd4")])
+        assert code == 2, (flag, value)
+    # and so are non-finite grid points given through --config
+    cfg = tmp_path / "cfg.json"
+    for key, value in (("n_grid", "[1, 10, Infinity]"), ("ell_grid", "[0, NaN]")):
+        cfg.write_text(f'{{"{key}": {value}}}')
+        code = main(["phase-diagram", "--config", str(cfg), "--out", str(tmp_path / "pd4")])
+        assert code == 2, (key, value)
+    assert not (tmp_path / "pd4_grid.csv").exists()
+    code = main(["optimal-lambda", "--alpha", "2", "--r", "0.5", "--n", "100",
+                 "--lam-grid", "nan,1,5", "--out", str(tmp_path / "opt.csv")])
+    assert code == 2
 
 
 def _planted_csv(path, n_tot=600, p=400, seed=3):
@@ -156,6 +176,16 @@ def test_estimate_planted_csv(tmp_path):
     tails = _read_csv(tmp_path / "est_tails.csv")
     assert tails[0] == ["k", "cap_tail", "src_tail"]
     assert len(tails) == 601
+    # NaN --ell is a usage error; inf means zero ridge and stays legal
+    code = main(["estimate", str(data), "--kernel", "linear", "--gamma", "1",
+                 "--ell", "nan", "--out", str(tmp_path / "est_nan")])
+    assert code == 2
+    assert not (tmp_path / "est_nan_estimate.json").exists()
+    code = main(["estimate", str(data), "--kernel", "linear", "--gamma", "1",
+                 "--ell", "inf", "--out", str(tmp_path / "est_inf")])
+    assert code == 0
+    report = json.loads((tmp_path / "est_inf_estimate.json").read_text())
+    assert report["predicted_exponents"]["ell_used"] == float("inf")
 
 
 def test_estimate_missing_label_column(tmp_path):

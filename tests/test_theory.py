@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from krr_regimes import theory
 from krr_regimes.errors import DegenerateDenominatorError, InvalidParameterError
 from krr_regimes.simulator import excess_error_empirical, ridge_fit, sample_dataset, \
     trial_seed
@@ -188,6 +191,67 @@ def test_solvers_reject_non_finite_ridge_and_noise():
                      lambda: solve_fixed_point(10, 1e-3, bad, sp)):
             with pytest.raises(InvalidParameterError):
                 call()
+
+
+def _exact_sums(zeta, sp):
+    # Term-by-term reference: df1, df2, the sample sum and the overlap sum.
+    eig = sp.eigenvalues
+    weight = sp.teacher_sq * eig
+    ratio = eig / (zeta + eig)
+    comp = zeta / (zeta + eig)
+    return np.array([terms[::-1].sum() for terms in
+                     (ratio, ratio ** 2, weight * comp ** 2, weight * ratio)])
+
+
+def test_power_law_tail_matches_exact_sums(tmp_path):
+    kernels = (theory._DF1, theory._DF2, theory._SAMPLE, theory._OVERLAP)
+    for p in (4000, 100_000, 1_000_000):
+        for alpha in (1.5, 2.0, 3.0):
+            for r in (0.0, 0.25, 0.5, 1.5):
+                sp = power_law_spectrum(PowerLawParams(alpha, r, p))
+                # A decade grid, plus zeta putting the first tail mode at
+                # K + 1 = p - 2 and p - 3, where the two zeta values cancel.
+                zetas = [*np.geomspace(1e-14, 1e2, 17),
+                         *(theory._TAIL_X / (p - 2) ** alpha * (1 + 1e-9),
+                           theory._TAIL_X / (p - 3) ** alpha * (1 + 1e-9))]
+                for zeta in zetas:
+                    want = _exact_sums(zeta, sp)
+                    got = np.array(theory._spectral_sums(zeta, sp, kernels))
+                    assert np.all(np.abs(got - want) <= 1e-12 * want), (p, alpha, r, zeta)
+                    # The closed-form tail itself wherever it has two or more
+                    # modes, also where _spectral_sums sums a short tail term
+                    # by term.
+                    head = theory._head_size(zeta, alpha, p)
+                    if head < p - 1:
+                        heads = theory._head_sums(zeta, sp, head, kernels)
+                        tails = theory._power_law_tails(zeta, sp.law, head, p, kernels, heads)
+                        assert tails is not None, (p, alpha, r, zeta)
+                        split = np.add(heads, tails)
+                        assert np.all(np.abs(split - want) <= 1e-12 * want), \
+                            (p, alpha, r, zeta)
+
+    sp = power_law_spectrum(PowerLawParams(2.0, 0.5, 100_000))
+    assert sp.law == (2.0, 0.5)
+    assert sp.truncate(5000).law == (2.0, 0.5)
+    path = tmp_path / "spectrum.csv"
+    sp.to_csv(path)
+    loaded = Spectrum.from_csv(path)
+    assert loaded.law is None
+    for n, lam, sigma in ((300, 0.0, 0.5), (1000, 1e-3, 0.1)):
+        want = excess_error_closed(n, lam, sigma, loaded).total
+        assert excess_error_closed(n, lam, sigma, sp).total == pytest.approx(want, rel=1e-12)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(alpha=st.floats(1.5, 3.0), r=st.floats(0.0, 1.5), n=st.integers(100, 1000),
+       lam=st.one_of(st.just(0.0), st.floats(1e-4, 1.0)), sigma=st.floats(0.0, 1.0))
+def test_routes_agree_property(alpha, r, n, lam, sigma):
+    # Criterion 1's tolerance, at random points of the acceptance domain.
+    sp = power_law_spectrum(PowerLawParams(alpha, r, 100_000))
+    closed = excess_error_closed(n, lam, sigma, sp).total
+    state = solve_fixed_point(n, lam, sigma, sp)
+    assert state.converged
+    assert state.excess == pytest.approx(closed, rel=1e-6)
 
 
 def test_excess_monotone_in_n():
