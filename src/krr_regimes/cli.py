@@ -61,14 +61,23 @@ def _write_manifest(path, args, t0: float, outputs: list[str], seed: int | None 
 
 def _write_json(path, obj) -> None:
     with open(path, "w") as f:
-        json.dump(obj, f, indent=2, sort_keys=True, default=_json_default)
-        f.write("\n")
+        f.write(_json_text(obj) + "\n")
 
 
-def _json_default(value):
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    raise TypeError(f"not JSON serializable: {value!r}")
+def _json_text(obj) -> str:
+    """Strict JSON: infinite floats become the strings "inf" and "-inf"; NaN is refused."""
+    return json.dumps(_plain(obj), indent=2, sort_keys=True, allow_nan=False)
+
+
+def _plain(value):
+    if isinstance(value, dict):
+        return {key: _plain(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    value = value.item() if isinstance(value, np.generic) else value
+    if isinstance(value, float) and math.isinf(value):
+        return "inf" if value > 0 else "-inf"
+    return value
 
 
 def _outpath(args, name: str) -> str:
@@ -240,7 +249,7 @@ def cmd_estimate(args) -> int:
         dec.to_csv(args.decomposition_out)
         outputs.append(args.decomposition_out)
     _write_manifest(base + ".manifest.json", args, t0, outputs, seed=args.seed)
-    print(json.dumps(report, indent=2, sort_keys=True))
+    print(_json_text(report))
     return 0
 
 
@@ -252,7 +261,7 @@ def cmd_fit_slope(args) -> int:
               "points": hi - lo + 1}
     if args.out:
         _write_json(_outpath(args, "slope.json"), report)
-    print(json.dumps(report, indent=2, sort_keys=True))
+    print(_json_text(report))
     return 0
 
 

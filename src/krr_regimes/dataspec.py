@@ -12,6 +12,7 @@ and signal tails.
 from __future__ import annotations
 
 import csv
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -19,6 +20,7 @@ import numpy as np
 
 from .errors import (
     DegenerateRangeError,
+    DegenerateWindowError,
     IndefiniteMatrixError,
     InvalidParameterError,
     OverlapError,
@@ -179,13 +181,30 @@ def _range_fit(tail: np.ndarray, fit_range: tuple[int, int]):
         raise DegenerateRangeError(
             f"fit range ({lo}, {hi}) has {int(keep.sum())} positive points, need >= 5"
         )
-    x = np.log(k[keep])
-    y = np.log(vals[keep])
-    slope, intercept = np.polyfit(x, y, 1)
-    ss_tot = float(((y - y.mean()) ** 2).sum())
-    ss_res = float(((y - slope * x - intercept) ** 2).sum())
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 0.0
-    return float(slope), float(r2)
+    return _loglog_fit(k[keep], vals[keep])
+
+
+def fit_loglog_slope(x, y) -> tuple[float, float]:
+    """Ordinary least squares slope and standard error of log y on log x."""
+    return _loglog_fit(x, y)[:2]
+
+
+def _loglog_fit(x, y) -> tuple[float, float, float]:
+    """Least-squares slope of log y on log x, its standard error and r^2."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if x.size < 3:
+        raise DegenerateWindowError(f"need at least 3 points, got {x.size}")
+    if np.any(y <= 0) or np.any(x <= 0):
+        raise DegenerateWindowError("log-log fit needs strictly positive values")
+    lx, ly = np.log(x), np.log(y)
+    slope, intercept = np.polyfit(lx, ly, 1)
+    dof, sxx = x.size - 2, float(((lx - lx.mean()) ** 2).sum())
+    ss_res = float(((ly - (slope * lx + intercept)) ** 2).sum())
+    stderr = math.sqrt(max(ss_res / dof, 0.0) / sxx) if dof > 0 else 0.0
+    # r^2 sums the residuals grouped the other way, as the tail fits always have.
+    ss_res = float(((ly - slope * lx - intercept) ** 2).sum())
+    ss_tot = float(((ly - ly.mean()) ** 2).sum())
+    return float(slope), float(stderr), 1.0 - ss_res / ss_tot if ss_tot > 0 else 0.0
 
 
 def estimate_alpha_r(cap_tail: np.ndarray, src_tail: np.ndarray,
@@ -204,8 +223,8 @@ def estimate_alpha_r(cap_tail: np.ndarray, src_tail: np.ndarray,
         fit_range_capacity = default_fit_range(n)
     if fit_range_source is None:
         fit_range_source = default_fit_range(n)
-    cap_slope, r2_cap = _range_fit(np.asarray(cap_tail, dtype=float), fit_range_capacity)
-    src_slope, r2_src = _range_fit(np.asarray(src_tail, dtype=float), fit_range_source)
+    cap_slope, _, r2_cap = _range_fit(np.asarray(cap_tail, dtype=float), fit_range_capacity)
+    src_slope, _, r2_src = _range_fit(np.asarray(src_tail, dtype=float), fit_range_source)
     alpha_hat = 1.0 - cap_slope
     r_hat = -src_slope / (2.0 * alpha_hat) if alpha_hat != 0 else float("nan")
     if r2_cap < LOW_R2_WARNING or r2_src < LOW_R2_WARNING:

@@ -9,10 +9,6 @@ class SolverError(RuntimeError):
     """Base class for numerical-solver failures."""
 
 
-class NoBracketError(SolverError):
-    """The root bracketing search did not find a sign change."""
-
-
 class NonConvergenceError(SolverError):
     """An iterative solver exhausted its iteration budget."""
 

@@ -16,6 +16,7 @@ from dataclasses import astuple, dataclass, field
 import numpy as np
 import scipy.linalg
 
+from .dataspec import fit_loglog_slope
 from .errors import (
     DegenerateWindowError,
     InvalidParameterError,
@@ -321,23 +322,6 @@ def learning_curve(config: SimConfig) -> LearningCurve:
     return LearningCurve(rows=tuple(rows))
 
 
-def fit_loglog_slope(x, y) -> tuple[float, float]:
-    """Ordinary least squares slope and standard error of log y on log x."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.size < 3:
-        raise DegenerateWindowError(f"need at least 3 points, got {x.size}")
-    if np.any(y <= 0) or np.any(x <= 0):
-        raise DegenerateWindowError("log-log fit needs strictly positive values")
-    lx, ly = np.log(x), np.log(y)
-    slope, intercept = np.polyfit(lx, ly, 1)
-    resid = ly - (slope * lx + intercept)
-    dof = x.size - 2
-    sxx = float(((lx - lx.mean()) ** 2).sum())
-    stderr = math.sqrt(max(float((resid ** 2).sum()) / dof, 0.0) / sxx) if dof > 0 else 0.0
-    return float(slope), float(stderr)
-
-
 def fit_decay_exponent(curve: LearningCurve, window: tuple[int, int]) -> tuple[float, float]:
     """Log-log slope of mean excess versus n over rows window[0]..window[1] (inclusive)."""
     lo, hi = window
@@ -345,8 +329,4 @@ def fit_decay_exponent(curve: LearningCurve, window: tuple[int, int]) -> tuple[f
         raise DegenerateWindowError(
             f"window {lo},{hi} is not an increasing row range within 0..{len(curve.rows) - 1}")
     rows = curve.rows[lo:hi + 1]
-    if len(rows) < 3:
-        raise DegenerateWindowError(f"window has {len(rows)} points, need >= 3")
-    ns = [row.n for row in rows]
-    means = [row.mean_excess for row in rows]
-    return fit_loglog_slope(ns, means)
+    return fit_loglog_slope([row.n for row in rows], [row.mean_excess for row in rows])

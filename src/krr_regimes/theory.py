@@ -19,24 +19,18 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 from scipy.special import binom, digamma
 from scipy.special import zeta as hurwitz_zeta
 
-from .errors import (
-    DegenerateDenominatorError,
-    InvalidParameterError,
-    NegativeExcessError,
-    NoBracketError,
-    NonConvergenceError,
-)
+from .errors import DegenerateDenominatorError, InvalidParameterError, NegativeExcessError, \
+    NonConvergenceError
 from .spectrum import Spectrum, teacher_variance
 
-_TINY = 1e-300
 # Effective-regularization values below this are treated as the exact
 # interpolation-degenerate limit (only reachable when lam == 0).
 _ZETA_FLOOR = 1e-280
+# Newton steps allowed per z root (cold starts have taken up to 24, warm ones ~3).
+_NEWTON_MAX_STEPS = 100
 
 
 # Spectral sums.  With x_k = zeta / eig_k, every sum the theory needs is
@@ -165,67 +159,60 @@ class ZSolution:
     branch records which term dominates at the solution: 'regularization'
     when the explicit ridge term does, 'spectral' when the spectral sum does,
     'interpolation' for the degenerate zero root (lam = 0 with at most as
-    many modes as samples).
+    many modes as samples).  1 - df2/n, df2 = sum_k (eig_k / (z/n + eig_k))^2, is
+    the slope of the equation's gap at z and the closed form's denominator.
     """
 
     z: float
     residual: float
     branch: str
+    df2: float
 
 
-def solve_z(n: int, lam: float, spectrum: Spectrum, tol: float = 1e-10,
-            max_expansions: int = 200) -> ZSolution:
-    """Solve z = n*lam + (z/n) * sum_k eig_k / (z/n + eig_k) by bracketing.
+def solve_z(n: int, lam: float, spectrum: Spectrum, tol: float = 1e-10) -> ZSolution:
+    """Solve z = n*lam + (z/n) * sum_k eig_k / (z/n + eig_k) by Newton's method.
 
-    The lower bracket is max(n*lam, tiny positive); the upper bracket starts
-    at the provable bound n*lam + tr(Sigma) and is expanded geometrically if
-    floating-point effects ever spoil the sign there.  It is then stepped
-    down by decades while the gap stays positive, so the root search works
-    inside one decade and never at the tiny z where every mode is in the
-    head of the spectral sum.
+    With zeta = z/n the gap g(z) = z - n*lam - zeta * df1(zeta) is convex with
+    slope 1 - df2(zeta)/n, so Newton's method started above the largest root,
+    here at n*lam + tr(Sigma) + 1 >= root + 1, descends to it without a
+    bracket; it stops at the first step that no longer lowers z.  At lam = 0
+    the root is positive exactly when the spectrum has more modes than n.
     """
+    return _solve_z(n, lam, spectrum, tol, None)
+
+
+def _solve_z(n: int, lam: float, spectrum: Spectrum, tol: float,
+             z: float | None) -> ZSolution:
+    """solve_z started from z, which must not lie below the root; None, or a z
+    that is not positive and finite, starts cold."""
     if n < 1:
         raise InvalidParameterError(f"sample count must be >= 1, got {n}")
     if not 0 <= lam < math.inf:
         raise InvalidParameterError(f"regularization must be finite and >= 0, got {lam}")
-
-    def g(z):
+    if lam == 0.0 and spectrum.p <= n:
+        # The spectral sum never catches up with z; at z = 0 each mode adds 1 to df2.
+        return ZSolution(z=0.0, residual=0.0, branch="interpolation", df2=float(spectrum.p))
+    if z is None or not 0.0 < z < math.inf:
+        law = spectrum.law
+        trace = spectrum.eigenvalues.sum() if law is None else \
+            _power_sums(np.array([law[0]]), 1, spectrum.p)[0]
+        z = n * lam + float(trace) + 1.0
+    for _ in range(_NEWTON_MAX_STEPS):
         zeta = z / n
-        return z - n * lam - zeta * _spectral_sums(zeta, spectrum, (_DF1,))[0]
-
-    lo = max(n * lam, _TINY)
-    g_lo = g(lo)
-    if g_lo >= 0.0:
-        if lam == 0.0:
-            # No positive root: the spectral sum never catches up with z,
-            # which happens when the spectrum has at most n modes.  The
-            # exact solution of the equation is then z = 0.
-            return ZSolution(z=0.0, residual=0.0, branch="interpolation")
-        if g_lo == 0.0:
-            return ZSolution(z=lo, residual=0.0, branch="regularization")
-        raise NoBracketError("equation gap is positive at the lower bracket")
-
-    hi = n * lam + float(spectrum.eigenvalues.sum()) + 1.0
-    expansions = 0
-    while g(hi) <= 0.0:
-        hi *= 2.0
-        expansions += 1
-        if expansions > max_expansions:
-            raise NoBracketError("no sign change found within the expansion limit")
-    while hi / 10.0 > lo and g(hi / 10.0) > 0.0:
-        hi /= 10.0
-    lo = max(lo, hi / 10.0)
-
-    z = brentq(g, lo, hi, xtol=_TINY, rtol=4 * np.finfo(float).eps, maxiter=300)
-    residual = abs(g(z))
-    if residual > tol * max(1.0, z):
+        df1, df2 = _spectral_sums(zeta, spectrum, (_DF1, _DF2))
+        gap = z - n * lam - zeta * df1
+        z_next = z - gap / (1.0 - df2 / n)
+        if not 0.0 < z_next < z:
+            break
+        z = z_next
+    else:
         raise NonConvergenceError(
-            f"root residual {residual:.3e} exceeds tolerance at z={z:.6e}"
-        )
-    reg_term = n * lam
-    spectral_term = z - reg_term
-    branch = "regularization" if reg_term >= spectral_term else "spectral"
-    return ZSolution(z=float(z), residual=float(residual), branch=branch)
+            f"Newton iteration still moving after {_NEWTON_MAX_STEPS} steps at z={z:.6e}")
+    residual = abs(gap)
+    if residual > tol * max(1.0, z):
+        raise NonConvergenceError(f"root residual {residual:.3e} exceeds tolerance at z={z:.6e}")
+    branch = "regularization" if n * lam >= z - n * lam else "spectral"
+    return ZSolution(z=float(z), residual=float(residual), branch=branch, df2=df2)
 
 
 def continuous_z_gap(z: float, n: int, lam: float, alpha: float) -> float:
@@ -235,6 +222,8 @@ def continuous_z_gap(z: float, n: int, lam: float, alpha: float) -> float:
     what ``solve_z`` uses; the integral form replaces the spectral sum by
     (z/n)^(1-1/alpha) * integral_{(z/n)^(1/alpha)}^inf dx / (1 + x^alpha).
     """
+    from scipy.integrate import quad
+
     zeta = z / n
     a = zeta ** (1.0 / alpha)
     integral, _ = quad(lambda x: 1.0 / (1.0 + x ** alpha), a, np.inf)
@@ -269,12 +258,16 @@ def excess_error_closed(n: int, lam: float, sigma: float, spectrum: Spectrum,
     Raises DegenerateDenominatorError when 1 - S2 <= 0 (truncation or
     parameters outside the formula's validity).
     """
+    return _decompose(n, lam, sigma, spectrum, solve_z(n, lam, spectrum, tol=tol))
+
+
+def _decompose(n: int, lam: float, sigma: float, spectrum: Spectrum,
+               zsol: ZSolution) -> ErrorDecomposition:
+    """The closed form at the root zsol, whose df2 gives S2."""
     if not 0 <= sigma < math.inf:
         raise InvalidParameterError(f"noise std must be finite and >= 0, got {sigma}")
-    zsol = solve_z(n, lam, spectrum, tol=tol)
-    zeta = zsol.z / n
-    df2, sample_sum = _spectral_sums(zeta, spectrum, (_DF2, _SAMPLE))
-    s2 = df2 / n
+    (sample_sum,) = _spectral_sums(zsol.z / n, spectrum, (_SAMPLE,))
+    s2 = zsol.df2 / n
     denom = 1.0 - s2
     if denom <= 0.0:
         raise DegenerateDenominatorError(
@@ -394,7 +387,9 @@ def optimal_lambda(n: int, sigma: float, spectrum: Spectrum,
 
     Ties are broken toward larger regularization.  Grid points where the
     closed form degenerates are skipped; if every point degenerates the
-    degenerate-denominator error is re-raised.
+    degenerate-denominator error is re-raised.  The grid is swept downward,
+    each z solve starting at Newton's first step off the previous, larger
+    root; the winner's excess is solved again cold, so it is sweep-independent.
     """
     lam_grid = np.asarray(lam_grid, dtype=float)
     if lam_grid.size == 0:
@@ -402,20 +397,21 @@ def optimal_lambda(n: int, sigma: float, spectrum: Spectrum,
     if np.any(lam_grid < 0):
         raise InvalidParameterError("lam_grid entries must be >= 0")
 
-    best_lam = None
-    best_total = math.inf
-    last_error = None
-    for lam in np.sort(lam_grid):
+    best_lam, best_total, last_error, zsol = None, math.inf, None, None
+    for lam in map(float, np.sort(lam_grid)[::-1]):
+        # At the previous root the gap at lam is n * (lam_prev - lam).
+        z = None if zsol is None else zsol.z - n * (lam_prev - lam) / (1.0 - zsol.df2 / n)
+        zsol, lam_prev = _solve_z(n, lam, spectrum, 1e-10, z), lam
         try:
-            total = excess_error_closed(n, float(lam), sigma, spectrum).total
+            total = _decompose(n, lam, sigma, spectrum, zsol).total
         except DegenerateDenominatorError as err:
             last_error = err
             continue
-        if total <= best_total:
+        if total < best_total:  # strict: ties stay with the larger lam
             best_total = total
-            best_lam = float(lam)
+            best_lam = lam
     if best_lam is None:
         raise DegenerateDenominatorError(
             f"all {lam_grid.size} grid points degenerate; last error: {last_error}"
         )
-    return best_lam, best_total
+    return best_lam, excess_error_closed(n, best_lam, sigma, spectrum).total

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -184,8 +185,30 @@ def test_estimate_planted_csv(tmp_path):
     code = main(["estimate", str(data), "--kernel", "linear", "--gamma", "1",
                  "--ell", "inf", "--out", str(tmp_path / "est_inf")])
     assert code == 0
-    report = json.loads((tmp_path / "est_inf_estimate.json").read_text())
-    assert report["predicted_exponents"]["ell_used"] == float("inf")
+    report = _strict_json(tmp_path / "est_inf_estimate.json")
+    assert report["predicted_exponents"]["ell_used"] == "inf"
+    assert report["predicted_exponents"]["OrangeNoisyReg_at_ell"] == "-inf"
+    assert _strict_json(tmp_path / "est_inf.manifest.json")["params"]["ell"] == "inf"
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def _strict_json(source):
+    """JSON from a path or a string, refusing NaN and +-Infinity as strict readers do."""
+    text = source.read_text() if isinstance(source, Path) else source
+    return json.loads(text, parse_constant=_reject_constant)
+
+
+def test_estimate_inf_ell_stdout_is_strict_json(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    _planted_csv(data, n_tot=80, p=30)
+    assert main(["estimate", str(data), "--kernel", "linear", "--gamma", "1",
+                 "--ell", "inf", "--out", str(tmp_path / "e")]) == 0
+    report = _strict_json(capsys.readouterr().out)
+    assert report["predicted_exponents"]["BlueNoiselessReg_at_ell"] == "inf"
+    assert report == _strict_json(tmp_path / "e_estimate.json")
 
 
 def test_estimate_missing_label_column(tmp_path):

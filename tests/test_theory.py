@@ -1,10 +1,14 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from krr_regimes import theory
-from krr_regimes.errors import DegenerateDenominatorError, InvalidParameterError
+from krr_regimes.errors import DegenerateDenominatorError, InvalidParameterError, \
+    NonConvergenceError
 from krr_regimes.simulator import excess_error_empirical, ridge_fit, sample_dataset, \
     trial_seed
 from krr_regimes.spectrum import PowerLawParams, Spectrum, power_law_spectrum, \
@@ -89,6 +93,65 @@ def test_solve_z_interpolation_degenerate():
     sol = solve_z(100, 0.0, sp)
     assert sol.z == 0.0
     assert sol.branch == "interpolation"
+
+
+def test_newton_root_matches_bisection():
+    for p in (2000, 100_000):
+        for alpha in (1.5, 2.0, 3.0):
+            sp = power_law_spectrum(PowerLawParams(alpha, 0.5, p))
+            eig = sp.eigenvalues
+            for n in (10, 300, 1000):
+                for lam in (0.0, 1e-9, 1e-4, 1.0):
+                    sol = solve_z(n, lam, sp)
+                    want = _oracle_bisect(n, lam, eig, max(n * lam, 1e-300),
+                                          n * lam + eig.sum() + 1.0)
+                    assert sol.z == pytest.approx(want, rel=1e-13), (p, alpha, n, lam)
+                    assert sol.residual <= 1e-10 * max(1.0, sol.z)
+                    ratio = eig / (sol.z / n + eig)
+                    assert sol.df2 == pytest.approx(ratio[::-1] @ ratio[::-1], rel=1e-12)
+
+
+def test_newton_iteration_that_keeps_moving_or_stalls_raises(monkeypatch):
+    sp = power_law_spectrum(PowerLawParams(2.0, 0.5, 1000))
+    n, lam = 100, 1e-3
+
+    def creeping(zeta, spectrum, kernels):
+        # Every step lowers z by only 0.1%: the step bound must end it.
+        z = n * zeta
+        return [(z - n * lam - 1e-3 * z) / zeta, 0.0]
+
+    def stalled(zeta, spectrum, kernels):
+        # A gap of z / 2 with a negative slope: the first step goes up.
+        z = n * zeta
+        return [(z / 2 - n * lam) / zeta, 2.0 * n]
+
+    for sums in (creeping, stalled):
+        monkeypatch.setattr(theory, "_spectral_sums", sums)
+        with pytest.raises(NonConvergenceError):
+            solve_z(n, lam, sp)
+
+
+def test_optimal_lambda_warm_sweep_matches_cold_sweep():
+    grid = np.concatenate([[0.0], np.geomspace(1e-9, 10.0, 60)])
+    for alpha, r, p in ((1.5, 0.25, 20_000), (2.0, 0.5, 100_000), (3.0, 1.5, 100_000)):
+        sp = power_law_spectrum(PowerLawParams(alpha, r, p))
+        for n, sigma in ((100, 0.0), (300, 0.5), (3000, 0.1)):
+            cold = [(excess_error_closed(n, float(lam), sigma, sp).total, -lam)
+                    for lam in grid]
+            excess_star, neg_lam = min(cold)  # ties go to the larger lam
+            assert optimal_lambda(n, sigma, sp, grid) == (-neg_lam, excess_star)
+    # With fewer modes than samples a negligible ridge ties lam = 0 exactly.
+    short = power_law_spectrum(PowerLawParams(2.0, 0.5, 50))
+    assert optimal_lambda(100, 0.5, short, [0.0, 1e-300]) == (1e-300, 0.25)
+
+
+def test_theory_import_loads_neither_optimize_nor_integrate():
+    code = ("import sys, krr_regimes.theory; "
+            "print(sorted(m for m in ('scipy.optimize', 'scipy.integrate') "
+            "if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_continuous_form_agrees_with_discrete_root():
@@ -252,6 +315,22 @@ def test_routes_agree_property(alpha, r, n, lam, sigma):
     state = solve_fixed_point(n, lam, sigma, sp)
     assert state.converged
     assert state.excess == pytest.approx(closed, rel=1e-6)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(alpha=st.floats(1.5, 3.0), r=st.floats(0.0, 1.5), n=st.integers(100, 1000),
+       dn=st.integers(1, 1000), lam=st.floats(1e-4, 1.0), sigma=st.floats(0.0, 1.0))
+def test_closed_form_property(alpha, r, n, dn, lam, sigma):
+    # The parts are nonnegative and sum exactly to the total, at lam = 0 too;
+    # at a fixed ridge in criterion 1's domain more samples never hurt.  (At
+    # smaller ridges noise overfitting can make the excess grow with n.)
+    sp = power_law_spectrum(PowerLawParams(alpha, r, 100_000))
+    for ridge in (0.0, lam):
+        dec = excess_error_closed(n, ridge, sigma, sp)
+        assert dec.sample_variance >= 0.0 and dec.noise_variance >= 0.0
+        assert dec.total == dec.sample_variance + dec.noise_variance
+    more = excess_error_closed(n + dn, lam, sigma, sp).total
+    assert more <= dec.total * (1 + 1e-12)
 
 
 def test_excess_monotone_in_n():
