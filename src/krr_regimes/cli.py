@@ -196,6 +196,9 @@ def cmd_estimate(args) -> int:
     if math.isnan(args.ell):
         # inf is legal: it encodes zero ridge.
         raise InvalidParameterError("--ell must be a number or +-inf, got nan")
+    if args.cap < 1 or (args.subsample is not None and args.subsample < 1):
+        raise InvalidParameterError(
+            f"--cap and --subsample must be >= 1, got {args.cap} and {args.subsample}")
     features, labels = load_dataset_csv(args.dataset)
     if labels is None:
         raise SchemaError(f"{args.dataset}: missing required label column 'y'")
@@ -212,6 +215,7 @@ def cmd_estimate(args) -> int:
 
     kernel = KernelSpec(args.kernel, gamma=args.gamma, degree=args.degree)
     gram = gram_matrix(features, kernel)
+    del features
     dec = feature_decomposition(gram, labels, floor_rel=args.eigen_floor)
     cap_tail, src_tail = cumulative_tails(dec.eigenvalues, dec.theta_star ** 2)
     est = estimate_alpha_r(cap_tail, src_tail, args.fit_range_capacity,

@@ -12,6 +12,7 @@ and signal tails.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -51,23 +52,33 @@ class KernelSpec:
 
 
 def gram_matrix(data: np.ndarray, kernel: KernelSpec) -> np.ndarray:
-    """Pairwise kernel evaluations, symmetric by construction."""
+    """Pairwise kernel evaluations, symmetric by construction.
+
+    Each kernel is evaluated in place, so at most two n x n arrays are alive.
+    """
     data = np.asarray(data, dtype=float)
     if data.ndim != 2 or data.shape[0] == 0:
         raise InvalidParameterError("data must be a non-empty 2-d array")
-    inner = data @ data.T
+    gram = data @ data.T
     if kernel.kind == "linear":
-        gram = kernel.gamma * inner
+        gram *= kernel.gamma
     elif kernel.kind == "polynomial":
-        gram = (1.0 + kernel.gamma * inner) ** kernel.degree
+        gram *= kernel.gamma
+        gram += 1.0
+        gram **= kernel.degree
     else:
-        sq = np.diag(inner)
-        dist = np.clip(sq[:, None] + sq[None, :] - 2.0 * inner, 0.0, None)
-        gram = np.exp(-0.5 * kernel.gamma * dist)
-    gram = 0.5 * (gram + gram.T)
+        sq = np.diag(gram).copy()
+        dist = sq[:, None] + sq[None, :]
+        gram *= 2.0
+        dist -= gram
+        gram = np.clip(dist, 0.0, None, out=dist)
+        gram *= -0.5 * kernel.gamma
+        np.exp(gram, out=gram)
+    sym = gram + gram.T
+    sym *= 0.5
     if kernel.kind == "rbf":
-        np.fill_diagonal(gram, 1.0)
-    return gram
+        np.fill_diagonal(sym, 1.0)
+    return sym
 
 
 @dataclass(frozen=True)
@@ -101,6 +112,8 @@ def feature_decomposition(gram: np.ndarray, labels: np.ndarray,
     modes above the eigenvalue floor; near-null modes are excluded because
     the extraction divides by the eigenvalues.
     """
+    if not (math.isfinite(floor_rel) and 0.0 <= floor_rel < 1.0):
+        raise InvalidParameterError(f"eigenvalue floor must be in [0, 1), got {floor_rel}")
     gram = np.asarray(gram, dtype=float)
     labels = np.asarray(labels, dtype=float)
     n_tot = gram.shape[0]
@@ -108,19 +121,27 @@ def feature_decomposition(gram: np.ndarray, labels: np.ndarray,
         raise InvalidParameterError("gram must be square")
     if labels.shape != (n_tot,):
         raise InvalidParameterError("labels must be one vector per data row")
-    asym = np.abs(gram - gram.T).max()
-    scale = max(np.abs(gram).max(), 1.0)
+    diff = gram - gram.T
+    asym = np.abs(diff, out=diff).max()
+    del diff
+    scale = max(gram.max(), -gram.min(), 1.0)
     if asym > 1e-8 * scale:
         raise InvalidParameterError(f"gram matrix asymmetric (max |K-K^T| = {asym:.3e})")
 
-    evals, evecs = np.linalg.eigh(0.5 * (gram + gram.T) / n_tot)
+    sym = gram + gram.T
+    sym *= 0.5
+    sym /= n_tot
+    evals, evecs = np.linalg.eigh(sym)
+    del sym
     if evals.min() < -1e-8 * max(evals.max(), 0.0):
         raise IndefiniteMatrixError(
             f"gram matrix has eigenvalue {evals.min():.3e} below the PSD tolerance"
         )
     order = np.argsort(evals)[::-1]
     evals = np.clip(evals[order], 0.0, None)
-    phi = np.sqrt(n_tot) * evecs[:, order]
+    phi = evecs[:, order]
+    del evecs
+    phi *= np.sqrt(n_tot)
 
     floor = floor_rel * evals[0] if evals[0] > 0 else 0.0
     active = evals > floor
@@ -268,25 +289,36 @@ def ingest_binary_labels(data: np.ndarray, class_a_rows, class_b_rows,
 
 
 def load_dataset_csv(path, label_column: str = "y"):
-    """Numeric dataset CSV with a header row; returns (features, labels or None)."""
+    """Numeric dataset CSV with a header row; returns (features, labels or None).
+
+    The body is parsed by numpy's C reader: comma-separated fields, optionally
+    in double quotes, blank lines skipped, no comment lines.  Every value must
+    be a finite float literal.
+    """
     with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
+        header = next(csv.reader(f), None)
         if header is None:
             raise SchemaError(f"{path}: missing header row")
-        header = [h.strip() for h in header]
-        rows = [row for row in reader if row]
-    if not rows:
-        raise SchemaError(f"{path}: no data rows")
-    try:
-        values = np.array(rows, dtype=float)
-    except ValueError as err:
-        raise SchemaError(f"{path}: non-numeric entries ({err})") from err
+        # Finding the first data line here keeps numpy from warning on an empty body.
+        first = next((line for line in f if line.strip("\r\n")), None)
+        if first is None:
+            raise SchemaError(f"{path}: no data rows")
+        try:
+            values = np.loadtxt(itertools.chain([first], f), delimiter=",", ndmin=2,
+                                comments=None, quotechar='"')
+        except ValueError as err:
+            raise SchemaError(f"{path}: non-numeric entries ({err})") from err
+    header = [h.strip() for h in header]
     if values.shape[1] != len(header):
         raise SchemaError(f"{path}: row width differs from header width")
+    finite = np.isfinite(values)
+    if not finite.all():
+        i, j = divmod(int(np.argmin(finite)), values.shape[1])
+        raise SchemaError(f"{path}: non-finite value {values[i, j]} in data row {i + 1}, "
+                          f"column {header[j]!r}")
     if label_column in header:
         j = header.index(label_column)
-        labels = values[:, j]
+        labels = values[:, j].copy()
         features = np.delete(values, j, axis=1)
         return features, labels
     return values, None

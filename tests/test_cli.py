@@ -233,6 +233,34 @@ def test_estimate_cap_refusal_and_subsample(tmp_path):
     assert report["n_tot"] == 80
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--subsample", "-5"], "--subsample"), (["--subsample", "0"], "--subsample"),
+    (["--cap", "0"], "--cap"), (["--eigen-floor", "nan"], "eigenvalue floor"),
+    (["--eigen-floor", "-1"], "eigenvalue floor"), (["--eigen-floor", "1"], "eigenvalue floor")])
+def test_estimate_rejects_bad_flags(tmp_path, capsys, flags, message):
+    data = tmp_path / "data.csv"
+    _planted_csv(data, n_tot=60, p=5)
+    code = main(["estimate", str(data), "--kernel", "linear", "--gamma", "1", *flags,
+                 "--out", str(tmp_path / "e")])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "e_estimate.json").exists()
+
+
+def test_estimate_rejects_nan_cell(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    _planted_csv(data, n_tot=60, p=5)
+    lines = data.read_text().splitlines()
+    cells = lines[8].split(",")
+    cells[2] = "nan"
+    lines[8] = ",".join(cells)
+    data.write_text("\n".join(lines) + "\n")
+    code = main(["estimate", str(data), "--kernel", "linear", "--gamma", "1",
+                 "--out", str(tmp_path / "e")])
+    assert code == 4
+    assert "data row 8, column 'x2'" in capsys.readouterr().err
+
+
 def _slope_csv(path, values):
     with open(path, "w", newline="") as f:
         w = csv.writer(f)

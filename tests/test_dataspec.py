@@ -1,5 +1,10 @@
+import csv
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from krr_regimes.dataspec import (
     KernelSpec,
@@ -259,3 +264,181 @@ def test_load_dataset_csv(tmp_path):
     bad.write_text("x1,y\n1.0,oops\n")
     with pytest.raises(SchemaError):
         load_dataset_csv(bad)
+
+
+def _reference_load(path, label_column="y"):
+    """The loader as it was before the C parser: one Python float per cell."""
+    with open(path, newline="") as f:
+        reader = csv.reader(f)
+        header = next(reader, None)
+        if header is None:
+            raise SchemaError(f"{path}: missing header row")
+        header = [h.strip() for h in header]
+        rows = [row for row in reader if row]
+    if not rows:
+        raise SchemaError(f"{path}: no data rows")
+    try:
+        values = np.array(rows, dtype=float)
+    except ValueError as err:
+        raise SchemaError(f"{path}: non-numeric entries ({err})") from err
+    if values.shape[1] != len(header):
+        raise SchemaError(f"{path}: row width differs from header width")
+    if label_column in header:
+        j = header.index(label_column)
+        return np.delete(values, j, axis=1), values[:, j]
+    return values, None
+
+
+_MAX = float(np.finfo(float).max)
+_CSV_EXTREMES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, _MAX, -_MAX, 1.0]
+
+
+@pytest.fixture(scope="module")
+def csv_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("csv")
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(table=st.integers(1, 5).flatmap(lambda cols: st.lists(
+           st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                              st.sampled_from(_CSV_EXTREMES)), min_size=cols, max_size=cols),
+           min_size=1, max_size=6)),
+       label_at=st.integers(0, 5), style=st.data())
+def test_loader_matches_reference_bit_for_bit(csv_dir, table, label_at, style):
+    cols = len(table[0])
+    header = [f"x{j}" for j in range(cols)]
+    if label_at < cols:
+        header[label_at] = "y"
+    eol = style.draw(st.sampled_from(["\n", "\r\n"]))
+    lines = [",".join(header)]
+    for row in table:
+        cells = [style.draw(st.sampled_from(["%.17g" % v, repr(v)])) for v in row]
+        cells = [f'"{c}"' if style.draw(st.booleans()) else c for c in cells]
+        lines += [""] * style.draw(st.integers(0, 2)) + [",".join(cells)]
+    path = csv_dir / "table.csv"
+    path.write_bytes((eol.join(lines) + eol * style.draw(st.integers(0, 2))).encode())
+    features, labels = load_dataset_csv(path)
+    want_features, want_labels = _reference_load(path)
+    assert features.shape == want_features.shape
+    assert features.tobytes() == want_features.tobytes()
+    assert (labels is None) == (want_labels is None)
+    if labels is not None:
+        assert labels.tobytes() == want_labels.tobytes()
+        assert labels.base is None  # a copy, not a view into the parsed table
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "missing header row"),
+    ("x,y\n", "no data rows"),
+    ("x,y\r\n\r\n\n", "no data rows"),
+    ("x,y\n1,2\n3\n", "non-numeric"),
+    ("x,y\n1,2\n# comment\n", "non-numeric"),
+    ("x,y\n1,2\n   \n3,4\n", "non-numeric"),
+    ("y\n1\n \n", "non-numeric"),
+    ("x,y\n1,oops\n", "non-numeric"),
+    ("x,y\n1_000,2\n", "non-numeric"),
+    ("x,y\n1,2,3\n", "row width"),
+])
+def test_loader_schema_errors(tmp_path, text, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SchemaError, match=message):
+            load_dataset_csv(path)
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity", "1e400"])
+def test_loader_rejects_non_finite_values(tmp_path, cell):
+    path = tmp_path / "nonfinite.csv"
+    path.write_text(f"a,b,y\n1,2,3\n4,{cell},6\n7,8,nan\n")
+    with pytest.raises(SchemaError, match="data row 2, column 'b'"):
+        load_dataset_csv(path)
+
+
+def _gram_reference(data, kernel):
+    data = np.asarray(data, dtype=float)
+    inner = data @ data.T
+    if kernel.kind == "linear":
+        gram = kernel.gamma * inner
+    elif kernel.kind == "polynomial":
+        gram = (1.0 + kernel.gamma * inner) ** kernel.degree
+    else:
+        sq = np.diag(inner)
+        dist = np.clip(sq[:, None] + sq[None, :] - 2.0 * inner, 0.0, None)
+        gram = np.exp(-0.5 * kernel.gamma * dist)
+    gram = 0.5 * (gram + gram.T)
+    if kernel.kind == "rbf":
+        np.fill_diagonal(gram, 1.0)
+    return gram
+
+
+def _decomposition_reference(gram, labels, floor_rel=1e-12):
+    n_tot = gram.shape[0]
+    evals, evecs = np.linalg.eigh(0.5 * (gram + gram.T) / n_tot)
+    order = np.argsort(evals)[::-1]
+    evals = np.clip(evals[order], 0.0, None)
+    phi = np.sqrt(n_tot) * evecs[:, order]
+    floor = floor_rel * evals[0] if evals[0] > 0 else 0.0
+    active = evals > floor
+    theta = np.zeros(n_tot)
+    theta[active] = (phi[:, active].T @ labels) / (np.sqrt(evals[active]) * n_tot)
+    return evals, phi, theta
+
+
+def _assert_decomposition_matches(gram, labels):
+    dec = feature_decomposition(gram, labels)
+    evals, phi, theta = _decomposition_reference(gram, labels)
+    assert dec.eigenvalues.tobytes() == evals.tobytes()
+    assert dec.phi.tobytes() == phi.tobytes()
+    assert dec.theta_star.tobytes() == theta.tobytes()
+
+
+_KERNELS = [KernelSpec("linear", gamma=1.7), KernelSpec("rbf", gamma=0.05),
+            KernelSpec("polynomial", gamma=0.02, degree=5),
+            KernelSpec("polynomial", gamma=0.02, degree=2)]
+
+
+@pytest.mark.parametrize("kernel", _KERNELS, ids=lambda k: f"{k.kind}{k.degree}")
+def test_gram_and_decomposition_bit_identical_to_reference(kernel):
+    rng = np.random.default_rng(21)
+    base = rng.standard_normal((70, 43))
+    layouts = {"c": np.ascontiguousarray(base[:, :40]), "fortran": np.asfortranarray(base[:, :40]),
+               "column_slice": base[:, 3:43], "strided": base[:, ::2],
+               "rank_deficient": base[:, :12]}
+    for data in layouts.values():
+        gram = gram_matrix(data, kernel)
+        assert gram.tobytes() == _gram_reference(data, kernel).tobytes()
+        _assert_decomposition_matches(gram, rng.standard_normal(data.shape[0]))
+
+
+def test_decomposition_bit_identical_on_nearly_symmetric_gram():
+    rng = np.random.default_rng(22)
+    X = rng.standard_normal((60, 80))
+    gram = X @ X.T
+    y = rng.standard_normal(60)
+    signed_zero = gram.copy()
+    signed_zero[1, 0], signed_zero[0, 1] = -0.0, 0.0  # equal as numbers, not as bits
+    _assert_decomposition_matches(signed_zero, y)
+    gram[3, 7] *= 1 + 1e-12  # asymmetric, but well inside the 1e-8 check
+    assert not np.array_equal(gram, gram.T)
+    _assert_decomposition_matches(gram, y)
+
+
+def test_gram_and_decomposition_bit_identical_above_half_max():
+    # Doubling an entry above max / 2 overflows, so symmetrization is not a no-op.
+    data = np.zeros((4, 3))
+    data[0, 0] = 1e154
+    data[1:, :] = np.arange(9.0).reshape(3, 3)
+    kernel = KernelSpec("linear", gamma=1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = gram_matrix(data, kernel)
+        assert gram.tobytes() == _gram_reference(data, kernel).tobytes()
+        big = np.diag([0.9 * _MAX, 2.0, 1.0])
+        _assert_decomposition_matches(big, np.ones(3))
+
+
+@pytest.mark.parametrize("floor_rel", [float("nan"), float("inf"), -1.0, 1.0])
+def test_decomposition_rejects_bad_floor(floor_rel):
+    with pytest.raises(InvalidParameterError):
+        feature_decomposition(np.eye(3), np.ones(3), floor_rel=floor_rel)
