@@ -352,7 +352,9 @@ def build_parser(supplied=()):
                    help="separate truncation for the theory column")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="kept for compatibility (>= 1); one sampler thread always draws "
+                   "the next design and the curve holds 2 buffers of n_max x p float64")
 
     p = add("phase-diagram", cmd_phase_diagram, help="regime grid plus crossover lines")
     p.add_argument("--alpha", type=float, default=2.0)
@@ -374,7 +376,8 @@ def build_parser(supplied=()):
     p.add_argument("--fit-range-capacity", type=_int_pair, default=None)
     p.add_argument("--fit-range-source", type=_int_pair, default=None)
     p.add_argument("--cap", type=int, default=8000,
-                   help="refuse datasets above this size unless --subsample is given")
+                   help="refuse datasets above this size unless --subsample is given; "
+                   "the default implies roughly 3 GB of memory")
     p.add_argument("--subsample", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--eigen-floor", type=float, default=1e-12)

@@ -83,7 +83,8 @@ class SimConfig:
     and independent of execution order.  theory_spectrum, when given, is
     used for the attached closed-form column (the simulation spectrum may
     be truncated harder than the theory one); regime_params = (alpha, r),
-    when given, lets rows carry a regime label.
+    when given, lets rows carry a regime label.  workers is kept for
+    compatibility: it must be >= 1 and changes neither values nor threads.
     """
 
     spectrum: Spectrum
@@ -144,6 +145,20 @@ def trial_seed(master_seed: int, n: int, trial_index: int) -> np.random.SeedSequ
     return np.random.SeedSequence(entropy=(int(master_seed), int(n), int(trial_index)))
 
 
+def _draw(scale: np.ndarray, sigma: float, seed, out: np.ndarray) -> np.ndarray | None:
+    """Fill out (n x p) with a design drawn from seed; return the noise draw.  It makes
+    no BLAS call and calls nothing else of this package, so it may run on any thread."""
+    rng = np.random.default_rng(seed)
+    rng.standard_normal(out=out)
+    out *= scale
+    return rng.standard_normal(out.shape[0]) if sigma > 0 else None
+
+
+def _labels(features: np.ndarray, theta: np.ndarray, sigma: float, noise) -> np.ndarray:
+    labels = features @ theta
+    return labels + sigma * noise if sigma > 0 else labels
+
+
 def sample_dataset(spectrum: Spectrum, n: int, sigma: float, seed):
     """Draw (features, labels) from the Gaussian teacher model.
 
@@ -153,14 +168,9 @@ def sample_dataset(spectrum: Spectrum, n: int, sigma: float, seed):
     """
     if n < 1:
         raise InvalidParameterError(f"sample count must be >= 1, got {n}")
-    rng = np.random.default_rng(seed)
-    scale = np.sqrt(spectrum.eigenvalues)
-    features = rng.standard_normal((n, spectrum.p)) * scale
-    theta = np.sqrt(spectrum.teacher_sq)
-    labels = features @ theta
-    if sigma > 0:
-        labels = labels + sigma * rng.standard_normal(n)
-    return features, labels
+    features = np.empty((n, spectrum.p))
+    noise = _draw(np.sqrt(spectrum.eigenvalues), sigma, seed, features)
+    return features, _labels(features, np.sqrt(spectrum.teacher_sq), sigma, noise)
 
 
 def _solve_psd(mat: np.ndarray, rhs: np.ndarray, lam_is_zero: bool) -> np.ndarray:
@@ -273,52 +283,59 @@ def grid_search_lambda(features: np.ndarray, labels: np.ndarray,
 def learning_curve(config: SimConfig) -> LearningCurve:
     """Monte-Carlo learning curve with attached closed-form theory column.
 
-    Trials may run on a thread pool (config.workers > 1); results are
-    reduced in trial-index order so the output is bit-identical regardless
-    of scheduling.  Individual trial failures are tolerated up to 10% per
-    sample count, above which the first failure is re-raised.
+    The calling thread forms the labels and solves each trial while one
+    sampler thread draws the next design into the other of two reused
+    n_max x p float64 buffers.  No BLAS call leaves the calling thread and
+    results are reduced in trial order, so config.workers (validated, kept
+    for compatibility) changes nothing.  Trial failures are tolerated up to
+    10% per sample count, above which the first failure is re-raised.
     """
-    spectrum = config.spectrum
+    spectrum, sigma = config.spectrum, config.sigma
     theory_spec = config.theory_spectrum or spectrum
+    scale, theta = np.sqrt(spectrum.eigenvalues), np.sqrt(spectrum.teacher_sq)
+    jobs = [(n, t) for n in sorted(config.n_values) for t in range(config.trials)]
+    buffers = [np.empty((max(config.n_values, default=0), spectrum.p)) for _ in range(2)]
     rows = []
-    for n in sorted(config.n_values):
-        lam = config.lam_schedule.lam_at(n)
-        if lam is None:
-            # Cross-validate once on the first trial's dataset and reuse the
-            # choice, keeping one regularization per curve row.
-            features, labels = sample_dataset(
-                spectrum, n, config.sigma, trial_seed(config.master_seed, n, 0))
-            lam = grid_search_lambda(features, labels)
 
-        def run(t: int) -> float | SolverError:
-            """Excess error of trial t, or the solver failure it met."""
-            features, labels = sample_dataset(
-                spectrum, n, config.sigma, trial_seed(config.master_seed, n, t))
+    def submit(i):
+        """Start drawing job i into the buffer that job i - 1 is not using."""
+        if i < len(jobs):
+            out, seed = buffers[i % 2][:jobs[i][0]], trial_seed(config.master_seed, *jobs[i])
+            return out, pool.submit(_draw, scale, sigma, seed, out)
+
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        nxt = submit(0)
+        for i, (n, t) in enumerate(jobs):
+            # Job i - 1's solve is done, so its buffer is free for job i + 1.
+            (features, drawing), nxt = nxt, submit(i + 1)
+            labels = _labels(features, theta, sigma, drawing.result())
+            if t == 0:
+                outcomes, lam = [], config.lam_schedule.lam_at(n)
+                if lam is None:
+                    # One cross-validated regularization per row, chosen on trial 0.
+                    lam = grid_search_lambda(features, labels)
             try:
                 w = ridge_fit(features, labels, lam)
             except SolverError as err:
-                return err
-            return excess_error_empirical(w, spectrum)
-
-        if config.workers == 1:
-            outcomes = [run(t) for t in range(config.trials)]
-        else:
-            with ThreadPoolExecutor(max_workers=config.workers) as pool:
-                outcomes = list(pool.map(run, range(config.trials)))
-        failures = [o for o in outcomes if isinstance(o, SolverError)]
-        values = np.array([o for o in outcomes if not isinstance(o, SolverError)], dtype=float)
-        if len(failures) > 0.1 * config.trials or values.size == 0:
-            raise failures[0]
-        mean = float(values.mean())
-        std = float(values.std(ddof=1)) if values.size > 1 else 0.0
-        theory = excess_error_closed(n, lam, config.sigma, theory_spec).total
-        regime = ""
-        if config.regime_params is not None:
-            alpha, r = config.regime_params
-            regime = config.lam_schedule.label(alpha, r, config.sigma, n, lam).region.value
-        rows.append(CurveRow(n=int(n), lam_used=float(lam), mean_excess=mean,
-                             std_excess=std, trials=int(values.size),
-                             theory_excess=float(theory), regime=regime))
+                outcomes.append(err)
+            else:
+                outcomes.append(excess_error_empirical(w, spectrum))
+            if t < config.trials - 1:
+                continue
+            failures = [o for o in outcomes if isinstance(o, SolverError)]
+            values = np.array([o for o in outcomes if not isinstance(o, SolverError)], float)
+            if len(failures) > 0.1 * config.trials or values.size == 0:
+                raise failures[0]
+            mean = float(values.mean())
+            std = float(values.std(ddof=1)) if values.size > 1 else 0.0
+            theory = excess_error_closed(n, lam, sigma, theory_spec).total
+            regime = ""
+            if config.regime_params is not None:
+                alpha, r = config.regime_params
+                regime = config.lam_schedule.label(alpha, r, sigma, n, lam).region.value
+            rows.append(CurveRow(n=int(n), lam_used=float(lam), mean_excess=mean,
+                                 std_excess=std, trials=int(values.size),
+                                 theory_excess=float(theory), regime=regime))
     return LearningCurve(rows=tuple(rows))
 
 

@@ -1,5 +1,7 @@
 import dataclasses
+import dis
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -44,6 +46,26 @@ def test_sample_dataset_deterministic():
     assert np.array_equal(X1, X2) and np.array_equal(y1, y2)
     X3, _ = sample_dataset(sp, 50, 0.3, 124)
     assert not np.array_equal(X1, X3)
+
+
+def _reference_sample(spectrum, n, sigma, seed):
+    """The direct formula: scale a fresh standard normal draw, then add noise."""
+    rng = np.random.default_rng(seed)
+    features = rng.standard_normal((n, spectrum.p)) * np.sqrt(spectrum.eigenvalues)
+    labels = features @ np.sqrt(spectrum.teacher_sq)
+    if sigma > 0:
+        labels = labels + sigma * rng.standard_normal(n)
+    return features, labels
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.3])
+@pytest.mark.parametrize("n", [40, 200])
+def test_sample_dataset_matches_the_direct_formula(n, sigma):
+    sp = power_law_spectrum(PowerLawParams(2.0, 0.5, 120))
+    seed = trial_seed(5, n, 1)
+    for got, want in zip(sample_dataset(sp, n, sigma, seed),
+                         _reference_sample(sp, n, sigma, seed)):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_sample_dataset_column_variances():
@@ -127,6 +149,42 @@ def _config(**kw):
     return SimConfig(**base)
 
 
+def _reference_curve(cfg, skip=frozenset()):
+    """The per-trial loop: draw, fit and score each trial in turn, leaving out
+    the (n, trial) pairs in skip, then reduce each row."""
+    def draw(n, t):
+        return _reference_sample(cfg.spectrum, n, cfg.sigma, trial_seed(cfg.master_seed, n, t))
+
+    rows = []
+    for n in sorted(cfg.n_values):
+        lam = cfg.lam_schedule.lam_at(n)
+        if lam is None:
+            lam = grid_search_lambda(*draw(n, 0))
+        values = np.array([excess_error_empirical(ridge_fit(*draw(n, t), lam), cfg.spectrum)
+                           for t in range(cfg.trials) if (n, t) not in skip])
+        theory = excess_error_closed(n, lam, cfg.sigma, cfg.theory_spectrum or cfg.spectrum)
+        regime = ""
+        if cfg.regime_params is not None:
+            regime = cfg.lam_schedule.label(*cfg.regime_params, cfg.sigma, n, lam).region.value
+        rows.append(CurveRow(n, lam, float(values.mean()),
+                             float(values.std(ddof=1)) if values.size > 1 else 0.0,
+                             values.size, theory.total, regime))
+    return LearningCurve(tuple(rows))
+
+
+@pytest.mark.parametrize("workers", [1, 2, 4])
+@pytest.mark.parametrize("sigma", [0.0, 0.5])
+@pytest.mark.parametrize("schedule", [LamSchedule("fixed", lam=0.0),
+                                      LamSchedule("power", lambda0=1.0, ell=1.0),
+                                      LamSchedule("cv")], ids=["fixed", "power", "cv"])
+def test_learning_curve_matches_the_per_trial_loop(schedule, sigma, workers):
+    # Unsorted sample counts with a duplicate; 160 > p takes the primal branch.
+    cfg = _config(spectrum=power_law_spectrum(PowerLawParams(2.0, 0.5, 128)),
+                  n_values=(96, 24, 160, 24), sigma=sigma, lam_schedule=schedule,
+                  trials=3, regime_params=(2.0, 0.5), workers=workers)
+    assert repr(learning_curve(cfg)) == repr(_reference_curve(cfg))
+
+
 def test_learning_curve_interpolates_noiseless_full_rank():
     sp = power_law_spectrum(PowerLawParams(2.0, 0.5, 64))
     curve = learning_curve(_config(spectrum=sp, n_values=(128,), trials=1))
@@ -187,8 +245,75 @@ def test_learning_curve_errors_when_too_many_trials_fail(monkeypatch):
         raise SingularSystemError("forced failure")
 
     monkeypatch.setattr(simulator, "ridge_fit", flaky)
+    before = threading.active_count()
     with pytest.raises(SingularSystemError):
         learning_curve(_config(trials=5, n_values=(32,)))
+    assert threading.active_count() == before
+    # Raised while the next row's designs are still being drawn.
+    with pytest.raises(SingularSystemError):
+        learning_curve(_config(trials=5, n_values=(32, 64), workers=2))
+    assert threading.active_count() == before
+
+
+def test_learning_curve_tolerates_one_failed_trial(monkeypatch):
+    cfg = _config(spectrum=power_law_spectrum(PowerLawParams(2.0, 0.5, 200)),
+                  n_values=(48,), sigma=0.3, trials=10)
+    calls = []
+
+    def fails_on_trial_3(features, labels, lam):
+        calls.append(lam)
+        if len(calls) == 4:
+            raise SingularSystemError("forced failure")
+        return ridge_fit(features, labels, lam)
+
+    monkeypatch.setattr(simulator, "ridge_fit", fails_on_trial_3)
+    curve = learning_curve(cfg)
+    assert len(calls) == 10 and curve.rows[0].trials == 9
+    assert repr(curve) == repr(_reference_curve(cfg, skip={(48, 3)}))
+
+
+def test_learning_curve_calls_the_package_on_the_calling_thread(monkeypatch):
+    # The benchmark's tracer keeps one span stack, so every traced call
+    # (and every BLAS call) must stay on the thread that called learning_curve.
+    def main_thread_only(name):
+        original = getattr(simulator, name)
+
+        def guarded(*args, **kwargs):
+            if threading.current_thread() is not threading.main_thread():
+                raise RuntimeError(f"{name} called off the main thread")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(simulator, name, guarded)
+
+    for name in ("_labels", "ridge_fit", "excess_error_empirical",
+                 "grid_search_lambda", "excess_error_closed", "trial_seed"):
+        main_thread_only(name)
+    for schedule in (LamSchedule("fixed", lam=1e-3), LamSchedule("cv")):
+        curve = learning_curve(_config(n_values=(32, 64), trials=3, lam_schedule=schedule,
+                                       workers=2))
+        assert [row.trials for row in curve.rows] == [3, 3]
+
+
+def test_sampler_draw_makes_no_blas_or_package_call():
+    # What runs on the sampler thread: numpy's generator and an elementwise
+    # scale, nothing of this package and no matrix product.
+    code = simulator._draw.__code__
+    assert set(code.co_names) <= {"np", "random", "default_rng", "standard_normal", "shape"}
+    assert not [ins for ins in dis.get_instructions(code) if ins.argrepr in ("@", "@=")]
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_learning_curve_draws_on_one_sampler_thread(monkeypatch, workers):
+    threads = set()
+    draw = simulator._draw
+
+    def recording_draw(*args):
+        threads.add(threading.get_ident())
+        return draw(*args)
+
+    monkeypatch.setattr(simulator, "_draw", recording_draw)
+    learning_curve(_config(trials=4, workers=workers))
+    assert len(threads) == 1 and threading.get_ident() not in threads
 
 
 def test_grid_search_prefers_small_lambda_without_noise():
