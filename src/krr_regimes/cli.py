@@ -95,11 +95,15 @@ def _finite(values: list[float]) -> list[float]:
 
 
 def _int_list(text: str) -> list[int]:
+    toks = [tok for tok in text.split(",") if tok]
     try:
-        values = [float(tok) for tok in text.split(",") if tok]
+        values = [float(tok) for tok in toks]
     except ValueError as err:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers: {err}")
-    return [int(v) for v in _finite(values)]
+    for tok, value in zip(toks, _finite(values)):
+        if not value.is_integer():
+            raise argparse.ArgumentTypeError(f"expected integers, got {tok!r}")
+    return [int(v) for v in values]
 
 
 def _int_pair(text: str) -> tuple[int, int]:

@@ -215,6 +215,10 @@ def _loglog_fit(x, y) -> tuple[float, float, float]:
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     if x.size < 3:
         raise DegenerateWindowError(f"need at least 3 points, got {x.size}")
+    for name, values in (("x", x), ("y", y)):
+        bad = values[~np.isfinite(values)]
+        if bad.size:
+            raise DegenerateWindowError(f"log-log fit needs finite values, {name} holds {bad[0]}")
     if np.any(y <= 0) or np.any(x <= 0):
         raise DegenerateWindowError("log-log fit needs strictly positive values")
     lx, ly = np.log(x), np.log(y)

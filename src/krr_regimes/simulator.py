@@ -10,11 +10,9 @@ form against the known teacher, which removes test-set sampling noise.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .dataspec import fit_loglog_slope
 from .errors import (
@@ -175,6 +173,9 @@ def sample_dataset(spectrum: Spectrum, n: int, sigma: float, seed):
 
 def _solve_psd(mat: np.ndarray, rhs: np.ndarray, lam_is_zero: bool) -> np.ndarray:
     """Cholesky solve with a trace-scaled jitter retry in the ridgeless case."""
+    # Imported on first use: commands without a solve start without scipy.linalg.
+    import scipy.linalg
+
     try:
         c = scipy.linalg.cho_factor(mat, check_finite=False)
         return scipy.linalg.cho_solve(c, rhs, check_finite=False)
@@ -290,6 +291,8 @@ def learning_curve(config: SimConfig) -> LearningCurve:
     for compatibility) changes nothing.  Trial failures are tolerated up to
     10% per sample count, above which the first failure is re-raised.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
     spectrum, sigma = config.spectrum, config.sigma
     theory_spec = config.theory_spectrum or spectrum
     scale, theta = np.sqrt(spectrum.eigenvalues), np.sqrt(spectrum.teacher_sq)

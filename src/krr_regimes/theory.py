@@ -19,8 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import binom, digamma
-from scipy.special import zeta as hurwitz_zeta
 
 from .errors import DegenerateDenominatorError, InvalidParameterError, NegativeExcessError, \
     NonConvergenceError
@@ -55,11 +53,12 @@ _TAIL_RTOL = 1e-17
 # costs about as much as summing 20,000 modes one by one.
 _TAIL_MIN_MODES = 20_000
 # Series term indices j, log(j + 1), and the coefficients (-1)^j C(j+q-1, j)
-# of 1/(1 + y)^q = sum_j (-1)^j C(j+q-1, j) y^j for q = 1, 2.  At x >= 8 no
-# series needs more than 22 terms.
+# of 1/(1 + y)^q = sum_j (-1)^j C(j+q-1, j) y^j for q = 1, 2, where
+# C(j, j) = 1 and C(j+1, j) = j + 1.  At x >= 8 no series needs more than 22
+# terms.
 _J = np.arange(64)
 _LOG_J1 = np.log1p(_J)
-_SERIES = {q: (-1.0) ** _J * binom(_J + q - 1, _J) for q in (1, 2)}
+_SERIES = {1: (-1.0) ** _J, 2: (-1.0) ** _J * (_J + 1)}
 _FLOAT_TINY = np.finfo(float).tiny
 
 
@@ -143,12 +142,16 @@ def _power_law_tails(zeta: float, law, head: int, p: int, kernels, head_sums):
 
 def _power_sums(s: np.ndarray, a: int, p: int) -> np.ndarray:
     """sum_{k=a..p} k^-s for each of the increasing exponents s >= 1."""
+    # Imported on first use: commands without a spectral sum start without scipy.
+    import scipy.special
+
     # The Hurwitz zeta function has its pole at s = 1; digamma covers it.
     start = 1 if s[0] == 1.0 else 0
-    ends = hurwitz_zeta(s[start:, None], np.array([a, p + 1.0]))
+    ends = scipy.special.zeta(s[start:, None], np.array([a, p + 1.0]))
     sums = ends[:, 0] - ends[:, 1]
     if start:
-        sums = np.concatenate([[digamma(p + 1) - digamma(a)], sums])
+        sums = np.concatenate([[scipy.special.digamma(p + 1) - scipy.special.digamma(a)],
+                               sums])
     return sums
 
 

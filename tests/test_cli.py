@@ -81,6 +81,27 @@ def test_theory_invalid_alpha_is_usage_error(tmp_path):
         assert code == 2, value
 
 
+def test_non_integral_sample_count_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    for value in ("1.5", "100,100.5", "1e-1"):
+        code = main(["theory", "--alpha", "2", "--r", "0.5", "--lam", "0", "--p", "1000",
+                     "--n", value, "--out", str(out)])
+        assert code == 2, value
+        bad = value.split(",")[-1]
+        assert repr(bad) in capsys.readouterr().err, value
+        assert not out.exists()
+    # an integral value in float notation is still a sample count
+    assert main(["theory", "--alpha", "2", "--r", "0.5", "--lam", "0", "--p", "1000",
+                 "--n", "1e2,200.0", "--out", str(out)]) == 0
+    assert [r[0] for r in _read_csv(out)[1:]] == ["100", "200"]
+    # the same holds for a config file, as a string or as a list
+    cfg = tmp_path / "cfg.json"
+    for n in ("1.5", [1.5], [100, 2.5]):
+        cfg.write_text(json.dumps({"alpha": 2.0, "r": 0.5, "lam": 0.0, "p": 1000, "n": n}))
+        assert main(["theory", "--config", str(cfg), "--out", str(out)]) == 2, n
+        assert "'n'" in capsys.readouterr().err, n
+
+
 def test_simulate_deterministic(tmp_path):
     args = ["simulate", "--alpha", "2", "--r", "0.5", "--sigma", "0.1",
             "--lam", "0", "--p", "400", "--n", "32,64", "--trials", "4",
@@ -297,6 +318,16 @@ def test_fit_slope_degenerate_window(tmp_path):
     with open(path, "a", newline="") as f:
         f.write("10000,0,0.125\r\n")
     assert main(["fit-slope", str(path)]) == 4
+
+
+def test_fit_slope_rejects_non_finite_excess(tmp_path, capsys):
+    path = tmp_path / "c.csv"
+    for bad in (float("nan"), float("inf")):
+        _slope_csv(path, [(10, 1.0), (100, bad), (1000, 0.25)])
+        out = tmp_path / "slope.json"
+        assert main(["fit-slope", str(path), "--out", str(out)]) == 4, bad
+        assert f"y holds {bad}" in capsys.readouterr().err, bad
+        assert not out.exists()
 
 
 def test_optimal_lambda_command(tmp_path):

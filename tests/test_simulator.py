@@ -380,6 +380,17 @@ def test_fit_decay_exponent_degenerate_window():
         fit_decay_exponent(LearningCurve(bad), (0, 2))
 
 
+@pytest.mark.parametrize("x, y, cause", [
+    ([10, 20, 40], [1.0, math.nan, 0.5], "y holds nan"),
+    ([10, 20, 40], [1.0, math.inf, 0.5], "y holds inf"),
+    ([10, math.nan, 40], [1.0, 0.7, 0.5], "x holds nan"),
+    ([10, 20, math.inf], [1.0, 0.7, 0.5], "x holds inf"),
+])
+def test_fit_loglog_slope_rejects_non_finite_values(x, y, cause):
+    with pytest.raises(DegenerateWindowError, match=cause):
+        fit_loglog_slope(x, y)
+
+
 def test_curve_csv_roundtrip(tmp_path):
     cfg = _config(trials=3, sigma=0.1, regime_params=(2.0, 0.5))
     path = tmp_path / "curve.csv"

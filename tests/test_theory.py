@@ -152,6 +152,30 @@ def test_theory_import_loads_neither_optimize_nor_integrate():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True).stdout
     assert out.strip() == "[]"
+    # No scipy module at all until the first spectral sum, which loads
+    # scipy.special and still none of scipy.linalg, optimize and integrate.
+    code = ("import sys; from krr_regimes import spectrum, theory; "
+            "scipy = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'); "
+            "print(scipy()); "
+            "theory.solve_z(100, 0.0, spectrum.power_law_spectrum("
+            "spectrum.PowerLawParams(2.0, 0.5, 100_000))); "
+            "print(scipy())")
+    before, after = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                                   text=True, check=True).stdout.splitlines()
+    assert before == "[]"
+    assert "'scipy.special'" in after
+    for name in ("scipy.linalg", "scipy.optimize", "scipy.integrate"):
+        assert f"'{name}'" not in after, name
+
+
+def test_series_coefficients_match_binomials_bit_for_bit():
+    from scipy.special import binom
+
+    j = np.arange(64)
+    for q in (1, 2):
+        expected = (-1.0) ** j * binom(j + q - 1, j)
+        assert theory._SERIES[q].dtype == expected.dtype
+        assert theory._SERIES[q].tobytes() == expected.tobytes(), q
 
 
 def test_continuous_form_agrees_with_discrete_root():
