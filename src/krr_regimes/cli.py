@@ -3,7 +3,10 @@
 Subcommands: theory, simulate, phase-diagram, estimate, fit-slope,
 optimal-lambda.  A JSON config file may supply any flag (flags given on the
 command line win).  Every command writes a run manifest next to its outputs;
-identical manifests reproduce outputs byte-for-byte.
+identical manifests reproduce the outputs byte-for-byte on the same numpy,
+scipy and BLAS build and CPU.  simulate's outputs do not depend on the BLAS
+thread count (its solves run OpenBLAS on one thread); estimate's do, because
+its eigendecomposition rounds differently at different thread counts.
 
 Exit codes: 0 success, 2 usage, 3 numerical failure, 4 data/schema problem.
 """
@@ -52,8 +55,10 @@ DATA_EXIT = 4
 
 def _write_manifest(path, args, t0: float, outputs: list[str], seed: int | None = None,
                     **results) -> None:
-    """Manifest of a finished command: everything needed to reproduce its outputs
-    bit-exactly.  results are recorded among its params."""
+    """Manifest of a finished command: its params (results recorded among them),
+    seed and outputs.  They reproduce the outputs byte-for-byte on the same
+    numpy, scipy and BLAS build and CPU; estimate's outputs also need the same
+    BLAS thread count (see the module docstring)."""
     _write_json(path, {"command": args.command, "version": __version__,
                        "params": {**_params_of(args), **results}, "master_seed": seed,
                        "outputs": outputs, "wall_time_s": time.time() - t0})

@@ -9,7 +9,10 @@ form against the known teacher, which removes test-set sampling noise.
 
 from __future__ import annotations
 
+import functools
 import math
+import threading
+from contextlib import contextmanager
 from dataclasses import astuple, dataclass, field
 
 import numpy as np
@@ -27,6 +30,62 @@ from .table import read_table, write_table
 from .theory import excess_error_closed
 
 _JITTER_REL = 1e-12
+
+# Extension modules whose OpenBLAS runs the Monte Carlo solves: numpy's (Gram
+# and label products) and scipy's (Cholesky).  Wheels bundle one each.
+_BLAS_MODULES = ("numpy._core._multiarray_umath", "scipy.linalg._flapack")
+_blas_lock = threading.Lock()
+_blas_depth = 0  # open _one_blas_thread blocks, over all threads
+_blas_saved = ()  # (setter, count before the outermost block) pairs
+
+
+def _find_setters(modules) -> tuple:
+    """openblas_set_num_threads_local of the OpenBLAS each module links, one per
+    library (two handles on one shared library give one setter); a module without
+    the symbol (another BLAS, OpenBLAS < 0.3.27, another loader) gives none."""
+    import ctypes
+    import importlib
+
+    found = {}
+    for name in modules:
+        try:
+            lib = ctypes.CDLL(importlib.import_module(name).__file__)
+            setter = lib.openblas_set_num_threads_local
+        except (ImportError, OSError, AttributeError):
+            continue
+        setter.argtypes, setter.restype = (ctypes.c_int,), ctypes.c_int
+        found.setdefault(ctypes.cast(setter, ctypes.c_void_p).value, setter)
+    return tuple(found.values())
+
+
+@functools.cache
+def _blas_setters() -> tuple:
+    return _find_setters(_BLAS_MODULES)
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run OpenBLAS on one thread inside the block, then restore the earlier counts.
+
+    One thread makes the Cholesky rounding independent of the machine's thread
+    count and leaves the other core to the sampler.  A pthreads OpenBLAS (the one
+    numpy and scipy wheels bundle) applies the count to the whole process, so
+    blocks are counted: the first to open sets 1 thread and the last to close
+    restores, in reverse order.  Without a setter this does nothing.
+    """
+    global _blas_depth, _blas_saved
+    with _blas_lock:
+        if _blas_depth == 0:
+            _blas_saved = tuple((setter, setter(1)) for setter in _blas_setters())
+        _blas_depth += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_depth -= 1
+            if _blas_depth == 0:
+                for setter, previous in reversed(_blas_saved):
+                    setter(previous)
 
 
 @dataclass(frozen=True)
@@ -78,11 +137,15 @@ class SimConfig:
 
     Per-trial randomness is derived from (master_seed, n, trial_index)
     through numpy's SeedSequence, so each trial is reproducible on its own
-    and independent of execution order.  theory_spectrum, when given, is
-    used for the attached closed-form column (the simulation spectrum may
-    be truncated harder than the theory one); regime_params = (alpha, r),
-    when given, lets rows carry a regime label.  workers is kept for
-    compatibility: it must be >= 1 and changes neither values nor threads.
+    and independent of execution order.  The solves run OpenBLAS on one
+    thread, so a curve's bytes do not depend on the BLAS thread count
+    either; where OpenBLAS offers no per-thread setter (another BLAS,
+    OpenBLAS < 0.3.27) nothing is pinned and the Cholesky rounding still
+    follows the thread count.  theory_spectrum, when given, is used for the
+    attached closed-form column (the simulation spectrum may be truncated
+    harder than the theory one); regime_params = (alpha, r), when given,
+    lets rows carry a regime label.  workers is kept for compatibility: it
+    must be >= 1 and changes neither values nor threads.
     """
 
     spectrum: Spectrum
@@ -192,6 +255,7 @@ def _solve_psd(mat: np.ndarray, rhs: np.ndarray, lam_is_zero: bool) -> np.ndarra
         ) from err
 
 
+@_one_blas_thread()
 def ridge_fit(features: np.ndarray, labels: np.ndarray, lam: float) -> np.ndarray:
     """Exact minimizer of the mean squared error plus lam * ||w||^2.
 
@@ -235,6 +299,7 @@ def default_cv_grid() -> np.ndarray:
     return np.concatenate([[0.0], 10.0 ** (-10.0 + 0.026 * np.arange(1, count))])
 
 
+@_one_blas_thread()
 def grid_search_lambda(features: np.ndarray, labels: np.ndarray,
                        lam_grid=None, k_folds: int = 5) -> float:
     """k-fold cross-validated grid search over the regularization.
@@ -281,15 +346,22 @@ def grid_search_lambda(features: np.ndarray, labels: np.ndarray,
     return float(lam_grid[best_i])
 
 
+@_one_blas_thread()
 def learning_curve(config: SimConfig) -> LearningCurve:
     """Monte-Carlo learning curve with attached closed-form theory column.
 
     The calling thread forms the labels and solves each trial while one
     sampler thread draws the next design into the other of two reused
-    n_max x p float64 buffers.  No BLAS call leaves the calling thread and
-    results are reduced in trial order, so config.workers (validated, kept
-    for compatibility) changes nothing.  Trial failures are tolerated up to
-    10% per sample count, above which the first failure is re-raised.
+    n_max x p float64 buffers.  The whole loop runs OpenBLAS on one thread
+    (_one_blas_thread), so one core draws and one core solves instead of the
+    sampler sharing two cores with a two-thread BLAS, and the Cholesky
+    rounding no longer follows the machine's thread count.  On machines with
+    more cores the solves leave the extra cores idle; running trials in
+    parallel would use them (not measured).  No BLAS call leaves the calling
+    thread and results are reduced in trial order, so config.workers
+    (validated, kept for compatibility) changes nothing.  Trial failures are
+    tolerated up to 10% per sample count, above which the first failure is
+    re-raised.
     """
     from concurrent.futures import ThreadPoolExecutor
 

@@ -1,7 +1,11 @@
 import dataclasses
 import dis
 import math
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -314,6 +318,160 @@ def test_learning_curve_draws_on_one_sampler_thread(monkeypatch, workers):
     monkeypatch.setattr(simulator, "_draw", recording_draw)
     learning_curve(_config(trials=4, workers=workers))
     assert len(threads) == 1 and threading.get_ident() not in threads
+
+
+@pytest.mark.parametrize("flags", [["--lam", "0", "--n", "256,512"],
+                                   ["--cv", "--sigma", "0.5", "--n", "256"]],
+                         ids=["ridgeless", "cv"])
+def test_curve_does_not_depend_on_the_blas_thread_count(tmp_path, flags):
+    # From n = 128 on OpenBLAS threads the Cholesky factorization, whose rounding
+    # then follows the thread count unless the solve is pinned to one thread.
+    if not simulator._blas_setters():
+        pytest.skip("no OpenBLAS per-thread setter found: the solve cannot be pinned")
+    src = str(Path(simulator.__file__).resolve().parents[1])
+    curves = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"curve_{threads}.csv"
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
+        subprocess.run([sys.executable, "-m", "krr_regimes.cli", "simulate", "--alpha", "2",
+                        "--r", "0.5", "--p", "2000", "--trials", "3", "--seed", "11", *flags,
+                        "--out", str(out)],
+                       env=env, capture_output=True, check=True, timeout=300)
+        curves.append(out.read_bytes())
+    assert curves[0] == curves[1]
+
+
+def test_a_trial_by_hand_has_the_curve_bits():
+    # n = 512 is past the size where OpenBLAS threads the Cholesky
+    # factorization, so this holds only if a bare ridge_fit is pinned too.
+    cfg = _config(spectrum=power_law_spectrum(PowerLawParams(2.0, 0.5, 2000)),
+                  n_values=(512,), sigma=0.5, trials=1)
+    features, labels = sample_dataset(cfg.spectrum, 512, 0.5, trial_seed(99, 512, 0))
+    by_hand = excess_error_empirical(ridge_fit(features, labels, 0.0), cfg.spectrum)
+    assert learning_curve(cfg).rows[0].mean_excess == by_hand
+
+
+def _blas_counts():
+    """Each setter's current thread count (a setter returns the count it replaces)."""
+    counts = []
+    for setter in simulator._blas_setters():
+        counts.append(setter(1))
+        setter(counts[-1])
+    return counts
+
+
+@pytest.fixture
+def blas_at_two_threads():
+    setters = simulator._blas_setters()
+    if not setters:
+        pytest.skip("no OpenBLAS per-thread setter found")
+    before = [setter(2) for setter in setters]
+    yield
+    for setter, count in reversed(list(zip(setters, before))):
+        setter(count)
+
+
+def test_learning_curve_restores_the_blas_thread_counts(blas_at_two_threads, monkeypatch):
+    seen = []
+    excess = simulator.excess_error_empirical
+
+    def recording_excess(w, spectrum):
+        seen.append(_blas_counts())
+        return excess(w, spectrum)
+
+    monkeypatch.setattr(simulator, "excess_error_empirical", recording_excess)
+    learning_curve(_config(trials=2))
+    assert seen and all(counts == [1] * len(counts) for counts in seen)
+    assert _blas_counts() == [2] * len(seen[0])
+
+
+def test_failed_learning_curve_restores_the_blas_thread_counts(blas_at_two_threads,
+                                                                monkeypatch):
+    def failing(features, labels, lam):
+        raise SingularSystemError("forced failure")
+
+    monkeypatch.setattr(simulator, "ridge_fit", failing)
+    with pytest.raises(SingularSystemError):
+        learning_curve(_config(trials=5, n_values=(32, 64)))
+    assert set(_blas_counts()) == {2}
+
+
+class _SharedLibrary:
+    """One thread count reached through several setters, as when numpy and
+    scipy link one shared OpenBLAS."""
+
+    def __init__(self, count):
+        self.count = count
+
+    def setter(self):
+        def set_count(n):
+            previous, self.count = self.count, n
+            return previous
+        return set_count
+
+
+def test_find_setters_keeps_one_setter_per_library():
+    numpy_ext = simulator._BLAS_MODULES[0]
+    if not simulator._find_setters((numpy_ext,)):
+        pytest.skip("no OpenBLAS per-thread setter found")
+    assert len(simulator._find_setters((numpy_ext, numpy_ext))) == 1
+    # A pure-Python module and a missing one have no setter: nothing is pinned.
+    assert simulator._find_setters(("json", "krr_regimes.no_such_module")) == ()
+
+
+def test_setters_of_one_library_restore_in_reverse_order(monkeypatch):
+    lib = _SharedLibrary(3)
+    monkeypatch.setattr(simulator, "_blas_setters", lambda: (lib.setter(), lib.setter()))
+    with simulator._one_blas_thread():
+        assert lib.count == 1
+    assert lib.count == 3
+    learning_curve(_config(trials=2))
+    assert lib.count == 3
+
+
+def test_overlapping_blocks_on_two_threads_restore_once(monkeypatch):
+    # The count is process-wide: the last block to close restores it.
+    lib = _SharedLibrary(3)
+    monkeypatch.setattr(simulator, "_blas_setters", lambda: (lib.setter(),))
+    opened, release = threading.Event(), threading.Event()
+
+    def other_block():
+        with simulator._one_blas_thread():
+            opened.set()
+            release.wait(10)
+
+    other = threading.Thread(target=other_block)
+    other.start()
+    assert opened.wait(10)
+    with simulator._one_blas_thread():
+        release.set()
+        other.join(10)
+        assert lib.count == 1
+    assert lib.count == 3
+
+
+def test_blocks_on_many_threads_keep_one_thread_and_restore(monkeypatch):
+    lib = _SharedLibrary(3)
+    monkeypatch.setattr(simulator, "_blas_setters", lambda: (lib.setter(),))
+    seen = set()
+
+    def blocks():
+        for _ in range(300):
+            with simulator._one_blas_thread():
+                seen.add(lib.count)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=blocks) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert seen == {1} and lib.count == 3
 
 
 def test_grid_search_prefers_small_lambda_without_noise():
