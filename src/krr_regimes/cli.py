@@ -99,16 +99,19 @@ def _finite(values: list[float]) -> list[float]:
     return values
 
 
-def _int_list(text: str) -> list[int]:
-    toks = [tok for tok in text.split(",") if tok]
+def _int(text: str) -> int:
+    """An integer, also in float notation such as 1e6; 1.5, inf and nan are refused."""
     try:
-        values = [float(tok) for tok in toks]
-    except ValueError as err:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers: {err}")
-    for tok, value in zip(toks, _finite(values)):
-        if not value.is_integer():
-            raise argparse.ArgumentTypeError(f"expected integers, got {tok!r}")
-    return [int(v) for v in values]
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not value.is_integer():
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    return int(value)
+
+
+def _int_list(text: str) -> list[int]:
+    return [_int(tok) for tok in text.split(",") if tok]
 
 
 def _int_pair(text: str) -> tuple[int, int]:
@@ -336,7 +339,7 @@ def build_parser(supplied=()):
         p.add_argument("--alpha", type=float, required=required("alpha"))
         p.add_argument("--r", type=float, required=required("r"))
         p.add_argument("--sigma", type=float, default=0.0)
-        p.add_argument("--p", type=int, default=p_default)
+        p.add_argument("--p", type=_int, default=p_default)
         p.add_argument("--n", type=_int_list, required=required("n"),
                        help="comma-separated sample counts")
 
@@ -357,7 +360,7 @@ def build_parser(supplied=()):
     model(p, DEFAULT_P_SIMULATION)
     schedule(p, "cv").add_argument("--cv", action="store_true",
                                    help="pick lambda by cross-validation")
-    p.add_argument("--theory-p", type=int, default=None,
+    p.add_argument("--theory-p", type=_int, default=None,
                    help="separate truncation for the theory column")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
@@ -425,6 +428,7 @@ _CONFIG_SHAPES = {
     None: lambda v: isinstance(v, str),
     float: _is_number,
     int: _is_int,
+    _int: _is_int,
     _int_list: lambda v: isinstance(v, list) and all(map(_is_int, v)),
     _int_pair: lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_int, v)),
     _log_grid: lambda v: isinstance(v, list) and all(map(_is_finite_number, v)),

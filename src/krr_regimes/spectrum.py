@@ -8,7 +8,8 @@ unit prefactor) or empirical (measured from data and loaded from CSV).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,9 +28,14 @@ _HEADER = ("k", "eigenvalue", "teacher_sq")
 class PowerLawParams:
     """Capacity/source power-law parameters.
 
-    alpha : capacity exponent of the eigenvalue decay, must exceed 1.
-    r     : source exponent measuring teacher alignment, non-negative.
-    p     : truncation dimension of the feature space.
+    alpha : capacity exponent of the eigenvalue decay, finite and above 1.
+    r     : source exponent measuring teacher alignment, finite and non-negative.
+    p     : truncation dimension of the feature space, an integer in [1, 2^53]
+            (mode indices are exact floats) whose eigenvalue p^-alpha does not
+            underflow to zero.
+
+    These checks cover every mode of the spectrum, which therefore needs no
+    check of its own.
     """
 
     alpha: float
@@ -37,15 +43,20 @@ class PowerLawParams:
     p: int
 
     def __post_init__(self):
-        if not self.alpha > 1:
-            raise InvalidParameterError(f"capacity exponent must be > 1, got {self.alpha}")
-        if self.r < 0:
-            raise InvalidParameterError(f"source exponent must be >= 0, got {self.r}")
-        if self.p < 1:
-            raise InvalidParameterError(f"truncation dimension must be >= 1, got {self.p}")
+        if not 1 < self.alpha < math.inf:
+            raise InvalidParameterError(
+                f"capacity exponent must be finite and > 1, got {self.alpha}")
+        if not 0 <= self.r < math.inf:
+            raise InvalidParameterError(
+                f"source exponent must be finite and >= 0, got {self.r}")
+        if not (1 <= self.p <= 2 ** 53 and float(self.p).is_integer()):
+            raise InvalidParameterError(
+                f"truncation dimension must be an integer >= 1, got {self.p}")
+        if not float(self.p) ** -self.alpha > 0:
+            raise InvalidParameterError(
+                f"eigenvalue p^-alpha underflows to zero at p={self.p}, alpha={self.alpha}")
 
 
-@dataclass(frozen=True)
 class Spectrum:
     """Eigenvalues and squared teacher coefficients, sorted by decreasing eigenvalue.
 
@@ -56,19 +67,14 @@ class Spectrum:
     law is the (alpha, r) of a spectrum built by ``power_law_spectrum``, whose
     every mode k has eigenvalue k^-alpha and eigenvalue * teacher_sq =
     k^-(1 + 2 r alpha); the theory route sums such spectra beyond the first
-    modes in closed form.  It is None for spectra given as arrays.
+    modes in closed form.  It is None for spectra given as arrays.  A law
+    spectrum computes mode values only as far as they are read: its full
+    arrays are built on the first read of ``eigenvalues`` or ``teacher_sq``.
     """
 
-    eigenvalues: np.ndarray
-    teacher_sq: np.ndarray
-    law: tuple[float, float] | None = field(default=None, init=False, repr=False,
-                                            compare=False)
-
-    def __post_init__(self):
-        eig = np.asarray(self.eigenvalues, dtype=float)
-        tsq = np.asarray(self.teacher_sq, dtype=float)
-        object.__setattr__(self, "eigenvalues", eig)
-        object.__setattr__(self, "teacher_sq", tsq)
+    def __init__(self, eigenvalues, teacher_sq):
+        eig = np.asarray(eigenvalues, dtype=float)
+        tsq = np.asarray(teacher_sq, dtype=float)
         if eig.ndim != 1 or tsq.ndim != 1:
             raise InvalidParameterError("spectrum arrays must be one-dimensional")
         if eig.size == 0:
@@ -83,10 +89,53 @@ class Spectrum:
             raise InvalidParameterError("eigenvalues must be sorted non-increasing")
         if not np.all(tsq >= 0):
             raise InvalidParameterError("squared teacher coefficients must be non-negative")
+        self._p = int(eig.size)
+        self._law = None
+        self._modes = (eig, tsq)
+
+    @classmethod
+    def _of_law(cls, law: tuple[float, float], p: int) -> "Spectrum":
+        """The power-law spectrum of law = (alpha, r) on modes 1..p, with no mode built."""
+        spectrum = cls.__new__(cls)
+        spectrum._p = int(p)
+        spectrum._law = law
+        spectrum._modes = (np.empty(0), np.empty(0))
+        return spectrum
 
     @property
     def p(self) -> int:
-        return int(self.eigenvalues.size)
+        return self._p
+
+    @property
+    def law(self) -> tuple[float, float] | None:
+        return self._law
+
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        return self._head(self._p)[0]
+
+    @property
+    def teacher_sq(self) -> np.ndarray:
+        return self._head(self._p)[1]
+
+    def _head(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """(eigenvalues, teacher_sq) of modes 1..k.
+
+        A law spectrum keeps a computed prefix and at least doubles it when a
+        read goes past its end, so repeated reads cost O(k) in total.  Two
+        threads growing it at once both compute the same values; either
+        result may stay.
+        """
+        eig, tsq = self._modes
+        if eig.size < k:
+            eig, tsq = self._modes = _law_modes(self._law, min(self._p, max(k, 2 * eig.size)))
+        return eig[:k], tsq[:k]
+
+    def trace(self) -> float:
+        """Sum of the eigenvalues, in closed form for a law spectrum."""
+        if self._law is None:
+            return float(self.eigenvalues.sum())
+        return float(_power_sums(np.array([self._law[0]]), 1, self._p)[0])
 
     def truncate(self, p: int) -> "Spectrum":
         """Return the spectrum restricted to its first p modes."""
@@ -94,7 +143,12 @@ class Spectrum:
             raise InvalidParameterError(f"truncation dimension must be >= 1, got {p}")
         if p >= self.p:
             return self
-        return _with_law(Spectrum(self.eigenvalues[:p], self.teacher_sq[:p]), self.law)
+        if self._law is not None:
+            return Spectrum._of_law(self._law, p)
+        return Spectrum(self.eigenvalues[:p], self.teacher_sq[:p])
+
+    def __repr__(self) -> str:
+        return f"Spectrum(p={self._p}, law={self._law})"
 
     def to_csv(self, path) -> None:
         """Write columns (k, eigenvalue, teacher_sq) with a header row."""
@@ -111,24 +165,84 @@ class Spectrum:
 def power_law_spectrum(params: PowerLawParams) -> Spectrum:
     """Spectrum with eigenvalues k^-alpha and teacher satisfying
     eigenvalue * teacher_sq = k^-(1 + 2 r alpha) for k = 1..p."""
-    k = np.arange(1, params.p + 1, dtype=float)
-    eigenvalues = k ** (-params.alpha)
+    return Spectrum._of_law((params.alpha, params.r), params.p)
+
+
+def _law_modes(law: tuple[float, float], count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and teacher_sq of modes 1..count of the power law law = (alpha, r)."""
+    alpha, r = law
+    k = np.arange(1, count + 1, dtype=float)
     # teacher_sq * eigenvalue = k^-(1 + 2 r alpha) exactly, so
     # teacher_sq = k^(alpha - 1 - 2 r alpha)
-    teacher_sq = k ** (params.alpha - 1.0 - 2.0 * params.r * params.alpha)
-    return _with_law(Spectrum(eigenvalues, teacher_sq), (params.alpha, params.r))
-
-
-def _with_law(spectrum: Spectrum, law) -> Spectrum:
-    object.__setattr__(spectrum, "law", law)
-    return spectrum
+    return k ** (-alpha), k ** (alpha - 1.0 - 2.0 * r * alpha)
 
 
 def teacher_variance(spectrum: Spectrum) -> float:
     """Second moment of the noiseless target: sum of eigenvalue * teacher_sq.
 
-    Summed in ascending term order (largest mode index first) to limit
+    A law spectrum sums k^-(1 + 2 r alpha) in closed form.  Other spectra
+    are summed in ascending term order (largest mode index first) to limit
     floating-point cancellation on long spectra.
     """
+    if spectrum.law is not None:
+        alpha, r = spectrum.law
+        return float(_power_sums(np.array([1.0 + 2.0 * r * alpha]), 1, spectrum.p)[0])
     terms = spectrum.eigenvalues * spectrum.teacher_sq
     return float(terms[::-1].sum())
+
+
+# Euler-Maclaurin power sums.  c_i = B_2i / (2i)!, i = 1..12, from the
+# Bernoulli numbers B_2i given as numerator and denominator.
+_BERNOULLI = ((1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6),
+              (-3617, 510), (43867, 798), (-174611, 330), (854513, 138),
+              (-236364091, 2730))
+_EM_C = np.array([num / (den * math.factorial(2 * i))
+                  for i, (num, den) in enumerate(_BERNOULLI, start=1)])
+# An end x of the sum contributes x^(1-s) times its bracket: f(x)/2 = x^-1 / 2
+# and, for i = 1..12, c_i (s)_{2i-1} x^-2i, added at the start b and
+# subtracted at the end p.
+_EM_POWERS = -np.array([1.0, *range(2, 2 * _EM_C.size + 1, 2)])
+_EM_SIGNS = np.array([[0.5] + [1.0] * _EM_C.size, [0.5] + [-1.0] * _EM_C.size])
+
+
+def _em_table(s: np.ndarray) -> np.ndarray:
+    """Per-exponent constants of _power_sums, one row per exponent s:
+    1 - s, -1/(s - 1) (0 at s = 1), then 1 and c_i (s)_{2i-1}, i = 1..12,
+    with (s)_m the rising factorial."""
+    rising = np.cumprod(s[:, None] + np.arange(2 * _EM_C.size - 1), axis=1)
+    neg_inv = np.divide(-1.0, s - 1.0, out=np.zeros(s.size), where=s != 1.0)
+    return np.column_stack([1.0 - s, neg_inv, np.ones(s.size), rising[:, ::2] * _EM_C])
+
+
+def _power_sums(s: np.ndarray, a: int, p: int, table: np.ndarray | None = None) -> np.ndarray:
+    """sum_{k=a..p} k^-s for each of the increasing exponents s >= 1.
+
+    The terms k = a..b-1 are summed directly, smallest first; the rest,
+    k = b..p, is the Euler-Maclaurin sum: the integral, both end corrections
+    and 12 Bernoulli terms (Johansson 2015, arXiv 1309.2877).  Term i of the
+    series shrinks by about ((s + 2i) / (2 pi b))^2 per step, so with
+    b >= 0.82 (s + 24) the remainder after term 12 is below 2e-17 of the
+    sum for every exponent.  Each end's x^(1-s) is factored out of its
+    bracket: the sum is at most about b^(1-s) once s >= 2, so it keeps full
+    precision wherever it is a normal float.  table is _em_table(s), passed
+    by callers that reuse their exponents.
+    """
+    b = max(a, math.ceil(0.82 * (s[-1] + 24.0)))
+    sums = np.zeros(s.size)
+    if b > a:
+        k = np.arange(min(b, p + 1) - 1, a - 1, -1, dtype=float)
+        sums += (k ** -s[:, None]).sum(axis=1)
+    if b > p:
+        return sums
+    if table is None:
+        table = _em_table(s)
+    log_ratio = math.log(p / b)
+    # (b^(1-s) - p^(1-s)) / (s - 1) = b^(1-s) * integral, log(p/b) at s = 1
+    integral = np.expm1(table[:, 0] * log_ratio) * table[:, 1]
+    if s[0] == 1.0:
+        integral[0] = log_ratio
+    ends = np.array([[b], [p]], dtype=float)
+    scale = ends ** table[:, 0]
+    brackets = (ends ** _EM_POWERS * _EM_SIGNS) @ table[:, 2:].T
+    sums += scale[0] * (integral + brackets[0]) + scale[1] * brackets[1]
+    return sums

@@ -15,6 +15,7 @@ as a mutual numerical oracle.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -22,7 +23,7 @@ import numpy as np
 
 from .errors import DegenerateDenominatorError, InvalidParameterError, NegativeExcessError, \
     NonConvergenceError
-from .spectrum import Spectrum, teacher_variance
+from .spectrum import Spectrum, _em_table, _power_sums, teacher_variance
 
 # Effective-regularization values below this are treated as the exact
 # interpolation-degenerate limit (only reachable when lam == 0).
@@ -41,10 +42,10 @@ _SAMPLE = (2, 2, True)     # sum teacher_sq eig (zeta / (zeta + eig))^2
 _OVERLAP = (1, 0, True)    # sum teacher_sq eig^2 / (zeta + eig)
 
 # Modes of a power-law spectrum with x_k >= _TAIL_X are summed through the
-# series of x^e / (1 + x)^q in powers of 1/x, each power a difference of
-# Hurwitz zeta values; the modes below are summed term by term.  The series
+# series of x^e / (1 + x)^q in powers of 1/x, each power a power sum
+# sum_k k^-s over the tail; the modes below are summed term by term.  The series
 # stops once the bound on its next term is below _TAIL_RTOL of its leading
-# term.  It may stop earlier, at a term whose zeta difference has left the
+# term.  It may stop earlier, at a term whose power sum has left the
 # normal float range and lost digits, if the bound on that term is below
 # _TAIL_RTOL of the whole sum; otherwise every mode is summed term by term.
 _TAIL_X = 8.0
@@ -60,6 +61,8 @@ _J = np.arange(64)
 _LOG_J1 = np.log1p(_J)
 _SERIES = {1: (-1.0) ** _J, 2: (-1.0) ** _J * (_J + 1)}
 _FLOAT_TINY = np.finfo(float).tiny
+# Powers m of 1/x over every series: j + q - e for j < 64 and q - e <= 2.
+_M = np.arange(_J.size + 2)
 
 
 def _spectral_sums(zeta: float, spectrum: Spectrum, kernels) -> list[float]:
@@ -87,9 +90,9 @@ def _spectral_sums(zeta: float, spectrum: Spectrum, kernels) -> list[float]:
 
 def _head_sums(zeta: float, spectrum: Spectrum, head: int, kernels) -> list[float]:
     """The sums over modes 1..head, smallest terms first to limit cancellation."""
-    eig = spectrum.eigenvalues[:head]
+    eig, tsq = spectrum._head(head)
     denom = zeta + eig
-    weight = spectrum.teacher_sq[:head] * eig if any(k[2] for k in kernels) else None
+    weight = tsq * eig if any(k[2] for k in kernels) else None
     sums = []
     for q, e, weighted in kernels:
         # x/(1+x) = zeta/(zeta+eig) or 1/(1+x) = eig/(zeta+eig), to the power q
@@ -112,7 +115,8 @@ def _power_law_tails(zeta: float, law, head: int, p: int, kernels, head_sums):
     """Sums over modes head+1..p of a power-law spectrum, one per kernel.
 
     Returns None when a series would have to stop, because of underflow,
-    at a term not negligible next to its head sum.
+    at a term not negligible next to its head sum.  The kernels of one weight
+    class share their exponents s, so each class takes one power-sum call.
     """
     alpha, r = law
     a = head + 1
@@ -120,16 +124,25 @@ def _power_law_tails(zeta: float, law, head: int, p: int, kernels, head_sums):
     # and x_a = zeta a^alpha >= _TAIL_X.
     bound = np.exp(_LOG_J1 - _J * (math.log(zeta) + alpha * math.log(a)))
     n_terms = int(np.argmax(bound < _TAIL_RTOL))
-    j = _J[:n_terms]
     # zeta^-m is formed as mant^-m 2^(-expo m): it overflows by itself at
     # small zeta, while the terms stay in range.
     mant, expo = math.frexp(zeta)
+    # Per weight class, over the powers m of 1/x its kernels need from the
+    # lowest one on: the power sums, and zeta^-m times them.
+    classes = {}
+    for weighted in {kernel[2] for kernel in kernels}:
+        shifts = [q - e for q, e, w in kernels if w == weighted]
+        s, table = _class_exponents(alpha, 1.0 + 2.0 * r * alpha if weighted else 0.0)
+        span = slice(min(shifts), max(shifts) + n_terms)
+        m = _M[span]
+        powers = _power_sums(s[span], a, p, table[span])
+        classes[weighted] = m[0], powers, np.ldexp(mant ** -m * powers, -expo * m)
     tails = []
     for (q, e, weighted), head_sum in zip(kernels, head_sums):
-        m = j + (q - e)                                       # power of 1/x
-        s = alpha * m + (1.0 + 2.0 * r * alpha if weighted else 0.0)
-        powers = _power_sums(s, a, p)
-        terms = _SERIES[q][:n_terms] * np.ldexp(mant ** -m * powers, -expo * m)
+        low, powers, scaled = classes[weighted]
+        first = q - e - low
+        powers = powers[first:first + n_terms]
+        terms = _SERIES[q][:n_terms] * scaled[first:first + n_terms]
         normal = powers >= _FLOAT_TINY
         cut = n_terms if normal.all() else int(np.argmin(normal))
         tail = float(terms[:cut][::-1].sum())
@@ -140,19 +153,12 @@ def _power_law_tails(zeta: float, law, head: int, p: int, kernels, head_sums):
     return tails
 
 
-def _power_sums(s: np.ndarray, a: int, p: int) -> np.ndarray:
-    """sum_{k=a..p} k^-s for each of the increasing exponents s >= 1."""
-    # Imported on first use: commands without a spectral sum start without scipy.
-    import scipy.special
-
-    # The Hurwitz zeta function has its pole at s = 1; digamma covers it.
-    start = 1 if s[0] == 1.0 else 0
-    ends = scipy.special.zeta(s[start:, None], np.array([a, p + 1.0]))
-    sums = ends[:, 0] - ends[:, 1]
-    if start:
-        sums = np.concatenate([[scipy.special.digamma(p + 1) - scipy.special.digamma(a)],
-                               sums])
-    return sums
+@functools.lru_cache(maxsize=16)
+def _class_exponents(alpha: float, shift: float) -> tuple[np.ndarray, np.ndarray]:
+    """Exponents s = alpha m + shift for the powers _M of 1/x, and their
+    Euler-Maclaurin table, which depends on s alone."""
+    s = alpha * _M + shift
+    return s, _em_table(s)
 
 
 @dataclass(frozen=True)
@@ -196,10 +202,7 @@ def _solve_z(n: int, lam: float, spectrum: Spectrum, tol: float,
         # The spectral sum never catches up with z; at z = 0 each mode adds 1 to df2.
         return ZSolution(z=0.0, residual=0.0, branch="interpolation", df2=float(spectrum.p))
     if z is None or not 0.0 < z < math.inf:
-        law = spectrum.law
-        trace = spectrum.eigenvalues.sum() if law is None else \
-            _power_sums(np.array([law[0]]), 1, spectrum.p)[0]
-        z = n * lam + float(trace) + 1.0
+        z = n * lam + spectrum.trace() + 1.0
     for _ in range(_NEWTON_MAX_STEPS):
         zeta = z / n
         df1, df2 = _spectral_sums(zeta, spectrum, (_DF1, _DF2))
@@ -216,22 +219,6 @@ def _solve_z(n: int, lam: float, spectrum: Spectrum, tol: float,
         raise NonConvergenceError(f"root residual {residual:.3e} exceeds tolerance at z={z:.6e}")
     branch = "regularization" if n * lam >= z - n * lam else "spectral"
     return ZSolution(z=float(z), residual=float(residual), branch=branch, df2=df2)
-
-
-def continuous_z_gap(z: float, n: int, lam: float, alpha: float) -> float:
-    """Residual of the integral form of the z-equation for a unit power-law spectrum.
-
-    Diagnostic only: the discrete sum is exact at finite truncation and is
-    what ``solve_z`` uses; the integral form replaces the spectral sum by
-    (z/n)^(1-1/alpha) * integral_{(z/n)^(1/alpha)}^inf dx / (1 + x^alpha).
-    """
-    from scipy.integrate import quad
-
-    zeta = z / n
-    a = zeta ** (1.0 / alpha)
-    integral, _ = quad(lambda x: 1.0 / (1.0 + x ** alpha), a, np.inf)
-    rhs = n * lam + zeta ** (1.0 - 1.0 / alpha) * integral
-    return z - rhs
 
 
 @dataclass(frozen=True)
@@ -347,7 +334,7 @@ def solve_fixed_point(n: int, lam: float, sigma: float, spectrum: Spectrum,
     elif p <= n:
         zeta = 0.0
     else:
-        zeta = float(spectrum.eigenvalues.sum()) / n
+        zeta = spectrum.trace() / n
     excess = 0.0
     m = 0.0
 

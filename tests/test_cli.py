@@ -102,6 +102,39 @@ def test_non_integral_sample_count_is_usage_error(tmp_path, capsys):
         assert "'n'" in capsys.readouterr().err, n
 
 
+_TRUNCATION_ARGS = {
+    "theory": ["--alpha", "2", "--r", "0.5", "--lam", "0", "--n", "100"],
+    "optimal-lambda": ["--alpha", "2", "--r", "0.5", "--sigma", "0.5", "--n", "100",
+                       "--lam-grid", "1e-6,1,5"],
+    "simulate": ["--alpha", "2", "--r", "0.5", "--lam", "0", "--n", "16", "--trials", "2"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_TRUNCATION_ARGS))
+def test_truncation_flags_take_integers_in_float_notation(tmp_path, capsys, command):
+    flags = ["--p"] if command != "simulate" else ["--p", "--theory-p"]
+    args = [command, *_TRUNCATION_ARGS[command]]
+    out = tmp_path / "x.csv"
+    for flag in flags:
+        good = "1e6" if command != "simulate" else "1e2"
+        assert main([*args, flag, good, "--out", str(out)]) == 0, flag
+        manifest = json.loads((tmp_path / "x.csv.manifest.json").read_text())
+        value = manifest["params"][flag[2:].replace("-", "_")]
+        assert value == int(float(good)) and isinstance(value, int), flag
+        # the manifest replays through --config
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(manifest["params"]))
+        replay = tmp_path / "replay.csv"
+        assert main([command, "--config", str(cfg), "--out", str(replay)]) == 0, flag
+        assert replay.read_bytes() == out.read_bytes(), flag
+        out.unlink()
+        for bad in ("1.5", "0"):
+            assert main([*args, flag, bad, "--out", str(out)]) == 2, (flag, bad)
+            err = capsys.readouterr().err
+            assert ("'1.5'" if bad == "1.5" else ">= 1, got 0") in err, (flag, bad)
+            assert not out.exists(), (flag, bad)
+
+
 def test_simulate_deterministic(tmp_path):
     args = ["simulate", "--alpha", "2", "--r", "0.5", "--sigma", "0.1",
             "--lam", "0", "--p", "400", "--n", "32,64", "--trials", "4",

@@ -115,7 +115,7 @@ def test_phase_diagram_and_fit_slope_load_no_scipy(tmp_path):
     ["optimal-lambda", "--alpha", "2", "--r", "0.5", "--sigma", "0.5", "--p", "2000",
      "--n", "100", "--lam-grid", "1e-6,1,13"],
 ])
-def test_theory_commands_load_no_scipy_linalg(tmp_path, argv):
+def test_theory_commands_load_no_scipy(tmp_path, argv):
     modules = _loaded_by([*argv, "--out", "t.csv"], tmp_path)
-    assert "scipy.special" in modules
-    assert not {"scipy.linalg", "scipy.optimize", "scipy.integrate"} & modules
+    assert "krr_regimes.theory" in modules
+    assert _scipy(modules) == []

@@ -1,6 +1,10 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from krr_regimes import theory
 from krr_regimes.errors import InvalidParameterError, SchemaError
 from krr_regimes.spectrum import (
     PowerLawParams,
@@ -42,7 +46,11 @@ def test_product_invariant(alpha, r, p):
 
 
 @pytest.mark.parametrize("alpha,r,p", [(1.0, 0.5, 10), (0.5, 0.5, 10),
-                                       (2.0, -0.1, 10), (2.0, 0.5, 0)])
+                                       (2.0, -0.1, 10), (2.0, 0.5, 0),
+                                       (math.nan, 0.5, 10), (math.inf, 0.5, 10),
+                                       (2.0, math.nan, 10), (2.0, math.inf, 10),
+                                       (2.0, 0.5, 1.5), (2.0, 0.5, math.nan),
+                                       (2.0, 0.5, 10 ** 400), (400.0, 0.0, 10)])
 def test_invalid_params(alpha, r, p):
     with pytest.raises(InvalidParameterError):
         PowerLawParams(alpha, r, p)
@@ -107,3 +115,74 @@ def test_truncate():
     assert sp.truncate(200) is sp
     with pytest.raises(InvalidParameterError):
         sp.truncate(0)
+
+
+def _todays_arrays(alpha, r, p):
+    k = np.arange(1, p + 1, dtype=float)
+    return k ** (-alpha), k ** (alpha - 1.0 - 2.0 * r * alpha)
+
+
+@pytest.mark.parametrize("alpha,r,p", [(2.0, 0.5, 4000), (1.65, 0.097, 100_000),
+                                       (3.0, 0.0, 1), (1.05, 1.5, 20_001)])
+def test_law_spectrum_arrays_and_head_prefixes_are_bit_for_bit(monkeypatch, alpha, r, p):
+    eig, tsq = _todays_arrays(alpha, r, p)
+    sp = power_law_spectrum(PowerLawParams(alpha, r, p))
+    assert sp.eigenvalues.tobytes() == eig.tobytes()
+    assert sp.teacher_sq.tobytes() == tsq.tobytes()
+    # Every prefix the spectral sums read, on a spectrum whose prefix grows.
+    reads = []
+    head = Spectrum._head
+    monkeypatch.setattr(Spectrum, "_head", lambda self, k: reads.append(head(self, k)) or reads[-1])
+    fresh = power_law_spectrum(PowerLawParams(alpha, r, p))
+    for n in (10, 100, 1000):
+        for lam in (0.0, 1e-6, 1e-2):
+            theory.excess_error_closed(n, lam, 0.5, fresh)
+    theory.solve_fixed_point(100, 1e-3, 0.1, fresh)
+    assert len(reads) > 10
+    for got_eig, got_tsq in reads:
+        assert got_eig.tobytes() == eig[:got_eig.size].tobytes()
+        assert got_tsq.tobytes() == tsq[:got_tsq.size].tobytes()
+
+
+def test_law_spectrum_closed_forms_match_its_arrays():
+    for alpha, r, p in ((2.0, 0.5, 100_000), (1.5, 0.0, 20_000), (3.0, 1.5, 7), (1.1, 0.25, 50)):
+        sp = power_law_spectrum(PowerLawParams(alpha, r, p))
+        arrays = Spectrum(sp.eigenvalues, sp.teacher_sq)
+        assert arrays.law is None
+        assert sp.trace() == pytest.approx(arrays.trace(), rel=1e-14)
+        assert teacher_variance(sp) == pytest.approx(teacher_variance(arrays), rel=1e-14)
+
+
+def test_law_spectrum_theory_at_p_1e8_builds_no_arrays():
+    # The arrays would take 1.6 GB; the theory route reads only the head.
+    tracemalloc.start()
+    try:
+        sp = power_law_spectrum(PowerLawParams(2.0, 0.5, 100_000_000))
+        for n in (100, 1000, 10_000):
+            for lam in (0.0, 1e-3):
+                assert theory.excess_error_closed(n, lam, 0.5, sp).total > 0
+        assert theory.solve_fixed_point(1000, 1e-3, 0.5, sp).converged
+        assert teacher_variance(sp) == pytest.approx(ZETA3, rel=1e-15)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64e6
+
+
+def test_truncate_keeps_the_law_without_building_arrays():
+    sp = power_law_spectrum(PowerLawParams(2.0, 0.5, 100_000_000))
+    tracemalloc.start()
+    try:
+        cut = sp.truncate(10_000_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+    assert (cut.law, cut.p) == (sp.law, 10_000_000)
+    small = power_law_spectrum(PowerLawParams(2.0, 0.5, 1000))
+    small.eigenvalues  # built in full before the cut
+    for base in (small, power_law_spectrum(PowerLawParams(2.0, 0.5, 1000))):
+        cut = base.truncate(10)
+        assert cut.law == (2.0, 0.5)
+        assert cut.eigenvalues.tobytes() == small.eigenvalues[:10].tobytes()
+        assert cut.teacher_sq.tobytes() == small.teacher_sq[:10].tobytes()

@@ -1,5 +1,7 @@
+import math
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +16,6 @@ from krr_regimes.simulator import excess_error_empirical, ridge_fit, sample_data
 from krr_regimes.spectrum import PowerLawParams, Spectrum, power_law_spectrum, \
     teacher_variance
 from krr_regimes.theory import (
-    continuous_z_gap,
     excess_error_closed,
     optimal_lambda,
     solve_fixed_point,
@@ -146,14 +147,8 @@ def test_optimal_lambda_warm_sweep_matches_cold_sweep():
 
 
 def test_theory_import_loads_neither_optimize_nor_integrate():
-    code = ("import sys, krr_regimes.theory; "
-            "print(sorted(m for m in ('scipy.optimize', 'scipy.integrate') "
-            "if m in sys.modules))")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True).stdout
-    assert out.strip() == "[]"
-    # No scipy module at all until the first spectral sum, which loads
-    # scipy.special and still none of scipy.linalg, optimize and integrate.
+    # No scipy module at all: not on import, and not after the first
+    # spectral sum, whose power-law tail is summed by numpy alone.
     code = ("import sys; from krr_regimes import spectrum, theory; "
             "scipy = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'); "
             "print(scipy()); "
@@ -163,9 +158,7 @@ def test_theory_import_loads_neither_optimize_nor_integrate():
     before, after = subprocess.run([sys.executable, "-c", code], capture_output=True,
                                    text=True, check=True).stdout.splitlines()
     assert before == "[]"
-    assert "'scipy.special'" in after
-    for name in ("scipy.linalg", "scipy.optimize", "scipy.integrate"):
-        assert f"'{name}'" not in after, name
+    assert after == "[]"
 
 
 def test_series_coefficients_match_binomials_bit_for_bit():
@@ -178,12 +171,121 @@ def test_series_coefficients_match_binomials_bit_for_bit():
         assert theory._SERIES[q].tobytes() == expected.tobytes(), q
 
 
-def test_continuous_form_agrees_with_discrete_root():
-    # The integral form is a diagnostic approximation of the exact sum.
-    sp = power_law_spectrum(PowerLawParams(2.0, 0.5, 100_000))
-    z = solve_z(1000, 0.0, sp).z
-    gap = continuous_z_gap(z, 1000, 0.0, 2.0)
-    assert abs(gap) <= 0.05 * z
+def _dropped_tail_bounds(alpha, p1, p2):
+    # sum_{k=p1+1..p2} k^-alpha lies between the integrals of x^-alpha over
+    # [p1 + 1, p2 + 1] and over [p1, p2].
+    integral = lambda lo, hi: (lo ** (1 - alpha) - hi ** (1 - alpha)) / (alpha - 1)
+    return integral(p1 + 1.0, p2 + 1.0), integral(float(p1), float(p2))
+
+
+def test_z_root_converges_at_the_rate_of_the_dropped_tail():
+    # Modes p1+1..p2 lower the z-equation's gap at z1 = z(p1) by
+    # d = zeta1 sum_k eig_k / (zeta1 + eig_k).  The gap is convex with slope
+    # 1 - S2 <= 1, so d <= z(p2) - z1 <= d / (1 - S2), with S2 taken at z1
+    # over all p2 modes: at most z1's df2 / n plus sum_k eig_k^2 / (n zeta1^2).
+    # Deep in the tail eig_k << zeta1, so d is the dropped eigenvalue tail.
+    for alpha in (1.5, 2.0, 3.0):
+        for n, lam in ((100, 0.0), (1000, 0.0), (300, 1e-3), (10_000, 1e-6)):
+            sols = [solve_z(n, lam, power_law_spectrum(PowerLawParams(alpha, 0.5, p)))
+                    for p in (100_000, 1_000_000, 10_000_000)]
+            for (p1, z1), (p2, z2) in zip(zip((1e5, 1e6), sols), zip((1e6, 1e7), sols[1:])):
+                lo, hi = _dropped_tail_bounds(alpha, p1, p2)
+                zeta = z1.z / n
+                d_lo = lo * zeta / (zeta + (p1 + 1) ** -alpha)
+                squares = p1 ** (1 - 2 * alpha) / (2 * alpha - 1) / zeta ** 2
+                slope = 1 - (z1.df2 + squares) / n
+                # Each root is accurate to a few units in the last place.
+                ulps = 1e-14 * z2.z
+                assert d_lo - ulps <= z2.z - z1.z <= hi / slope + ulps, (alpha, n, lam, p1)
+
+
+_HEADS = (1, 2, 10, 76, 300, 20_317)
+
+
+def _series_exponents(alpha, r):
+    # Every exponent the 64-term series can request: alpha m for the powers
+    # m = 1..65 of 1/x, and alpha m + 1 + 2 r alpha for m = 0..64.
+    plain = theory._class_exponents(alpha, 0.0)[0][1:]
+    weighted = theory._class_exponents(alpha, 1.0 + 2.0 * r * alpha)[0][:-1]
+    return plain, weighted
+
+
+def _fsum_power_sums(s, a, p):
+    # Exactly rounded sums of the float terms k^-s, k = a..p; the terms past
+    # the point where the rest is below 1e-18 of the sum are left out.
+    sums = []
+    for x in s:
+        stop = p if x < 1.5 else min(p, int(a * 10.0 ** (18.0 / (x - 1.0))) + 1)
+        k = np.arange(a, stop + 1, dtype=float)
+        sums.append(math.fsum((k ** -x).tolist()))
+    return np.array(sums)
+
+
+def _check_against(want, got, rtol):
+    normal = want >= theory._FLOAT_TINY
+    # The tail series stops at its first sum out of the normal range.
+    assert np.array_equal(got >= theory._FLOAT_TINY, normal)
+    # Below about 1e-280 both references lose digits: scipy's zeta (up to
+    # 5e-13 relative), and the exact sum once its terms are subnormal.
+    kept = want >= 1e-280
+    rel = np.abs(got[kept] - want[kept]) / want[kept]
+    assert rel.max(initial=0.0) <= rtol, rel.max()
+
+
+@pytest.mark.parametrize("p,alpha,r,heads", [
+    *((20_000, alpha, r, _HEADS[:-1]) for alpha in (1.05, 1.5, 2.0, 3.7, 6.0) for r in (0.0, 0.5)),
+    (100_000, 1.05, 0.0, _HEADS), (100_000, 2.0, 0.5, _HEADS), (100_000, 6.0, 1.5, _HEADS),
+    (1_000_000, 1.05, 0.0, (1, 76)), (1_000_000, 6.0, 1.5, (1, 76)),
+])
+def test_power_sums_match_exact_sums(p, alpha, r, heads):
+    for s in _series_exponents(alpha, r):
+        for a in heads:
+            _check_against(_fsum_power_sums(s, a, p), theory._power_sums(s, a, p), 1e-15)
+
+
+def _zeta_power_sums(s, a, p):
+    from scipy.special import digamma, zeta
+
+    ends = zeta(s[:, None], np.array([a, p + 1.0]))
+    with np.errstate(invalid="ignore"):  # inf - inf at s = 1
+        sums = ends[:, 0] - ends[:, 1]
+    if s[0] == 1.0:
+        sums[0] = digamma(p + 1) - digamma(a)
+    return sums
+
+
+def test_power_sums_match_hurwitz_zeta_differences():
+    for alpha in np.linspace(1.05, 6.0, 12):
+        for r in (0.0, 0.25, 0.5, 1.5):
+            for s in _series_exponents(alpha, r):
+                for p in (20_000, 100_000, 1_000_000):
+                    for a in (a for a in _HEADS if a <= p):
+                        _check_against(_zeta_power_sums(s, a, p), theory._power_sums(s, a, p),
+                                       2e-15)
+    # r = 0: the first weighted exponent is exactly 1, the sum a harmonic one.
+    assert _series_exponents(2.0, 0.0)[1][0] == 1.0
+
+
+@pytest.mark.parametrize("alpha,r,a", [(6.0, 0.0, 76), (6.0, 1.5, 76), (3.7, 0.5, 300),
+                                       (6.0, 0.25, 300)])
+def test_power_sum_series_cut_matches_zeta_near_underflow(alpha, r, a):
+    # The sums cross out of the normal float range inside the series, and the
+    # series cut lands on the same index as with the Hurwitz zeta values.
+    for s in _series_exponents(alpha, r):
+        want = _zeta_power_sums(s, a, 100_000) >= theory._FLOAT_TINY
+        got = theory._power_sums(s, a, 100_000) >= theory._FLOAT_TINY
+        cut = int(np.argmin(want))
+        assert 0 < cut and not want[cut:].any()
+        assert got[:cut].all() and not got[cut:].any()
+
+
+def test_power_sums_short_and_empty_ranges():
+    s = np.array([1.0, 1.5, 2.0, 40.0])
+    for a, p in ((1, 1), (1, 3), (5, 4), (7, 30), (25, 60)):
+        k = np.arange(a, p + 1, dtype=float)
+        want = np.array([math.fsum((k ** -x).tolist()) for x in s])
+        got = theory._power_sums(s, a, p)
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
 
 
 def test_excess_null_predictor_limit():
