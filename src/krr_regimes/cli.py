@@ -25,9 +25,9 @@ import numpy as np
 from . import __version__
 from .dataspec import (
     KernelSpec,
+    _decompose,
     cumulative_tails,
     estimate_alpha_r,
-    feature_decomposition,
     gram_matrix,
     load_dataset_csv,
     tails_to_csv,
@@ -228,7 +228,9 @@ def cmd_estimate(args) -> int:
     kernel = KernelSpec(args.kernel, gamma=args.gamma, degree=args.degree)
     gram = gram_matrix(features, kernel)
     del features
-    dec = feature_decomposition(gram, labels, floor_rel=args.eigen_floor)
+    # The only reference to the Gram matrix: it is decomposed in its own buffer.
+    dec = _decompose(gram, labels, args.eigen_floor)
+    del gram
     cap_tail, src_tail = cumulative_tails(dec.eigenvalues, dec.theta_star ** 2)
     est = estimate_alpha_r(cap_tail, src_tail, args.fit_range_capacity,
                            args.fit_range_source)
@@ -389,7 +391,8 @@ def build_parser(supplied=()):
     p.add_argument("--fit-range-source", type=_int_pair, default=None)
     p.add_argument("--cap", type=int, default=8000,
                    help="refuse datasets above this size unless --subsample is given; "
-                   "the default implies roughly 3 GB of memory")
+                   "the decomposition needs about 24 bytes per row^2, so the default "
+                   "implies about 1.5 GB of memory")
     p.add_argument("--subsample", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--eigen-floor", type=float, default=1e-12)

@@ -12,6 +12,8 @@ and signal tails.
 from __future__ import annotations
 
 import csv
+import ctypes
+import functools
 import itertools
 import math
 import warnings
@@ -110,29 +112,39 @@ def feature_decomposition(gram: np.ndarray, labels: np.ndarray,
 
     The teacher solves labels = phi Sigma^(1/2) theta_star exactly on the
     modes above the eigenvalue floor; near-null modes are excluded because
-    the extraction divides by the eigenvalues.
+    the extraction divides by the eigenvalues.  gram is not modified: the
+    decomposition works on a copy.
     """
+    return _decompose(np.array(gram, dtype=float, order="C"), labels, floor_rel)
+
+
+def _decompose(gram: np.ndarray, labels: np.ndarray, floor_rel: float) -> FeatureDecomposition:
+    """feature_decomposition of a C-contiguous float64 gram, decomposed in its own
+    buffer: gram is overwritten, so the caller must not read it afterwards."""
     if not (math.isfinite(floor_rel) and 0.0 <= floor_rel < 1.0):
         raise InvalidParameterError(f"eigenvalue floor must be in [0, 1), got {floor_rel}")
-    gram = np.asarray(gram, dtype=float)
     labels = np.asarray(labels, dtype=float)
     n_tot = gram.shape[0]
     if gram.ndim != 2 or gram.shape[1] != n_tot:
         raise InvalidParameterError("gram must be square")
     if labels.shape != (n_tot,):
         raise InvalidParameterError("labels must be one vector per data row")
+    hi, lo = gram.max(), gram.min()
+    if not (math.isfinite(hi) and math.isfinite(lo)):
+        i, j = divmod(int(np.argmin(np.isfinite(gram))), n_tot)
+        raise InvalidParameterError(
+            f"gram matrix has non-finite entry {gram[i, j]} at ({i}, {j}); "
+            "the kernel may have overflowed (try a smaller gamma or degree)")
     diff = gram - gram.T
     asym = np.abs(diff, out=diff).max()
     del diff
-    scale = max(gram.max(), -gram.min(), 1.0)
-    if asym > 1e-8 * scale:
+    if asym > 1e-8 * max(hi, -lo, 1.0):
         raise InvalidParameterError(f"gram matrix asymmetric (max |K-K^T| = {asym:.3e})")
 
-    sym = gram + gram.T
-    sym *= 0.5
-    sym /= n_tot
-    evals, evecs = np.linalg.eigh(sym)
-    del sym
+    np.add(gram, gram.T, out=gram)  # numpy buffers the overlapping operand
+    gram *= 0.5
+    gram /= n_tot
+    evals, evecs = _eigh_overwrite(gram)
     if evals.min() < -1e-8 * max(evals.max(), 0.0):
         raise IndefiniteMatrixError(
             f"gram matrix has eigenvalue {evals.min():.3e} below the PSD tolerance"
@@ -151,6 +163,59 @@ def feature_decomposition(gram: np.ndarray, labels: np.ndarray,
     return FeatureDecomposition(eigenvalues=evals, phi=phi, theta_star=theta,
                                 n_tot=n_tot, n_floored=int(np.sum(~active)),
                                 floor=float(floor))
+
+
+@functools.cache
+def _dsyevd():
+    """LAPACK dsyevd of the OpenBLAS that numpy.linalg runs (the ILP64 build that
+    numpy wheels bundle), or None where numpy links another LAPACK."""
+    try:
+        from numpy.linalg import _umath_linalg
+
+        fn = ctypes.CDLL(_umath_linalg.__file__).scipy_dsyevd_64_
+    except (ImportError, OSError, AttributeError):
+        return None
+    int_p, ptr = ctypes.POINTER(ctypes.c_int64), ctypes.c_void_p
+    # JOBZ, UPLO, N, A, LDA, W, WORK, LWORK, IWORK, LIWORK, INFO, then the
+    # hidden lengths of the two character arguments.
+    fn.argtypes = (ctypes.c_char_p, ctypes.c_char_p, int_p, ptr, int_p, ptr, ptr, int_p,
+                   ptr, int_p, int_p, ctypes.c_size_t, ctypes.c_size_t)
+    fn.restype = None
+    return fn
+
+
+def _eigh_overwrite(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.linalg.eigh(a) of a symmetric, C-contiguous float64 matrix, computed in
+    a's buffer, which then holds the eigenvectors.
+
+    numpy's eigh runs dsyevd('V', 'L') with the queried workspace on a Fortran
+    copy of its input; for a symmetric a that copy holds a's own bytes, so the
+    same call on a's buffer gives the same bits without the copy and the
+    separate eigenvector output.  Without the symbol it calls eigh.
+    """
+    dsyevd = _dsyevd()
+    if dsyevd is None:
+        return np.linalg.eigh(a)
+    if not (a.dtype == np.float64 and a.flags.c_contiguous and a.flags.writeable
+            and a.ndim == 2 and a.shape[0] == a.shape[1]):
+        raise ValueError("dsyevd needs a square, writeable, C-contiguous float64 matrix")
+    n = ctypes.c_int64(a.shape[0])
+    evals = np.empty(a.shape[0])
+    lwork, liwork, info = ctypes.c_int64(-1), ctypes.c_int64(-1), ctypes.c_int64(0)
+    work_size, iwork_size = ctypes.c_double(0.0), ctypes.c_int64(0)
+
+    def call(work, iwork):
+        dsyevd(b"V", b"L", ctypes.byref(n), a.ctypes.data, ctypes.byref(n), evals.ctypes.data,
+               work, ctypes.byref(lwork), iwork, ctypes.byref(liwork), ctypes.byref(info), 1, 1)
+        if info.value != 0:
+            raise np.linalg.LinAlgError(f"Eigenvalues did not converge (dsyevd info {info.value})")
+
+    call(ctypes.addressof(work_size), ctypes.addressof(iwork_size))
+    work = np.empty(int(work_size.value))
+    iwork = np.empty(iwork_size.value, dtype=np.int64)
+    lwork.value, liwork.value = work.size, iwork.size
+    call(work.ctypes.data, iwork.ctypes.data)
+    return evals, a.T
 
 
 def cumulative_tails(eigenvalues: np.ndarray, teacher_sq: np.ndarray):

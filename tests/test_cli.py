@@ -290,7 +290,8 @@ def test_estimate_cap_refusal_and_subsample(tmp_path):
 @pytest.mark.parametrize("flags, message", [
     (["--subsample", "-5"], "--subsample"), (["--subsample", "0"], "--subsample"),
     (["--cap", "0"], "--cap"), (["--eigen-floor", "nan"], "eigenvalue floor"),
-    (["--eigen-floor", "-1"], "eigenvalue floor"), (["--eigen-floor", "1"], "eigenvalue floor")])
+    (["--eigen-floor", "-1"], "eigenvalue floor"), (["--eigen-floor", "1"], "eigenvalue floor"),
+    (["--kernel", "polynomial", "--gamma", "1e100"], "non-finite entry inf")])
 def test_estimate_rejects_bad_flags(tmp_path, capsys, flags, message):
     data = tmp_path / "data.csv"
     _planted_csv(data, n_tot=60, p=5)

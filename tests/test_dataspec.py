@@ -1,11 +1,18 @@
 import csv
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import krr_regimes
+from krr_regimes import dataspec
+from krr_regimes.cli import main
 from krr_regimes.dataspec import (
     KernelSpec,
     cumulative_tails,
@@ -442,3 +449,108 @@ def test_gram_and_decomposition_bit_identical_above_half_max():
 def test_decomposition_rejects_bad_floor(floor_rel):
     with pytest.raises(InvalidParameterError):
         feature_decomposition(np.eye(3), np.ones(3), floor_rel=floor_rel)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_decomposition_rejects_non_finite_gram(bad):
+    gram = np.eye(4)
+    gram[1, 2] = gram[2, 1] = bad
+    with pytest.raises(InvalidParameterError, match=rf"non-finite entry {bad} at \(1, 2\)"):
+        feature_decomposition(gram, np.ones(4))
+
+
+def test_decomposition_leaves_its_input_unchanged():
+    rng = np.random.default_rng(24)
+    X = rng.standard_normal((60, 30))
+    big = X @ X.T
+    layouts = {"c": big[:30, :30].copy(), "fortran": np.asfortranarray(big[:30, :30]),
+               "strided": big[::2, ::2]}
+    y = rng.standard_normal(30)
+    for gram in layouts.values():
+        before = gram.tobytes(order="A")
+        dec = feature_decomposition(gram, y)
+        assert gram.tobytes(order="A") == before
+        evals, phi, theta = _decomposition_reference(np.ascontiguousarray(gram), y)
+        assert dec.eigenvalues.tobytes() == evals.tobytes()
+        assert dec.phi.tobytes() == phi.tobytes()
+        assert dec.theta_star.tobytes() == theta.tobytes()
+
+
+def _estimate_outputs(data: Path, outdir: Path) -> dict[str, bytes]:
+    outputs = {}
+    for kind in ("linear", "rbf", "polynomial"):
+        base = outdir / kind
+        assert main(["estimate", str(data), "--kernel", kind, "--gamma", "0.01",
+                     "--out", str(base), "--decomposition-out", f"{base}_dec.csv"]) == 0
+        for suffix in ("_estimate.json", "_tails.csv", "_dec.csv"):
+            outputs[kind + suffix] = Path(f"{base}{suffix}").read_bytes()
+    return outputs
+
+
+def test_decomposition_without_the_lapack_symbol_is_bit_identical(tmp_path, monkeypatch):
+    rng = np.random.default_rng(25)
+    X = rng.standard_normal((90, 40)) * np.arange(1, 41) ** -1.0
+    y = X @ np.arange(1, 41) ** -0.5
+    data = tmp_path / "data.csv"
+    np.savetxt(data, np.column_stack([X, y]), fmt="%.17g", delimiter=",", comments="",
+               header=",".join([f"x{j}" for j in range(40)] + ["y"]))
+    grams = [gram_matrix(X, kernel) for kernel in _KERNELS]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # low-r2 fits on this small set
+        (tmp_path / "in_place").mkdir()
+        in_place = [feature_decomposition(g, y) for g in grams]
+        in_place_files = _estimate_outputs(data, tmp_path / "in_place")
+        monkeypatch.setattr(dataspec, "_dsyevd", lambda: None)
+        (tmp_path / "fallback").mkdir()
+        fallback = [feature_decomposition(g, y) for g in grams]
+        fallback_files = _estimate_outputs(data, tmp_path / "fallback")
+    for a, b in zip(in_place, fallback):
+        for name in ("eigenvalues", "phi", "theta_star"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+    assert in_place_files == fallback_files
+
+
+def test_dsyevd_found_with_numpy_ilp64_openblas():
+    try:
+        lapack = np.show_config(mode="dicts")["Build Dependencies"]["lapack"]
+    except (TypeError, KeyError):
+        pytest.skip("numpy does not report its LAPACK build")
+    if lapack.get("name") != "scipy-openblas" or \
+            "USE64BITINT" not in lapack.get("openblas configuration", ""):
+        pytest.skip(f"numpy links {lapack.get('name')!r}, not the ILP64 scipy-openblas")
+    assert dataspec._dsyevd() is not None
+
+
+# Resident memory just before the in-place decomposition of an n x n Gram
+# matrix, and the peak after it, in units of one n x n float64 array.  The
+# peak is VmHWM, the high-water mark of this process's own address space:
+# ru_maxrss keeps the parent's peak across fork and exec.
+_MEMORY_PROBE = """
+import os, sys
+import numpy as np
+from krr_regimes import dataspec
+n = int(sys.argv[1])
+x = np.random.default_rng(0).standard_normal((n, 40))
+gram = x @ x.T
+del x
+with open("/proc/self/statm") as f:
+    before = int(f.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+dataspec._decompose(gram, np.ones(n), dataspec.DEFAULT_EIGENVALUE_FLOOR)
+with open("/proc/self/status") as f:
+    peak = next(int(line.split()[1]) * 1024 for line in f if line.startswith("VmHWM:"))
+print((peak - before) / (n * n * 8))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self")
+def test_in_place_decomposition_peak_memory():
+    # The in-place dsyevd (LAPACK's 2 n^2 workspace plus OpenBLAS's own buffers)
+    # measures about 3.2 on x86-64; np.linalg.eigh, with its working copy and
+    # separate eigenvector output, about 4.2, and a decomposition that also
+    # scales into a new array about 5.2.
+    if dataspec._dsyevd() is None:
+        pytest.skip("numpy's LAPACK has no scipy_dsyevd_64_; eigh needs more memory")
+    env = {**os.environ, "PYTHONPATH": str(Path(krr_regimes.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", _MEMORY_PROBE, "1500"], env=env,
+                          capture_output=True, text=True, check=True, timeout=120)
+    assert float(proc.stdout) <= 4.0
