@@ -178,7 +178,9 @@ def cmd_simulate(args) -> int:
     config = SimConfig(spectrum=spectrum, n_values=tuple(args.n), sigma=args.sigma,
                        lam_schedule=_schedule_of(args), trials=args.trials,
                        master_seed=args.seed, theory_spectrum=theory_spectrum,
-                       regime_params=(args.alpha, args.r), workers=args.workers)
+                       regime_params=(args.alpha, args.r))
+    if args.workers is not None:
+        print("warning: --workers is deprecated and has no effect", file=sys.stderr)
     curve = learning_curve(config)
     out = _outpath(args, "learning_curve.csv")
     curve.to_csv(out)
@@ -366,9 +368,8 @@ def build_parser(supplied=()):
                    help="separate truncation for the theory column")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1,
-                   help="kept for compatibility (>= 1); one sampler thread always draws "
-                   "the next design and the curve holds 2 buffers of n_max x p float64")
+    # Deprecated no-op, hidden; kept so that manifests recording it still replay.
+    p.add_argument("--workers", type=int, default=None, help=argparse.SUPPRESS)
 
     p = add("phase-diagram", cmd_phase_diagram, help="regime grid plus crossover lines")
     p.add_argument("--alpha", type=float, default=2.0)

@@ -101,10 +101,12 @@ class LamSchedule:
     def __post_init__(self):
         if self.kind not in ("fixed", "power", "cv"):
             raise InvalidParameterError(f"unknown schedule kind {self.kind!r}")
-        if self.kind == "fixed" and self.lam < 0:
-            raise InvalidParameterError("fixed lam must be >= 0")
-        if self.kind == "power" and not self.lambda0 > 0:
-            raise InvalidParameterError("lambda0 must be > 0")
+        if self.kind == "fixed" and not 0 <= self.lam < math.inf:
+            raise InvalidParameterError(f"fixed lam must be finite and >= 0, got {self.lam}")
+        if self.kind == "power" and not 0 < self.lambda0 < math.inf:
+            raise InvalidParameterError(f"lambda0 must be finite and > 0, got {self.lambda0}")
+        if self.kind == "power" and not -math.inf < self.ell <= math.inf:
+            raise InvalidParameterError(f"ell must be a number or inf, got {self.ell}")
         if any(math.isnan(v) for v in (self.lam, self.lambda0, self.ell)):
             raise InvalidParameterError("schedule values must not be NaN")
 
@@ -144,8 +146,7 @@ class SimConfig:
     follows the thread count.  theory_spectrum, when given, is used for the
     attached closed-form column (the simulation spectrum may be truncated
     harder than the theory one); regime_params = (alpha, r), when given,
-    lets rows carry a regime label.  workers is kept for compatibility: it
-    must be >= 1 and changes neither values nor threads.
+    lets rows carry a regime label.
     """
 
     spectrum: Spectrum
@@ -156,7 +157,6 @@ class SimConfig:
     master_seed: int
     theory_spectrum: Spectrum | None = None
     regime_params: tuple[float, float] | None = None
-    workers: int = 1
 
     def __post_init__(self):
         if self.trials < 1:
@@ -165,8 +165,6 @@ class SimConfig:
             raise InvalidParameterError("all sample counts must be >= 1")
         if self.sigma < 0:
             raise InvalidParameterError("noise std must be >= 0")
-        if self.workers < 1:
-            raise InvalidParameterError("workers must be >= 1")
 
 
 # Column order of the curve CSV; it is also CurveRow's field order.
@@ -263,8 +261,8 @@ def ridge_fit(features: np.ndarray, labels: np.ndarray, lam: float) -> np.ndarra
     (which also yields the minimum-norm solution at lam = 0), the p x p
     normal equations otherwise.
     """
-    if lam < 0:
-        raise InvalidParameterError(f"regularization must be >= 0, got {lam}")
+    if not 0 <= lam < math.inf:
+        raise InvalidParameterError(f"regularization must be finite and >= 0, got {lam}")
     n, p = features.shape
     if n < p:
         gram = features @ features.T
@@ -286,13 +284,6 @@ def excess_error_empirical(w: np.ndarray, spectrum: Spectrum) -> float:
     return float((spectrum.eigenvalues * diff * diff)[::-1].sum())
 
 
-def _cv_fold_slices(n: int, k_folds: int):
-    sizes = np.full(k_folds, n // k_folds)
-    sizes[: n % k_folds] += 1
-    edges = np.concatenate([[0], np.cumsum(sizes)])
-    return [(int(edges[i]), int(edges[i + 1])) for i in range(k_folds)]
-
-
 def default_cv_grid() -> np.ndarray:
     """Zero plus a logarithmic grid over (1e-10, 1e5) with 0.026 log10 step."""
     count = int(round(15.0 / 0.026))
@@ -305,9 +296,10 @@ def grid_search_lambda(features: np.ndarray, labels: np.ndarray,
     """k-fold cross-validated grid search over the regularization.
 
     Returns the grid value minimizing the mean validation MSE, ties broken
-    toward larger regularization.  The per-fold eigendecomposition of the
-    training Gram matrix makes the per-grid-point cost quadratic rather
-    than cubic, which keeps the default 577-point grid cheap.
+    toward larger regularization.  Each validation fold is a contiguous block
+    of rows.  The per-fold eigendecomposition of the training Gram matrix
+    turns every grid point into a filter of the eigenvalues, so one
+    (validation x m) @ (m x grid) product per fold scores the whole grid.
     """
     if k_folds < 2:
         raise InvalidParameterError(f"k_folds must be >= 2, got {k_folds}")
@@ -315,35 +307,29 @@ def grid_search_lambda(features: np.ndarray, labels: np.ndarray,
     if n < k_folds:
         raise InvalidParameterError(f"need at least {k_folds} samples, got {n}")
     lam_grid = default_cv_grid() if lam_grid is None else np.sort(np.asarray(lam_grid, dtype=float))
-    if lam_grid.size == 0 or np.any(lam_grid < 0):
-        raise InvalidParameterError("lam_grid must be non-empty with entries >= 0")
+    if lam_grid.size == 0 or not np.all((lam_grid >= 0) & (lam_grid < np.inf)):
+        raise InvalidParameterError("lam_grid must be non-empty with finite entries >= 0")
 
     gram = features @ features.T
     mse = np.zeros(lam_grid.size)
-    for lo, hi in _cv_fold_slices(n, k_folds):
-        val_idx = np.arange(lo, hi)
-        train_idx = np.concatenate([np.arange(0, lo), np.arange(hi, n)])
+    for val_idx in np.array_split(np.arange(n), k_folds):
+        val = slice(val_idx[0], val_idx[-1] + 1)
+        train_idx = np.delete(np.arange(n), val)
         m = train_idx.size
-        k_tt = gram[np.ix_(train_idx, train_idx)]
-        k_vt = gram[np.ix_(val_idx, train_idx)]
-        evals, evecs = np.linalg.eigh(k_tt)
+        evals, evecs = np.linalg.eigh(gram[np.ix_(train_idx, train_idx)])
         evals = np.clip(evals, 0.0, None)
         uty = evecs.T @ labels[train_idx]
-        b = k_vt @ evecs
-        y_val = labels[val_idx]
+        b = gram[val, train_idx] @ evecs
         floor = max(evals.max(), 1.0) * np.finfo(float).eps * m
-        for i, lam in enumerate(lam_grid):
-            denom = evals + m * lam
-            coef = np.where(denom > floor, uty / np.maximum(denom, floor), 0.0)
-            pred = b @ coef
-            mse[i] += float(((pred - y_val) ** 2).sum())
+        # coef[:, i] is the filtered coefficient vector at lam_grid[i].
+        coef = evals[:, None] + m * lam_grid
+        dropped = coef <= floor
+        np.maximum(coef, floor, out=coef)
+        np.divide(uty[:, None], coef, out=coef)
+        coef[dropped] = 0.0
+        mse += ((b @ coef - labels[val, None]) ** 2).sum(axis=0)
     mse /= n
-
-    best_i = 0
-    for i in range(1, lam_grid.size):
-        if mse[i] <= mse[best_i]:
-            best_i = i
-    return float(lam_grid[best_i])
+    return float(lam_grid[lam_grid.size - 1 - np.argmin(mse[::-1])])
 
 
 @_one_blas_thread()
@@ -358,8 +344,7 @@ def learning_curve(config: SimConfig) -> LearningCurve:
     rounding no longer follows the machine's thread count.  On machines with
     more cores the solves leave the extra cores idle; running trials in
     parallel would use them (not measured).  No BLAS call leaves the calling
-    thread and results are reduced in trial order, so config.workers
-    (validated, kept for compatibility) changes nothing.  Trial failures are
+    thread and results are reduced in trial order.  Trial failures are
     tolerated up to 10% per sample count, above which the first failure is
     re-raised.
     """

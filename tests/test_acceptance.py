@@ -82,8 +82,7 @@ def test_criterion_02_theory_simulation_agreement():
         for sched in (LamSchedule("fixed", lam=0.0),
                       LamSchedule("power", lambda0=1.0, ell=1.0)):
             cfg = SimConfig(spectrum=sp, n_values=ns, sigma=sigma,
-                            lam_schedule=sched, trials=100, master_seed=2024,
-                            workers=4)
+                            lam_schedule=sched, trials=100, master_seed=2024)
             for row in learning_curve(cfg).rows:
                 se = row.std_excess / np.sqrt(row.trials)
                 tolerance = max(3 * se, 0.1 * row.theory_excess)
@@ -303,7 +302,7 @@ def test_criterion_10_determinism(tmp_path):
     paths = [tmp_path / name for name in ("a.csv", "b.csv", "c.csv")]
     assert cli_main(sim_args + ["--out", str(paths[0])]) == 0
     assert cli_main(sim_args + ["--out", str(paths[1])]) == 0
-    assert cli_main(sim_args + ["--workers", "4", "--out", str(paths[2])]) == 0
+    assert cli_main(sim_args + ["--out", str(paths[2])]) == 0
     sim_ok = (paths[0].read_bytes() == paths[1].read_bytes()
               == paths[2].read_bytes())
 
@@ -315,7 +314,7 @@ def test_criterion_10_determinism(tmp_path):
     theory_ok = ta.read_bytes() == tb.read_bytes()
 
     ok = sim_ok and theory_ok
-    _report(10, ok, f"byte-identical reruns: simulate (serial+parallel) {sim_ok}, "
+    _report(10, ok, f"byte-identical reruns: simulate (three runs) {sim_ok}, "
                     f"theory {theory_ok}")
     assert sim_ok
     assert theory_ok

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from krr_regimes import simulator
 from krr_regimes.cli import main
 from krr_regimes.simulator import LearningCurve
 from krr_regimes.spectrum import PowerLawParams, power_law_spectrum
@@ -135,21 +136,66 @@ def test_truncation_flags_take_integers_in_float_notation(tmp_path, capsys, comm
             assert not out.exists(), (flag, bad)
 
 
+_SIMULATE_ARGS = ["simulate", "--alpha", "2", "--r", "0.5", "--sigma", "0.1",
+                  "--lam", "0", "--p", "400", "--n", "32,64", "--trials", "4",
+                  "--seed", "11"]
+
+
 def test_simulate_deterministic(tmp_path):
-    args = ["simulate", "--alpha", "2", "--r", "0.5", "--sigma", "0.1",
-            "--lam", "0", "--p", "400", "--n", "32,64", "--trials", "4",
-            "--seed", "11"]
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
-    assert main(args + ["--out", str(a)]) == 0
-    assert main(args + ["--out", str(b)]) == 0
+    assert main(_SIMULATE_ARGS + ["--out", str(a)]) == 0
+    assert main(_SIMULATE_ARGS + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
-    c = tmp_path / "c.csv"
-    assert main(args + ["--workers", "4", "--out", str(c)]) == 0
-    assert a.read_bytes() == c.read_bytes()
     curve = LearningCurve.from_csv(a)
     assert [r.n for r in curve.rows] == [32, 64]
     assert all(r.regime for r in curve.rows)
+
+
+def test_deprecated_workers_flag_warns_and_changes_nothing(tmp_path, capsys):
+    a, c = tmp_path / "a.csv", tmp_path / "c.csv"
+    assert main(_SIMULATE_ARGS + ["--out", str(a)]) == 0
+    assert "--workers" not in capsys.readouterr().err
+    params = json.loads((tmp_path / "a.csv.manifest.json").read_text())["params"]
+    assert params["workers"] is None
+    assert main(_SIMULATE_ARGS + ["--workers", "4", "--out", str(c)]) == 0
+    assert "warning: --workers is deprecated and has no effect" in capsys.readouterr().err
+    assert a.read_bytes() == c.read_bytes()
+    # A manifest of an earlier version recorded "workers": 1; it still replays.
+    cfg = tmp_path / "old.json"
+    cfg.write_text(json.dumps({**params, "workers": 1}))
+    replay = tmp_path / "replay.csv"
+    assert main(["simulate", "--config", str(cfg), "--out", str(replay)]) == 0
+    assert replay.read_bytes() == a.read_bytes()
+
+
+def test_workers_flag_is_hidden_from_help(capsys):
+    assert main(["simulate", "--help"]) == 0
+    out = capsys.readouterr().out
+    assert "--trials" in out and "--workers" not in out
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("simulate", ["--lam", "inf"]),
+    ("simulate", ["--ell", "1", "--lambda0", "inf"]),
+    ("simulate", ["--ell=-inf"]),
+    ("theory", ["--ell=-inf"]),
+    ("theory", ["--ell", "1", "--lambda0", "inf"]),
+], ids=["simulate-lam-inf", "simulate-lambda0-inf", "simulate-ell-minus-inf",
+        "theory-ell-minus-inf", "theory-lambda0-inf"])
+@pytest.mark.parametrize("n", ["100", "1000"])
+def test_non_finite_schedule_is_usage_error_before_any_output(tmp_path, monkeypatch,
+                                                             command, flags, n):
+    def no_trial(*args):
+        raise AssertionError("a trial ran before the schedule was checked")
+
+    monkeypatch.setattr(simulator, "ridge_fit", no_trial)
+    out = tmp_path / "x.csv"
+    trials = ["--trials", "2"] if command == "simulate" else []
+    code = main([command, "--alpha", "2", "--r", "0.5", "--sigma", "0.1", "--p", "1000",
+                 "--n", n, *trials, *flags, "--out", str(out)])
+    assert code == 2
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_simulate_usage_error(tmp_path):

@@ -1,4 +1,3 @@
-import dataclasses
 import dis
 import math
 import os
@@ -119,8 +118,10 @@ def test_ridge_primal_dual_equivalence_grid():
 
 
 def test_ridge_fit_rejects_negative_lambda():
-    with pytest.raises(InvalidParameterError):
-        ridge_fit(np.eye(3), np.ones(3), -1.0)
+    # and any lambda that is not finite
+    for lam in (-1.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(InvalidParameterError):
+            ridge_fit(np.eye(3), np.ones(3), lam)
 
 
 def test_excess_empirical_teacher_and_null():
@@ -176,16 +177,18 @@ def _reference_curve(cfg, skip=frozenset()):
     return LearningCurve(tuple(rows))
 
 
-@pytest.mark.parametrize("workers", [1, 2, 4])
+@pytest.mark.parametrize("trials", [1, 2, 4])
 @pytest.mark.parametrize("sigma", [0.0, 0.5])
 @pytest.mark.parametrize("schedule", [LamSchedule("fixed", lam=0.0),
                                       LamSchedule("power", lambda0=1.0, ell=1.0),
                                       LamSchedule("cv")], ids=["fixed", "power", "cv"])
-def test_learning_curve_matches_the_per_trial_loop(schedule, sigma, workers):
+def test_learning_curve_matches_the_per_trial_loop(schedule, sigma, trials):
     # Unsorted sample counts with a duplicate; 160 > p takes the primal branch.
+    # One trial per row gives std 0; odd and even trial counts start each row
+    # in a different one of the two design buffers.
     cfg = _config(spectrum=power_law_spectrum(PowerLawParams(2.0, 0.5, 128)),
                   n_values=(96, 24, 160, 24), sigma=sigma, lam_schedule=schedule,
-                  trials=3, regime_params=(2.0, 0.5), workers=workers)
+                  trials=trials, regime_params=(2.0, 0.5))
     assert repr(learning_curve(cfg)) == repr(_reference_curve(cfg))
 
 
@@ -202,8 +205,6 @@ def test_learning_curve_deterministic_and_parallel_identical():
     c1 = learning_curve(cfg)
     c2 = learning_curve(cfg)
     assert c1 == c2
-    c4 = learning_curve(dataclasses.replace(cfg, workers=4))
-    assert c1 == c4
 
 
 def test_learning_curve_green_slope():
@@ -255,7 +256,7 @@ def test_learning_curve_errors_when_too_many_trials_fail(monkeypatch):
     assert threading.active_count() == before
     # Raised while the next row's designs are still being drawn.
     with pytest.raises(SingularSystemError):
-        learning_curve(_config(trials=5, n_values=(32, 64), workers=2))
+        learning_curve(_config(trials=5, n_values=(32, 64)))
     assert threading.active_count() == before
 
 
@@ -293,8 +294,7 @@ def test_learning_curve_calls_the_package_on_the_calling_thread(monkeypatch):
                  "grid_search_lambda", "excess_error_closed", "trial_seed"):
         main_thread_only(name)
     for schedule in (LamSchedule("fixed", lam=1e-3), LamSchedule("cv")):
-        curve = learning_curve(_config(n_values=(32, 64), trials=3, lam_schedule=schedule,
-                                       workers=2))
+        curve = learning_curve(_config(n_values=(32, 64), trials=3, lam_schedule=schedule))
         assert [row.trials for row in curve.rows] == [3, 3]
 
 
@@ -306,8 +306,8 @@ def test_sampler_draw_makes_no_blas_or_package_call():
     assert not [ins for ins in dis.get_instructions(code) if ins.argrepr in ("@", "@=")]
 
 
-@pytest.mark.parametrize("workers", [1, 3])
-def test_learning_curve_draws_on_one_sampler_thread(monkeypatch, workers):
+@pytest.mark.parametrize("trials", [1, 3])
+def test_learning_curve_draws_on_one_sampler_thread(monkeypatch, trials):
     threads = set()
     draw = simulator._draw
 
@@ -316,7 +316,7 @@ def test_learning_curve_draws_on_one_sampler_thread(monkeypatch, workers):
         return draw(*args)
 
     monkeypatch.setattr(simulator, "_draw", recording_draw)
-    learning_curve(_config(trials=4, workers=workers))
+    learning_curve(_config(trials=trials))
     assert len(threads) == 1 and threading.get_ident() not in threads
 
 
@@ -504,6 +504,78 @@ def test_grid_search_validation():
         grid_search_lambda(X, y, k_folds=1)
     with pytest.raises(InvalidParameterError):
         grid_search_lambda(X[:3], y[:3], k_folds=5)
+    for grid in ([], [-1e-3, 1.0], [math.nan], [math.inf], [0.0, 1e-3, math.inf],
+                 [1e-3, math.nan, 1.0]):
+        with pytest.raises(InvalidParameterError):
+            grid_search_lambda(X, y, grid, k_folds=2)
+
+
+def _reference_grid_search(features, labels, lam_grid=None, k_folds=5):
+    """The per-lambda loop that grid_search_lambda replaced, kept as its oracle."""
+    n = features.shape[0]
+    lam_grid = default_cv_grid() if lam_grid is None else np.sort(np.asarray(lam_grid, dtype=float))
+    sizes = np.full(k_folds, n // k_folds)
+    sizes[: n % k_folds] += 1
+    edges = np.concatenate([[0], np.cumsum(sizes)])
+
+    gram = features @ features.T
+    mse = np.zeros(lam_grid.size)
+    for lo, hi in [(int(edges[i]), int(edges[i + 1])) for i in range(k_folds)]:
+        val_idx = np.arange(lo, hi)
+        train_idx = np.concatenate([np.arange(0, lo), np.arange(hi, n)])
+        m = train_idx.size
+        k_tt = gram[np.ix_(train_idx, train_idx)]
+        k_vt = gram[np.ix_(val_idx, train_idx)]
+        evals, evecs = np.linalg.eigh(k_tt)
+        evals = np.clip(evals, 0.0, None)
+        uty = evecs.T @ labels[train_idx]
+        b = k_vt @ evecs
+        y_val = labels[val_idx]
+        floor = max(evals.max(), 1.0) * np.finfo(float).eps * m
+        for i, lam in enumerate(lam_grid):
+            denom = evals + m * lam
+            coef = np.where(denom > floor, uty / np.maximum(denom, floor), 0.0)
+            pred = b @ coef
+            mse[i] += float(((pred - y_val) ** 2).sum())
+    mse /= n
+
+    best_i = 0
+    for i in range(1, lam_grid.size):
+        if mse[i] <= mse[best_i]:
+            best_i = i
+    return float(lam_grid[best_i])
+
+
+def test_grid_search_picks_the_per_lambda_loop_choice():
+    # The CV spec of the mc-curves benchmark: trial 0 of each row, 20 seeds.
+    sp = power_law_spectrum(PowerLawParams(2.0, 0.5, 4000))
+    flips = []
+    with simulator._one_blas_thread():
+        for seed in range(20):
+            for n in (32, 64, 128, 256, 512, 1024):
+                X, y = sample_dataset(sp, n, 0.5, trial_seed(seed, n, 0))
+                got, want = grid_search_lambda(X, y), _reference_grid_search(X, y)
+                if got != want:
+                    flips.append((seed, n, want, got))
+    assert flips == []
+
+
+@pytest.mark.parametrize("k_folds", [2, 3, 5])
+@pytest.mark.parametrize("n", [5, 7, 23, 64])
+def test_grid_search_matches_the_loop_on_uneven_folds(n, k_folds):
+    sp = power_law_spectrum(PowerLawParams(2.0, 0.5, 50))
+    X, y = sample_dataset(sp, n, 0.3, trial_seed(1, n, k_folds))
+    grid = np.concatenate([[0.0], np.geomspace(1e-6, 10.0, 40)])
+    assert grid_search_lambda(X, y, grid, k_folds) == _reference_grid_search(X, y, grid, k_folds)
+
+
+@pytest.mark.parametrize("grid", [None, [3.0, 0.0, 1e-4, 0.5]])
+def test_grid_search_ties_go_to_the_largest_lambda(grid):
+    # Zero labels: every lambda predicts zero, so all validation errors tie.
+    X, _ = sample_dataset(power_law_spectrum(PowerLawParams(2.0, 0.5, 300)), 64, 0.0, 2)
+    largest = default_cv_grid()[-1] if grid is None else max(grid)
+    assert grid_search_lambda(X, np.zeros(64), grid) == largest
+    assert _reference_grid_search(X, np.zeros(64), grid) == largest
 
 
 def test_default_cv_grid_shape():
@@ -579,3 +651,16 @@ def test_sim_config_validation():
         for key in ("lam", "lambda0", "ell"):
             with pytest.raises(InvalidParameterError):
                 LamSchedule(kind, **{key: math.nan})
+
+
+@pytest.mark.parametrize("kind, key, value", [
+    ("fixed", "lam", math.inf), ("fixed", "lam", -1.0),
+    ("power", "lambda0", math.inf), ("power", "lambda0", 0.0),
+    ("power", "ell", -math.inf)])
+def test_lam_schedule_rejects_a_non_finite_or_out_of_range_value(kind, key, value):
+    with pytest.raises(InvalidParameterError):
+        LamSchedule(kind, **{key: value})
+
+
+def test_lam_schedule_keeps_ell_inf_as_zero_ridge():
+    assert LamSchedule("power", ell=math.inf).lam_at(100) == 0.0
