@@ -8,12 +8,19 @@ scipy and BLAS build and CPU.  simulate's outputs do not depend on the BLAS
 thread count (its solves run OpenBLAS on one thread); estimate's do, because
 its eigendecomposition rounds differently at different thread counts.
 
+main builds the parser tree once per process and reuses it for every call
+without config values, so repeated in-process calls do not pay for it
+again; a call whose --config file holds values gets a tree of its own,
+because those values become that tree's defaults.  Parsed grids are read-only arrays, so no call can
+change a default grid that the next one parses.
+
 Exit codes: 0 success, 2 usage, 3 numerical failure, 4 data/schema problem.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -111,7 +118,10 @@ def _int(text: str) -> int:
 
 
 def _int_list(text: str) -> list[int]:
-    return [_int(tok) for tok in text.split(",") if tok]
+    values = [_int(tok) for tok in text.split(",") if tok]
+    if not values:
+        raise argparse.ArgumentTypeError(f"expected at least one integer, got {text!r}")
+    return values
 
 
 def _int_pair(text: str) -> tuple[int, int]:
@@ -130,7 +140,11 @@ def _grid(text: str, log: bool) -> np.ndarray:
     if lo > hi or (log and lo <= 0) or count < 1 or (lo == hi and count != 1):
         raise argparse.ArgumentTypeError(
             "grid needs min <= max, count >= 1 and, on a log grid, min > 0")
-    return (np.geomspace if log else np.linspace)(lo, hi, count)
+    grid = (np.geomspace if log else np.linspace)(lo, hi, count)
+    # Read-only, because a default grid is one array shared by every call
+    # that parses with the same parser.
+    grid.flags.writeable = False
+    return grid
 
 
 def _log_grid(text: str) -> np.ndarray:
@@ -213,6 +227,7 @@ def cmd_estimate(args) -> int:
     if args.cap < 1 or (args.subsample is not None and args.subsample < 1):
         raise InvalidParameterError(
             f"--cap and --subsample must be >= 1, got {args.cap} and {args.subsample}")
+    kernel = KernelSpec(args.kernel, gamma=args.gamma, degree=args.degree)
     features, labels = load_dataset_csv(args.dataset)
     if labels is None:
         raise SchemaError(f"{args.dataset}: missing required label column 'y'")
@@ -227,7 +242,6 @@ def cmd_estimate(args) -> int:
         features, labels = features[keep], labels[keep]
         n_tot = args.subsample
 
-    kernel = KernelSpec(args.kernel, gamma=args.gamma, degree=args.degree)
     gram = gram_matrix(features, kernel)
     del features
     # The only reference to the Gram matrix: it is decomposed in its own buffer.
@@ -415,6 +429,16 @@ def build_parser(supplied=()):
     return parser, subparsers
 
 
+@functools.cache
+def _default_parser():
+    """build_parser() for every call without config values, built once per process.
+
+    Parsing leaves the tree unchanged: only a config file's defaults would
+    change it, and they go into a tree of their own.
+    """
+    return build_parser()
+
+
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
@@ -433,7 +457,7 @@ _CONFIG_SHAPES = {
     float: _is_number,
     int: _is_int,
     _int: _is_int,
-    _int_list: lambda v: isinstance(v, list) and all(map(_is_int, v)),
+    _int_list: lambda v: isinstance(v, list) and v != [] and all(map(_is_int, v)),
     _int_pair: lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_int, v)),
     _log_grid: lambda v: isinstance(v, list) and all(map(_is_finite_number, v)),
     _lin_grid: lambda v: isinstance(v, list) and all(map(_is_finite_number, v)),
@@ -465,11 +489,16 @@ def _typed_config(sub, config: dict) -> dict:
     return typed
 
 
-def _read_config(argv) -> dict:
-    """The JSON object named by --config PATH or --config=PATH, or {} without one."""
+@functools.cache
+def _config_parser():
     pre = argparse.ArgumentParser(add_help=False, exit_on_error=False)
     pre.add_argument("--config")
-    path = pre.parse_known_args(argv)[0].config
+    return pre
+
+
+def _read_config(argv) -> dict:
+    """The JSON object named by --config PATH or --config=PATH, or {} without one."""
+    path = _config_parser().parse_known_args(argv)[0].config
     if path is None:
         return {}
     with open(path) as f:
@@ -486,9 +515,12 @@ def main(argv=None) -> int:
     except (argparse.ArgumentError, OSError, ValueError) as err:
         print(f"error: cannot read config file: {err}", file=sys.stderr)
         return USAGE_EXIT
-    # null (or false for a switch) leaves a required flag to the command line.
-    parser, subparsers = build_parser(
-        [key for key, value in config.items() if value is not None and value is not False])
+    if config:
+        # null (or false for a switch) leaves a required flag to the command line.
+        parser, subparsers = build_parser(
+            [key for key, value in config.items() if value is not None and value is not False])
+    else:
+        parser, subparsers = _default_parser()
     try:
         # Two passes: the first finds the command and its options, the
         # second parses again with the config values as defaults, so flags

@@ -47,8 +47,8 @@ class KernelSpec:
     def __post_init__(self):
         if self.kind not in ("rbf", "polynomial", "linear"):
             raise InvalidParameterError(f"unknown kernel kind {self.kind!r}")
-        if not self.gamma > 0:
-            raise InvalidParameterError(f"gamma must be > 0, got {self.gamma}")
+        if not 0 < self.gamma < math.inf:
+            raise InvalidParameterError(f"gamma must be finite and > 0, got {self.gamma}")
         if self.kind == "polynomial" and self.degree < 1:
             raise InvalidParameterError(f"degree must be >= 1, got {self.degree}")
 

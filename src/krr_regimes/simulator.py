@@ -161,10 +161,12 @@ class SimConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise InvalidParameterError("trials must be >= 1")
+        if not self.n_values:
+            raise InvalidParameterError("n_values must hold at least one sample count")
         if any(n < 1 for n in self.n_values):
             raise InvalidParameterError("all sample counts must be >= 1")
-        if self.sigma < 0:
-            raise InvalidParameterError("noise std must be >= 0")
+        if not 0 <= self.sigma < math.inf:
+            raise InvalidParameterError(f"noise std must be finite and >= 0, got {self.sigma}")
 
 
 # Column order of the curve CSV; it is also CurveRow's field order.

@@ -6,8 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from krr_regimes import simulator
-from krr_regimes.cli import main
+from krr_regimes import cli, simulator
+from krr_regimes.cli import build_parser, main
 from krr_regimes.simulator import LearningCurve
 from krr_regimes.spectrum import PowerLawParams, power_law_spectrum
 from krr_regimes.simulator import sample_dataset
@@ -103,6 +103,24 @@ def test_non_integral_sample_count_is_usage_error(tmp_path, capsys):
         assert "'n'" in capsys.readouterr().err, n
 
 
+@pytest.mark.parametrize("command, flags, empty", [
+    ("theory", ["--lam", "0"], ","),
+    ("optimal-lambda", ["--lam-grid", "1e-6,1,5"], ","),
+    ("simulate", ["--lam", "0", "--trials", "2"], ""),
+])
+def test_empty_sample_count_list_is_usage_error(tmp_path, capsys, command, flags, empty):
+    args = [command, "--alpha", "2", "--r", "0.5", "--p", "1000", *flags,
+            "--out", str(tmp_path / "x.csv")]
+    assert main([*args, "--n", empty]) == 2
+    assert "--n: expected at least one integer" in capsys.readouterr().err
+    # and so is an empty list from a config file
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": []}))
+    assert main([*args, "--config", str(cfg)]) == 2
+    assert "config key 'n'" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
 _TRUNCATION_ARGS = {
     "theory": ["--alpha", "2", "--r", "0.5", "--lam", "0", "--n", "100"],
     "optimal-lambda": ["--alpha", "2", "--r", "0.5", "--sigma", "0.5", "--n", "100",
@@ -195,6 +213,26 @@ def test_non_finite_schedule_is_usage_error_before_any_output(tmp_path, monkeypa
     code = main([command, "--alpha", "2", "--r", "0.5", "--sigma", "0.1", "--p", "1000",
                  "--n", n, *trials, *flags, "--out", str(out)])
     assert code == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("sigma", ["nan", "inf"])
+def test_non_finite_noise_is_usage_error_before_any_trial(tmp_path, monkeypatch, capsys,
+                                                          sigma):
+    fits = []
+    real_fit = simulator.ridge_fit
+
+    def counting_fit(*args):
+        fits.append(args)
+        return real_fit(*args)
+
+    monkeypatch.setattr(simulator, "ridge_fit", counting_fit)
+    code = main(["simulate", "--alpha", "2", "--r", "0.5", "--sigma", sigma, "--lam", "0",
+                 "--p", "100", "--n", "16,32", "--trials", "3",
+                 "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    assert len(fits) == 0
+    assert "noise std must be finite and >= 0" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -345,6 +383,25 @@ def test_estimate_rejects_bad_flags(tmp_path, capsys, flags, message):
                  "--out", str(tmp_path / "e")])
     assert code == 2
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "e_estimate.json").exists()
+
+
+@pytest.mark.parametrize("kernel", ["linear", "rbf", "polynomial"])
+def test_estimate_infinite_gamma_is_usage_error_before_the_data_is_read(tmp_path, capsys,
+                                                                       monkeypatch, kernel):
+    data = tmp_path / "data.csv"
+    _planted_csv(data, n_tot=60, p=5)
+    called = []
+    for name in ("load_dataset_csv", "gram_matrix"):
+        def counting(*args, name=name, real=getattr(cli, name)):
+            called.append(name)
+            return real(*args)
+        monkeypatch.setattr(cli, name, counting)
+    code = main(["estimate", str(data), "--kernel", kernel, "--gamma", "inf",
+                 "--out", str(tmp_path / "e")])
+    assert code == 2
+    assert called == []
+    assert "gamma must be finite and > 0, got inf" in capsys.readouterr().err
     assert not (tmp_path / "e_estimate.json").exists()
 
 
@@ -529,3 +586,104 @@ def test_csv_values_roundtrip_exactly(tmp_path):
     assert float(row[2]) == dec.sample_variance
     assert float(row[3]) == dec.noise_variance
     assert float(row[4]) == dec.total
+
+
+_THEORY_ARGS = ["theory", "--alpha", "2", "--r", "0.5", "--lam", "1e-3", "--p", "1000",
+                "--n", "100,200"]
+
+
+def test_calls_without_config_build_the_parser_once(tmp_path, monkeypatch):
+    built = []
+
+    def counting_build(*args):
+        built.append(args)
+        return build_parser(*args)
+
+    monkeypatch.setattr(cli, "build_parser", counting_build)
+    cli._default_parser.cache_clear()
+    for name in ("a.csv", "b.csv"):
+        assert main([*_THEORY_ARGS, "--out", str(tmp_path / name)]) == 0
+    assert built == [()]
+    # a config file's defaults go into a tree of their own, on every call
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"sigma": 0.1}))
+    for name in ("c.csv", "d.csv"):
+        assert main([*_THEORY_ARGS, "--config", str(cfg), "--out", str(tmp_path / name)]) == 0
+    assert built == [(), (["sigma"],), (["sigma"],)]
+    assert main([*_THEORY_ARGS, "--out", str(tmp_path / "e.csv")]) == 0
+    assert len(built) == 3
+
+
+def test_config_defaults_do_not_leak_into_later_calls(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"alpha": 2.0, "sigma": 0.3}))
+    no_alpha = ["theory", "--r", "0.5", "--lam", "1e-3", "--p", "1000", "--n", "100"]
+    assert main([*no_alpha, "--out", str(tmp_path / "a.csv")]) == 2
+    capsys.readouterr()
+    assert main([*no_alpha, "--config", str(cfg), "--out", str(tmp_path / "b.csv")]) == 0
+    assert main([*no_alpha, "--out", str(tmp_path / "c.csv")]) == 2
+    assert "the following arguments are required: --alpha" in capsys.readouterr().err
+    assert not (tmp_path / "c.csv").exists()
+    # nor does the config's sigma
+    assert main([*no_alpha, "--alpha", "2", "--out", str(tmp_path / "d.csv")]) == 0
+    assert json.loads((tmp_path / "d.csv.manifest.json").read_text())["params"]["sigma"] == 0.0
+
+
+# A good call per command, and flags that each make it exit 2.
+_AFTER_AN_ERROR = {
+    "theory": (_THEORY_ARGS, [["--ell", "1"], ["--n", ","], ["--alpha", "0.9"],
+                              ["--sigma", "nan"]]),
+    "phase-diagram": (["phase-diagram", "--lambda0", "1e-4"],
+                      [["--n-grid", "1,inf,5"], ["--ell-grid", "4,0,5"], ["--bogus"]]),
+    "optimal-lambda": (["optimal-lambda", "--alpha", "2", "--r", "0.5", "--sigma", "0.5",
+                        "--p", "2000", "--n", "100,200"],
+                       [["--lam-grid", "nan,1,5"], ["--n", "1.5"], ["--alpha", "0.9"]]),
+}
+
+
+def _manifest_without_paths(path):
+    manifest = json.loads(path.read_text())
+    del manifest["wall_time_s"], manifest["outputs"], manifest["params"]["out"]
+    return manifest
+
+
+@pytest.mark.parametrize("command", sorted(_AFTER_AN_ERROR))
+def test_a_usage_error_leaves_the_next_call_unchanged(tmp_path, command):
+    good, bad_flags = _AFTER_AN_ERROR[command]
+    first, later = tmp_path / "first", tmp_path / "later"
+    first.mkdir()
+    later.mkdir()
+    assert main([*good, "--out", str(first / "out")]) == 0
+    for flags in bad_flags:
+        assert main([*good, *flags, "--out", str(tmp_path / "bad")]) == 2, flags
+    assert main([*good, "--out", str(later / "out")]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["first", "later"]
+    for path in sorted(first.iterdir()):
+        if path.name.endswith(".manifest.json"):
+            assert _manifest_without_paths(later / path.name) == _manifest_without_paths(path)
+        else:
+            assert (later / path.name).read_bytes() == path.read_bytes(), path.name
+
+
+def test_default_grids_are_read_only():
+    _, subparsers = cli._default_parser()
+    for command, dest in (("phase-diagram", "n_grid"), ("phase-diagram", "ell_grid"),
+                          ("optimal-lambda", "lam_grid")):
+        grid = subparsers[command].get_default(dest)
+        assert not grid.flags.writeable, dest
+        with pytest.raises(ValueError):
+            grid[0] = 0.0
+
+
+@pytest.mark.parametrize("argv", [["--version"], ["theory", "-h"]])
+def test_reused_parser_prints_what_a_fresh_one_prints(tmp_path, capsys, argv):
+    assert main([*_THEORY_ARGS, "--out", str(tmp_path / "t.csv")]) == 0
+    capsys.readouterr()
+    assert main(argv) == 0
+    reused = capsys.readouterr()
+    parser, _ = build_parser()
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr() == reused
+    assert reused.out

@@ -1,4 +1,5 @@
 import csv
+import math
 import os
 import subprocess
 import sys
@@ -79,6 +80,8 @@ def test_kernel_spec_validation():
         KernelSpec("sigmoid", gamma=1.0)
     with pytest.raises(InvalidParameterError):
         KernelSpec("rbf", gamma=0.0)
+    with pytest.raises(InvalidParameterError, match="finite"):
+        KernelSpec("linear", math.inf)
     with pytest.raises(InvalidParameterError):
         KernelSpec("polynomial", gamma=1.0, degree=0)
 

@@ -653,6 +653,16 @@ def test_sim_config_validation():
                 LamSchedule(kind, **{key: math.nan})
 
 
+@pytest.mark.parametrize("n_values, sigma", [
+    ((), 0.1), ((10,), math.nan), ((10,), math.inf), ((10,), -1.0)],
+    ids=["no-sample-counts", "sigma-nan", "sigma-inf", "sigma-negative"])
+def test_sim_config_rejects_an_empty_curve_or_a_bad_noise_level(n_values, sigma):
+    sp = power_law_spectrum(PowerLawParams(2.0, 0.5, 10))
+    with pytest.raises(InvalidParameterError):
+        SimConfig(spectrum=sp, n_values=n_values, sigma=sigma,
+                  lam_schedule=LamSchedule("fixed", lam=0.0), trials=1, master_seed=0)
+
+
 @pytest.mark.parametrize("kind, key, value", [
     ("fixed", "lam", math.inf), ("fixed", "lam", -1.0),
     ("power", "lambda0", math.inf), ("power", "lambda0", 0.0),
