@@ -2,11 +2,12 @@
 
 Subcommands: theory, simulate, phase-diagram, estimate, fit-slope,
 optimal-lambda.  A JSON config file may supply any flag (flags given on the
-command line win).  Every command writes a run manifest next to its outputs;
-identical manifests reproduce the outputs byte-for-byte on the same numpy,
-scipy and BLAS build and CPU.  simulate's outputs do not depend on the BLAS
-thread count (its solves run OpenBLAS on one thread); estimate's do, because
-its eigendecomposition rounds differently at different thread counts.
+command line win); each value goes through the parser of its flag's text.
+Every command writes a run manifest next to its outputs; identical manifests
+reproduce the outputs byte-for-byte on the same numpy, scipy and BLAS build
+and CPU.  simulate's outputs do not depend on the BLAS thread count (its
+solves run OpenBLAS on one thread); estimate's do, because its
+eigendecomposition rounds differently at different thread counts.
 
 main builds the parser tree once per process and reuses it for every call
 without config values, so repeated in-process calls do not pay for it
@@ -20,6 +21,7 @@ Exit codes: 0 success, 2 usage, 3 numerical failure, 4 data/schema problem.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -31,7 +33,9 @@ import numpy as np
 
 from . import __version__
 from .dataspec import (
+    LABEL_COLUMN,
     KernelSpec,
+    _check_eigen_floor,
     _decompose,
     cumulative_tails,
     estimate_alpha_r,
@@ -82,11 +86,12 @@ def _json_text(obj) -> str:
 
 
 def _plain(value):
+    if isinstance(value, (np.ndarray, np.generic)):
+        value = value.tolist()
     if isinstance(value, dict):
         return {key: _plain(v) for key, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_plain(v) for v in value]
-    value = value.item() if isinstance(value, np.generic) else value
     if isinstance(value, float) and math.isinf(value):
         return "inf" if value > 0 else "-inf"
     return value
@@ -100,59 +105,76 @@ def _outpath(args, name: str) -> str:
     return os.path.join(os.environ.get(OUTDIR_ENV, "."), base)
 
 
-def _finite(values: list[float]) -> list[float]:
-    if not all(map(math.isfinite, values)):
-        raise argparse.ArgumentTypeError(f"values must be finite, got {values}")
-    return values
+def _int(value) -> int:
+    """An integer: an int as it is, integer text exactly, or a whole number in
+    float notation such as 1e6, as text or a float; bools, 1.5, inf and nan are
+    refused."""
+    number = value
+    if isinstance(value, str):
+        with contextlib.suppress(ValueError):
+            return int(value)
+        with contextlib.suppress(ValueError):
+            number = float(value)
+    if type(number) is int:
+        return number
+    if not (isinstance(number, float) and number.is_integer()):
+        raise argparse.ArgumentTypeError(f"expected an integer, got {value!r}")
+    return int(number)
 
 
-def _int(text: str) -> int:
-    """An integer, also in float notation such as 1e6; 1.5, inf and nan are refused."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not value.is_integer():
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    return int(value)
+def _items(value) -> list:
+    """The comma-separated tokens of command-line text, or a JSON list as it is."""
+    if isinstance(value, str):
+        return value.split(",")
+    if not isinstance(value, list):
+        raise argparse.ArgumentTypeError(f"expected a list, got {value!r}")
+    return value
 
 
-def _int_list(text: str) -> list[int]:
-    values = [_int(tok) for tok in text.split(",") if tok]
+def _int_list(value) -> list[int]:
+    values = [_int(item) for item in _items(value) if item != ""]
     if not values:
-        raise argparse.ArgumentTypeError(f"expected at least one integer, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected at least one integer, got {value!r}")
     return values
 
 
-def _int_pair(text: str) -> tuple[int, int]:
-    toks = text.split(",")
-    if len(toks) != 2:
+def _int_pair(value) -> tuple[int, int]:
+    items = _items(value)
+    if len(items) != 2:
         raise argparse.ArgumentTypeError("expected lo,hi")
-    return int(toks[0]), int(toks[1])
+    return _int(items[0]), _int(items[1])
 
 
-def _grid(text: str, log: bool) -> np.ndarray:
-    toks = text.split(",")
-    if len(toks) != 3:
+def _grid(value, log: bool) -> np.ndarray:
+    """min,max,count text spaced linearly or, on a log grid, geometrically; or the
+    explicit non-empty list of finite numbers that a manifest records."""
+    items, text = _items(value), isinstance(value, str)
+    if text and len(items) != 3:
         raise argparse.ArgumentTypeError("expected min,max,count")
-    lo, hi = _finite([float(toks[0]), float(toks[1])])
-    count = int(toks[2])
-    if lo > hi or (log and lo <= 0) or count < 1 or (lo == hi and count != 1):
-        raise argparse.ArgumentTypeError(
-            "grid needs min <= max, count >= 1 and, on a log grid, min > 0")
-    grid = (np.geomspace if log else np.linspace)(lo, hi, count)
+    points = [float(item) for item in items[:2]] if text else items
+    # Finite before geomspace or linspace sees them, which would warn.
+    if not (points and all(type(v) in (int, float) and math.isfinite(v) for v in points)):
+        raise argparse.ArgumentTypeError(f"expected finite numbers, got {value!r}")
+    if text:
+        (lo, hi), count = points, _int(items[2])
+        if lo > hi or (log and lo <= 0) or count < 1 or (lo == hi and count != 1):
+            raise argparse.ArgumentTypeError(
+                "grid needs min <= max, count >= 1 and, on a log grid, min > 0")
+        grid = (np.geomspace if log else np.linspace)(lo, hi, count)
+    else:
+        grid = np.array(points, dtype=float)
     # Read-only, because a default grid is one array shared by every call
     # that parses with the same parser.
     grid.flags.writeable = False
     return grid
 
 
-def _log_grid(text: str) -> np.ndarray:
-    return _grid(text, log=True)
+def _log_grid(value) -> np.ndarray:
+    return _grid(value, log=True)
 
 
-def _lin_grid(text: str) -> np.ndarray:
-    return _grid(text, log=False)
+def _lin_grid(value) -> np.ndarray:
+    return _grid(value, log=False)
 
 
 def _schedule_of(args) -> LamSchedule:
@@ -228,9 +250,10 @@ def cmd_estimate(args) -> int:
         raise InvalidParameterError(
             f"--cap and --subsample must be >= 1, got {args.cap} and {args.subsample}")
     kernel = KernelSpec(args.kernel, gamma=args.gamma, degree=args.degree)
+    _check_eigen_floor(args.eigen_floor)
     features, labels = load_dataset_csv(args.dataset)
     if labels is None:
-        raise SchemaError(f"{args.dataset}: missing required label column 'y'")
+        raise SchemaError(f"{args.dataset}: missing required label column {LABEL_COLUMN!r}")
     n_tot = features.shape[0]
     if n_tot > args.cap and args.subsample is None:
         raise SchemaError(
@@ -316,15 +339,8 @@ def cmd_optimal_lambda(args) -> int:
 
 
 def _params_of(args) -> dict:
-    skip = {"func", "config"}
-    params = {}
-    for key, value in sorted(vars(args).items()):
-        if key in skip:
-            continue
-        if isinstance(value, np.ndarray):
-            value = [float(v) for v in value]
-        params[key] = value
-    return params
+    return {key: value for key, value in sorted(vars(args).items())
+            if key not in ("func", "config")}
 
 
 def build_parser(supplied=()):
@@ -380,10 +396,10 @@ def build_parser(supplied=()):
                                    help="pick lambda by cross-validation")
     p.add_argument("--theory-p", type=_int, default=None,
                    help="separate truncation for the theory column")
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--trials", type=_int, default=100)
+    p.add_argument("--seed", type=_int, default=0)
     # Deprecated no-op, hidden; kept so that manifests recording it still replay.
-    p.add_argument("--workers", type=int, default=None, help=argparse.SUPPRESS)
+    p.add_argument("--workers", type=_int, default=None, help=argparse.SUPPRESS)
 
     p = add("phase-diagram", cmd_phase_diagram, help="regime grid plus crossover lines")
     p.add_argument("--alpha", type=float, default=2.0)
@@ -401,15 +417,15 @@ def build_parser(supplied=()):
     p.add_argument("--kernel", choices=["rbf", "polynomial", "linear"],
                    required=required("kernel"))
     p.add_argument("--gamma", type=float, required=required("gamma"))
-    p.add_argument("--degree", type=int, default=5)
+    p.add_argument("--degree", type=_int, default=5)
     p.add_argument("--fit-range-capacity", type=_int_pair, default=None)
     p.add_argument("--fit-range-source", type=_int_pair, default=None)
-    p.add_argument("--cap", type=int, default=8000,
+    p.add_argument("--cap", type=_int, default=8000,
                    help="refuse datasets above this size unless --subsample is given; "
                    "the decomposition needs about 24 bytes per row^2, so the default "
                    "implies about 1.5 GB of memory")
-    p.add_argument("--subsample", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--subsample", type=_int, default=None)
+    p.add_argument("--seed", type=_int, default=0)
     p.add_argument("--eigen-floor", type=float, default=1e-12)
     p.add_argument("--ell", type=float, default=1.0,
                    help="decay used for the regularized-regime exponent report")
@@ -439,36 +455,12 @@ def _default_parser():
     return build_parser()
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, float) or _is_int(value)
-
-
-def _is_finite_number(value) -> bool:
-    return _is_number(value) and math.isfinite(value)
-
-
-# The JSON shape of the value each flag type produces.
-_CONFIG_SHAPES = {
-    None: lambda v: isinstance(v, str),
-    float: _is_number,
-    int: _is_int,
-    _int: _is_int,
-    _int_list: lambda v: isinstance(v, list) and v != [] and all(map(_is_int, v)),
-    _int_pair: lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_int, v)),
-    _log_grid: lambda v: isinstance(v, list) and all(map(_is_finite_number, v)),
-    _lin_grid: lambda v: isinstance(v, list) and all(map(_is_finite_number, v)),
-}
-
-
 def _typed_config(sub, config: dict) -> dict:
-    """config with each string value run through its flag's type; exits 2 naming a bad key.
+    """config with each value run through its flag's type, the parser of the
+    flag's command-line text; exits 2 naming a bad key.
 
-    Any other value must have the shape its flag produces, or be null for a
-    flag whose default is None.
+    A switch takes only true or false, a flag without a type only a string,
+    and no other flag a bool; null leaves a flag whose default is None unset.
     """
     actions = {action.dest: action for action in sub._actions}
     typed = dict(config)
@@ -476,16 +468,15 @@ def _typed_config(sub, config: dict) -> dict:
         action = actions.get(key)
         if action is None or (value is None and action.default is None):
             continue
-        if isinstance(value, str) and action.type is not None:
+        if (value is None or isinstance(value, bool) != isinstance(action.default, bool)
+                or (action.type is None and not isinstance(value, (bool, str)))
+                or (action.choices is not None and value not in action.choices)):
+            sub.error(f"config key {key!r}: {value!r} is not a value its flag takes")
+        if action.type is not None:
             try:
                 typed[key] = action.type(value)
-            except (argparse.ArgumentTypeError, ValueError) as err:
+            except (argparse.ArgumentTypeError, TypeError, ValueError, OverflowError) as err:
                 sub.error(f"config key {key!r}: {err}")
-            continue
-        is_bool = isinstance(action.default, bool)
-        fits = isinstance(value, bool) if is_bool else _CONFIG_SHAPES[action.type](value)
-        if not fits or (action.choices is not None and value not in action.choices):
-            sub.error(f"config key {key!r}: {value!r} is not a value its flag takes")
     return typed
 
 

@@ -32,6 +32,7 @@ from .errors import (
 from .table import write_table
 
 DEFAULT_EIGENVALUE_FLOOR = 1e-12
+LABEL_COLUMN = "y"
 LOW_R2_WARNING = 0.95
 
 
@@ -118,11 +119,15 @@ def feature_decomposition(gram: np.ndarray, labels: np.ndarray,
     return _decompose(np.array(gram, dtype=float, order="C"), labels, floor_rel)
 
 
+def _check_eigen_floor(floor_rel: float) -> None:
+    if not (math.isfinite(floor_rel) and 0.0 <= floor_rel < 1.0):
+        raise InvalidParameterError(f"eigenvalue floor must be in [0, 1), got {floor_rel}")
+
+
 def _decompose(gram: np.ndarray, labels: np.ndarray, floor_rel: float) -> FeatureDecomposition:
     """feature_decomposition of a C-contiguous float64 gram, decomposed in its own
     buffer: gram is overwritten, so the caller must not read it afterwards."""
-    if not (math.isfinite(floor_rel) and 0.0 <= floor_rel < 1.0):
-        raise InvalidParameterError(f"eigenvalue floor must be in [0, 1), got {floor_rel}")
+    _check_eigen_floor(floor_rel)
     labels = np.asarray(labels, dtype=float)
     n_tot = gram.shape[0]
     if gram.ndim != 2 or gram.shape[1] != n_tot:
@@ -357,8 +362,8 @@ def ingest_binary_labels(data: np.ndarray, class_a_rows, class_b_rows,
     return labels + sigma * rng.standard_normal(n)
 
 
-def load_dataset_csv(path, label_column: str = "y"):
-    """Numeric dataset CSV with a header row; returns (features, labels or None).
+def load_dataset_csv(path):
+    """Numeric dataset CSV with a header row; returns (features, LABEL_COLUMN or None).
 
     The body is parsed by numpy's C reader: comma-separated fields, optionally
     in double quotes, blank lines skipped, no comment lines.  Every value must
@@ -385,8 +390,8 @@ def load_dataset_csv(path, label_column: str = "y"):
         i, j = divmod(int(np.argmin(finite)), values.shape[1])
         raise SchemaError(f"{path}: non-finite value {values[i, j]} in data row {i + 1}, "
                           f"column {header[j]!r}")
-    if label_column in header:
-        j = header.index(label_column)
+    if LABEL_COLUMN in header:
+        j = header.index(LABEL_COLUMN)
         labels = values[:, j].copy()
         features = np.delete(values, j, axis=1)
         return features, labels

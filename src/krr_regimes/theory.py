@@ -30,6 +30,12 @@ from .spectrum import Spectrum, _em_table, _power_sums, teacher_variance
 _ZETA_FLOOR = 1e-280
 # Newton steps allowed per z root (cold starts have taken up to 24, warm ones ~3).
 _NEWTON_MAX_STEPS = 100
+# Largest root residual accepted, relative to max(1, z).
+_Z_TOL = 1e-10
+# Fixed-point relaxation weight, relative step tolerance and step limit.
+_DAMPING = 0.5
+_FIXED_POINT_TOL = 1e-10
+_FIXED_POINT_MAX_ITER = 100_000
 
 
 # Spectral sums.  With x_k = zeta / eig_k, every sum the theory needs is
@@ -178,7 +184,7 @@ class ZSolution:
     df2: float
 
 
-def solve_z(n: int, lam: float, spectrum: Spectrum, tol: float = 1e-10) -> ZSolution:
+def solve_z(n: int, lam: float, spectrum: Spectrum) -> ZSolution:
     """Solve z = n*lam + (z/n) * sum_k eig_k / (z/n + eig_k) by Newton's method.
 
     With zeta = z/n the gap g(z) = z - n*lam - zeta * df1(zeta) is convex with
@@ -187,11 +193,10 @@ def solve_z(n: int, lam: float, spectrum: Spectrum, tol: float = 1e-10) -> ZSolu
     bracket; it stops at the first step that no longer lowers z.  At lam = 0
     the root is positive exactly when the spectrum has more modes than n.
     """
-    return _solve_z(n, lam, spectrum, tol, None)
+    return _solve_z(n, lam, spectrum, None)
 
 
-def _solve_z(n: int, lam: float, spectrum: Spectrum, tol: float,
-             z: float | None) -> ZSolution:
+def _solve_z(n: int, lam: float, spectrum: Spectrum, z: float | None) -> ZSolution:
     """solve_z started from z, which must not lie below the root; None, or a z
     that is not positive and finite, starts cold."""
     if n < 1:
@@ -215,7 +220,7 @@ def _solve_z(n: int, lam: float, spectrum: Spectrum, tol: float,
         raise NonConvergenceError(
             f"Newton iteration still moving after {_NEWTON_MAX_STEPS} steps at z={z:.6e}")
     residual = abs(gap)
-    if residual > tol * max(1.0, z):
+    if residual > _Z_TOL * max(1.0, z):
         raise NonConvergenceError(f"root residual {residual:.3e} exceeds tolerance at z={z:.6e}")
     branch = "regularization" if n * lam >= z - n * lam else "spectral"
     return ZSolution(z=float(z), residual=float(residual), branch=branch, df2=df2)
@@ -235,8 +240,8 @@ class ErrorDecomposition:
     total: float
 
 
-def excess_error_closed(n: int, lam: float, sigma: float, spectrum: Spectrum,
-                        tol: float = 1e-10) -> ErrorDecomposition:
+def excess_error_closed(n: int, lam: float, sigma: float,
+                        spectrum: Spectrum) -> ErrorDecomposition:
     """Closed-form excess error on the truncated spectrum.
 
     With zeta the per-sample effective regularization from ``solve_z`` and
@@ -248,7 +253,7 @@ def excess_error_closed(n: int, lam: float, sigma: float, spectrum: Spectrum,
     Raises DegenerateDenominatorError when 1 - S2 <= 0 (truncation or
     parameters outside the formula's validity).
     """
-    return _decompose(n, lam, sigma, spectrum, solve_z(n, lam, spectrum, tol=tol))
+    return _decompose(n, lam, sigma, spectrum, solve_z(n, lam, spectrum))
 
 
 def _decompose(n: int, lam: float, sigma: float, spectrum: Spectrum,
@@ -293,9 +298,7 @@ class FixedPointState:
     residual: float
 
 
-def solve_fixed_point(n: int, lam: float, sigma: float, spectrum: Spectrum,
-                      p: int | None = None, damping: float = 0.5,
-                      tol: float = 1e-10, max_iter: int = 100_000) -> FixedPointState:
+def solve_fixed_point(n: int, lam: float, sigma: float, spectrum: Spectrum) -> FixedPointState:
     """Damped fixed-point iteration of the coupled order-parameter updates.
 
     The iteration state is kept in the combination zeta = lam * (1 + V)
@@ -309,19 +312,15 @@ def solve_fixed_point(n: int, lam: float, sigma: float, spectrum: Spectrum,
     cancellation of forming rho - 2 m + q from its converged parts.  The
     overlap m is iterated alongside for reporting and q is recovered from
     the identity q = excess + 2 m - rho.  All states relax as
-    x_new = (1 - damping) * x_old + damping * update.
+    x_new = (1 - _DAMPING) * x_old + _DAMPING * update.
 
-    Non-convergence after max_iter returns a state flagged unconverged.
+    Non-convergence after _FIXED_POINT_MAX_ITER steps returns a state flagged unconverged.
     A meaningfully negative excess error raises NegativeExcessError.
     """
     if n < 1:
         raise InvalidParameterError(f"sample count must be >= 1, got {n}")
     if not (0 <= lam < math.inf and 0 <= sigma < math.inf):
         raise InvalidParameterError("regularization and noise std must be finite and >= 0")
-    if not 0.0 < damping <= 1.0:
-        raise InvalidParameterError(f"damping must be in (0, 1], got {damping}")
-    if p is not None:
-        spectrum = spectrum.truncate(p)
     p = spectrum.p
     rho = teacher_variance(spectrum)
 
@@ -341,17 +340,17 @@ def solve_fixed_point(n: int, lam: float, sigma: float, spectrum: Spectrum,
     converged = False
     residual = math.inf
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, _FIXED_POINT_MAX_ITER + 1):
         df1, df2, sample_sum, m_upd = _spectral_sums(
             zeta, spectrum, (_DF1, _DF2, _SAMPLE, _OVERLAP))
         zeta_upd = lam + (zeta / n) * df1 if zeta > 0.0 else lam
         excess_upd = sample_sum + (excess + sig2) * df2 / n
 
-        zeta_new = (1.0 - damping) * zeta + damping * zeta_upd
+        zeta_new = (1.0 - _DAMPING) * zeta + _DAMPING * zeta_upd
         if 0.0 < zeta_new < _ZETA_FLOOR:
             zeta_new = 0.0
-        excess_new = (1.0 - damping) * excess + damping * excess_upd
-        m_new = (1.0 - damping) * m + damping * m_upd
+        excess_new = (1.0 - _DAMPING) * excess + _DAMPING * excess_upd
+        m_new = (1.0 - _DAMPING) * m + _DAMPING * m_upd
 
         residual = max(
             abs(zeta_new - zeta) / max(abs(zeta_new), 1e-30),
@@ -359,11 +358,11 @@ def solve_fixed_point(n: int, lam: float, sigma: float, spectrum: Spectrum,
             abs(m_new - m) / max(abs(m_new), 1e-30),
         )
         zeta, excess, m = zeta_new, excess_new, m_new
-        if residual <= tol:
+        if residual <= _FIXED_POINT_TOL:
             converged = True
             break
 
-    if excess < -tol * max(1.0, rho):
+    if excess < -_FIXED_POINT_TOL * max(1.0, rho):
         raise NegativeExcessError(f"excess error {excess:.3e} is negative at convergence")
     q = excess + 2.0 * m - rho
     V = zeta / lam - 1.0 if lam > 0.0 else math.inf
@@ -391,7 +390,7 @@ def optimal_lambda(n: int, sigma: float, spectrum: Spectrum,
     for lam in map(float, np.sort(lam_grid)[::-1]):
         # At the previous root the gap at lam is n * (lam_prev - lam).
         z = None if zsol is None else zsol.z - n * (lam_prev - lam) / (1.0 - zsol.df2 / n)
-        zsol, lam_prev = _solve_z(n, lam, spectrum, 1e-10, z), lam
+        zsol, lam_prev = _solve_z(n, lam, spectrum, z), lam
         try:
             total = _decompose(n, lam, sigma, spectrum, zsol).total
         except DegenerateDenominatorError as err:

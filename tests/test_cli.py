@@ -386,22 +386,42 @@ def test_estimate_rejects_bad_flags(tmp_path, capsys, flags, message):
     assert not (tmp_path / "e_estimate.json").exists()
 
 
-@pytest.mark.parametrize("kernel", ["linear", "rbf", "polynomial"])
-def test_estimate_infinite_gamma_is_usage_error_before_the_data_is_read(tmp_path, capsys,
-                                                                       monkeypatch, kernel):
-    data = tmp_path / "data.csv"
-    _planted_csv(data, n_tot=60, p=5)
+def _data_calls(monkeypatch) -> list:
+    """The names of the dataset reads and Gram builds the estimate command makes."""
     called = []
     for name in ("load_dataset_csv", "gram_matrix"):
         def counting(*args, name=name, real=getattr(cli, name)):
             called.append(name)
             return real(*args)
         monkeypatch.setattr(cli, name, counting)
+    return called
+
+
+@pytest.mark.parametrize("kernel", ["linear", "rbf", "polynomial"])
+def test_estimate_infinite_gamma_is_usage_error_before_the_data_is_read(tmp_path, capsys,
+                                                                       monkeypatch, kernel):
+    data = tmp_path / "data.csv"
+    _planted_csv(data, n_tot=60, p=5)
+    called = _data_calls(monkeypatch)
     code = main(["estimate", str(data), "--kernel", kernel, "--gamma", "inf",
                  "--out", str(tmp_path / "e")])
     assert code == 2
     assert called == []
     assert "gamma must be finite and > 0, got inf" in capsys.readouterr().err
+    assert not (tmp_path / "e_estimate.json").exists()
+
+
+@pytest.mark.parametrize("floor", ["nan", "-0.1", "1.0", "inf"])
+def test_estimate_bad_eigen_floor_is_usage_error_before_the_data_is_read(tmp_path, capsys,
+                                                                        monkeypatch, floor):
+    data = tmp_path / "data.csv"
+    _planted_csv(data, n_tot=50, p=5)
+    called = _data_calls(monkeypatch)
+    code = main(["estimate", str(data), "--kernel", "linear", "--gamma", "1",
+                 "--eigen-floor", floor, "--out", str(tmp_path / "e")])
+    assert code == 2
+    assert called == []
+    assert f"eigenvalue floor must be in [0, 1), got {float(floor)}" in capsys.readouterr().err
     assert not (tmp_path / "e_estimate.json").exists()
 
 
@@ -687,3 +707,119 @@ def test_reused_parser_prints_what_a_fresh_one_prints(tmp_path, capsys, argv):
     assert exc.value.code == 0
     assert capsys.readouterr() == reused
     assert reused.out
+
+
+# Flags every call of a command gets unless the case under test sets them.
+_SAME_VALUE_BASE = {
+    "theory": {"--alpha": "2", "--r": "0.5", "--lam": "0", "--p": "1000", "--n": "100"},
+    "simulate": {"--alpha": "2", "--r": "0.5", "--lam": "0", "--p": "50", "--n": "8",
+                 "--trials": "2"},
+    "optimal-lambda": {"--alpha": "2", "--r": "0.5", "--sigma": "0.5", "--p": "1000",
+                       "--n": "100", "--lam-grid": "1e-6,1,5"},
+    "phase-diagram": {"--n-grid": "1,1e4,5", "--ell-grid": "0,4,5"},
+    "estimate": {"--kernel": "linear", "--gamma": "1"},
+    "fit-slope": {},
+}
+
+# (command, config key, command-line tokens, config value, exit code): the tokens and
+# the config value are the same value, so both must give the exit code.  Tokens are
+# None where the config value has no command-line form.
+_SAME_VALUE_CASES = [
+    # int
+    ("theory", "p", ["--p", "1e4"], 1e4, 0),
+    ("theory", "p", ["--p", "1.5"], 1.5, 2),
+    ("simulate", "seed", ["--seed", str(2 ** 53 + 1)], 2 ** 53 + 1, 0),
+    ("simulate", "seed", ["--seed", "true"], True, 2),
+    ("simulate", "trials", ["--trials", "2.5"], 2.5, 2),
+    ("estimate", "degree", ["--degree", "3e0"], 3.0, 0),
+    # int list
+    ("theory", "n", ["--n", "1e2"], [1e2], 0),
+    ("theory", "n", ["--n", "100,2.5"], [100, 2.5], 2),
+    ("theory", "n", ["--n", ","], [], 2),
+    ("theory", "n", None, 50, 2),
+    # int pair
+    ("fit-slope", "window", ["--window", "0,1e1"], [0, 1e1], 0),
+    ("fit-slope", "window", ["--window", "0,1,2"], [0, 1, 2], 2),
+    # log grid
+    ("optimal-lambda", "lam_grid", ["--lam-grid", "1e-6,1,3"], [1e-6, 1e-3, 1.0], 0),
+    ("optimal-lambda", "lam_grid", ["--lam-grid", ""], [], 2),
+    ("optimal-lambda", "lam_grid", ["--lam-grid", "nan,1,3"], [float("nan"), 1.0], 2),
+    ("optimal-lambda", "lam_grid", None, [1e-6, True], 2),
+    # lin grid
+    ("phase-diagram", "ell_grid", ["--ell-grid", "0,4,3"], [0, 2, 4], 0),
+    ("phase-diagram", "ell_grid", ["--ell-grid", "0,inf,3"], [0, float("inf")], 2),
+    # float
+    ("theory", "sigma", ["--sigma", "2"], 2, 0),
+    ("theory", "sigma", ["--sigma", "true"], True, 2),
+    ("theory", "sigma", ["--sigma", "abc"], "abc", 2),
+    # string
+    ("estimate", "kernel", ["--kernel", "linear"], "linear", 0),
+    ("estimate", "kernel", ["--kernel", "cubic"], "cubic", 2),
+    ("estimate", "kernel", None, 1, 2),
+    # switch
+    ("optimal-lambda", "include_zero", ["--no-include-zero"], False, 0),
+    ("optimal-lambda", "include_zero", None, "false", 2),
+]
+
+
+@pytest.mark.parametrize("command, key, tokens, value, code", _SAME_VALUE_CASES)
+def test_config_and_command_line_take_the_same_values(tmp_path, command, key, tokens, value,
+                                                      code):
+    base = dict(_SAME_VALUE_BASE[command])
+    base.pop(f"--{key.replace('_', '-')}", None)
+    positional = []
+    if command == "estimate":
+        positional = [str(tmp_path / "data.csv")]
+        _planted_csv(positional[0], n_tot=80, p=30)
+    elif command == "fit-slope":
+        positional = [str(tmp_path / "c.csv")]
+        _slope_csv(positional[0], [(n, n ** -2.0) for n in range(10, 130, 10)])
+    args = [command, *positional, *(tok for item in base.items() for tok in item)]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    runs = {"config": ["--config", str(cfg)]}
+    if tokens is not None:
+        runs["flag"] = tokens
+    for name, extra in runs.items():
+        (tmp_path / name).mkdir()
+        assert main([*args, *extra, "--out", str(tmp_path / name / "out")]) == code, name
+    if code != 0 or tokens is None:
+        return
+    for path in sorted((tmp_path / "flag").iterdir()):
+        replay = tmp_path / "config" / path.name
+        if path.name.endswith(".manifest.json"):
+            assert _manifest_without_paths(replay) == _manifest_without_paths(path)
+            if key == "seed":
+                assert json.loads(replay.read_text())["params"]["seed"] == 2 ** 53 + 1
+        else:
+            assert replay.read_bytes() == path.read_bytes(), path.name
+
+
+# A minimal valid call per command, with a value for each flag whose default is None
+# or whose value a manifest records as a string.
+_MINIMAL_ARGS = {
+    "theory": ["--alpha", "2", "--r", "0.5", "--ell", "inf", "--n", "100"],
+    "simulate": ["--alpha", "2", "--r", "0.5", "--cv", "--n", "8,16", "--theory-p", "1e3",
+                 "--workers", "1"],
+    "phase-diagram": [],
+    "estimate": ["data.csv", "--kernel", "rbf", "--gamma", "1", "--fit-range-capacity", "1,5",
+                 "--fit-range-source", "2,6", "--subsample", "50", "--ell=-inf",
+                 "--decomposition-out", "dec.csv"],
+    "fit-slope": ["curve.csv", "--window", "0,3"],
+    "optimal-lambda": ["--alpha", "2", "--r", "0.5", "--n", "100", "--no-include-zero"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_MINIMAL_ARGS))
+def test_every_recorded_value_comes_back_through_its_flag(command):
+    parser, subparsers = build_parser()
+    assert set(subparsers) == set(_MINIMAL_ARGS)
+    args = parser.parse_args([command, *_MINIMAL_ARGS[command], "--out", "x"])
+    params = cli._params_of(args)
+    replayed = cli._typed_config(subparsers[command], json.loads(cli._json_text(params)))
+    assert replayed.keys() == params.keys()
+    for key, value in params.items():
+        if isinstance(value, np.ndarray):
+            assert np.array_equal(replayed[key], value), key
+        else:
+            assert replayed[key] == value and type(replayed[key]) is type(value), key
