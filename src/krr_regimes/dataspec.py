@@ -63,21 +63,24 @@ def gram_matrix(data: np.ndarray, kernel: KernelSpec) -> np.ndarray:
     if data.ndim != 2 or data.shape[0] == 0:
         raise InvalidParameterError("data must be a non-empty 2-d array")
     gram = data @ data.T
-    if kernel.kind == "linear":
-        gram *= kernel.gamma
-    elif kernel.kind == "polynomial":
-        gram *= kernel.gamma
-        gram += 1.0
-        gram **= kernel.degree
-    else:
-        sq = np.diag(gram).copy()
-        dist = sq[:, None] + sq[None, :]
-        gram *= 2.0
-        dist -= gram
-        gram = np.clip(dist, 0.0, None, out=dist)
-        gram *= -0.5 * kernel.gamma
-        np.exp(gram, out=gram)
-    sym = gram + gram.T
+    # An overflow leaves an inf that _decompose reports; numpy's warning would only
+    # repeat it on stderr.
+    with np.errstate(over="ignore"):
+        if kernel.kind == "linear":
+            gram *= kernel.gamma
+        elif kernel.kind == "polynomial":
+            gram *= kernel.gamma
+            gram += 1.0
+            gram **= kernel.degree
+        else:
+            sq = np.diag(gram).copy()
+            dist = sq[:, None] + sq[None, :]
+            gram *= 2.0
+            dist -= gram
+            gram = np.clip(dist, 0.0, None, out=dist)
+            gram *= -0.5 * kernel.gamma
+            np.exp(gram, out=gram)
+        sym = gram + gram.T
     sym *= 0.5
     if kernel.kind == "rbf":
         np.fill_diagonal(sym, 1.0)

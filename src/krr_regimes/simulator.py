@@ -17,7 +17,7 @@ from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
-from .dataspec import fit_loglog_slope
+from .dataspec import _eigh_overwrite, fit_loglog_slope
 from .errors import (
     DegenerateWindowError,
     InvalidParameterError,
@@ -68,10 +68,11 @@ def _one_blas_thread():
     """Run OpenBLAS on one thread inside the block, then restore the earlier counts.
 
     One thread makes the Cholesky rounding independent of the machine's thread
-    count and leaves the other core to the sampler.  A pthreads OpenBLAS (the one
-    numpy and scipy wheels bundle) applies the count to the whole process, so
-    blocks are counted: the first to open sets 1 thread and the last to close
-    restores, in reverse order.  Without a setter this does nothing.
+    count and lets each core solve its own trial (see learning_curve).  A pthreads
+    OpenBLAS (the one numpy and scipy wheels bundle) applies the count to the
+    whole process, and so to calls from every thread, so blocks are counted: the
+    first to open sets 1 thread and the last to close restores, in reverse order.
+    Without a setter this does nothing.
     """
     global _blas_depth, _blas_saved
     with _blas_lock:
@@ -139,14 +140,16 @@ class SimConfig:
 
     Per-trial randomness is derived from (master_seed, n, trial_index)
     through numpy's SeedSequence, so each trial is reproducible on its own
-    and independent of execution order.  The solves run OpenBLAS on one
-    thread, so a curve's bytes do not depend on the BLAS thread count
-    either; where OpenBLAS offers no per-thread setter (another BLAS,
-    OpenBLAS < 0.3.27) nothing is pinned and the Cholesky rounding still
-    follows the thread count.  theory_spectrum, when given, is used for the
-    attached closed-form column (the simulation spectrum may be truncated
-    harder than the theory one); regime_params = (alpha, r), when given,
-    lets rows carry a regime label.
+    and independent of execution order and of which of learning_curve's two
+    worker threads runs it.  A curve holds two n_max x p design buffers,
+    n_max the largest sample count, and one n x n system per worker (p x p
+    once n >= p).  The solves run OpenBLAS on one thread, so a curve's bytes
+    do not depend on the BLAS thread count either; where OpenBLAS offers no
+    per-thread setter (another BLAS, OpenBLAS < 0.3.27) nothing is pinned
+    and the Cholesky rounding still follows the thread count.
+    theory_spectrum, when given, is used for the attached closed-form column
+    (the simulation spectrum may be truncated harder than the theory one);
+    regime_params = (alpha, r), when given, lets rows carry a regime label.
     """
 
     spectrum: Spectrum
@@ -208,7 +211,7 @@ def trial_seed(master_seed: int, n: int, trial_index: int) -> np.random.SeedSequ
 
 def _draw(scale: np.ndarray, sigma: float, seed, out: np.ndarray) -> np.ndarray | None:
     """Fill out (n x p) with a design drawn from seed; return the noise draw.  It makes
-    no BLAS call and calls nothing else of this package, so it may run on any thread."""
+    no BLAS call and calls nothing else of this package."""
     rng = np.random.default_rng(seed)
     rng.standard_normal(out=out)
     out *= scale
@@ -235,16 +238,27 @@ def sample_dataset(spectrum: Spectrum, n: int, sigma: float, seed):
 
 
 def _solve_psd(mat: np.ndarray, rhs: np.ndarray, lam_is_zero: bool) -> np.ndarray:
-    """Cholesky solve with a trace-scaled jitter retry in the ridgeless case."""
+    """Cholesky solve with a trace-scaled jitter retry in the ridgeless case.
+
+    mat must be exactly symmetric and C-contiguous; it is factored in its own
+    buffer.  mat.T is that buffer in Fortran order and the same matrix, so the
+    factor has the bits of one computed on a copy.  The factor overwrites mat's
+    lower triangle; the retry rebuilds mat from the strict upper triangle and
+    the saved diagonal, then factors mat + jitter * I as a copy.
+    """
     # Imported on first use: commands without a solve start without scipy.linalg.
     import scipy.linalg
 
+    diagonal = mat.diagonal().copy()
     try:
-        c = scipy.linalg.cho_factor(mat, check_finite=False)
+        c = scipy.linalg.cho_factor(mat.T, overwrite_a=True, check_finite=False)
         return scipy.linalg.cho_solve(c, rhs, check_finite=False)
     except scipy.linalg.LinAlgError:
         if not lam_is_zero:
             raise SingularSystemError("ridge system is numerically singular")
+    for i in range(1, mat.shape[0]):
+        mat[i, :i] = mat[:i, i]
+    mat[np.diag_indices_from(mat)] = diagonal
     jitter = _JITTER_REL * np.trace(mat) / mat.shape[0]
     try:
         c = scipy.linalg.cho_factor(mat + jitter * np.eye(mat.shape[0]), check_finite=False)
@@ -299,9 +313,10 @@ def grid_search_lambda(features: np.ndarray, labels: np.ndarray,
 
     Returns the grid value minimizing the mean validation MSE, ties broken
     toward larger regularization.  Each validation fold is a contiguous block
-    of rows.  The per-fold eigendecomposition of the training Gram matrix
-    turns every grid point into a filter of the eigenvalues, so one
-    (validation x m) @ (m x grid) product per fold scores the whole grid.
+    of rows.  The per-fold eigendecomposition of the training Gram matrix,
+    computed in the block's own buffer, turns every grid point into a filter
+    of the eigenvalues, so one (validation x m) @ (m x grid) product per fold
+    scores the whole grid.
     """
     if k_folds < 2:
         raise InvalidParameterError(f"k_folds must be >= 2, got {k_folds}")
@@ -318,7 +333,8 @@ def grid_search_lambda(features: np.ndarray, labels: np.ndarray,
         val = slice(val_idx[0], val_idx[-1] + 1)
         train_idx = np.delete(np.arange(n), val)
         m = train_idx.size
-        evals, evecs = np.linalg.eigh(gram[np.ix_(train_idx, train_idx)])
+        # The fancy-indexed block is a fresh, exactly symmetric array.
+        evals, evecs = _eigh_overwrite(gram[np.ix_(train_idx, train_idx)])
         evals = np.clip(evals, 0.0, None)
         uty = evecs.T @ labels[train_idx]
         b = gram[val, train_idx] @ evecs
@@ -338,55 +354,87 @@ def grid_search_lambda(features: np.ndarray, labels: np.ndarray,
 def learning_curve(config: SimConfig) -> LearningCurve:
     """Monte-Carlo learning curve with attached closed-form theory column.
 
-    The calling thread forms the labels and solves each trial while one
-    sampler thread draws the next design into the other of two reused
-    n_max x p float64 buffers.  The whole loop runs OpenBLAS on one thread
-    (_one_blas_thread), so one core draws and one core solves instead of the
-    sampler sharing two cores with a two-thread BLAS, and the Cholesky
-    rounding no longer follows the machine's thread count.  On machines with
-    more cores the solves leave the extra cores idle; running trials in
-    parallel would use them (not measured).  No BLAS call leaves the calling
-    thread and results are reduced in trial order.  Trial failures are
-    tolerated up to 10% per sample count, above which the first failure is
-    re-raised.
+    Two worker threads run whole trials, taken in sorted-row, trial order:
+    each draws into its own one of two reused n_max x p float64 design
+    buffers, forms the labels, fits and scores the fit, and so holds one n x n
+    (or p x p) system at a time.  Fits start in trial order.  The whole curve
+    runs OpenBLAS on one thread (_one_blas_thread), so each core solves its
+    own trial and the Cholesky rounding does not follow the machine's thread
+    count.  The calling thread keeps the rest: on a cv row the worker drawing
+    trial 0 hands its design over and waits while the calling thread runs the
+    grid search; the calling thread also computes the theory column and the
+    regime label, and reduces the rows in sorted order, each row's trials in
+    trial order.  Trial failures are tolerated up to 10% per row, above which
+    the row's first failure is re-raised.  Any raise stops the workers before
+    it leaves: no queued trial starts, and a worker waiting for a ridge is
+    released.
     """
-    from concurrent.futures import ThreadPoolExecutor
+    from concurrent.futures import Future
 
-    spectrum, sigma = config.spectrum, config.sigma
+    spectrum, sigma, trials = config.spectrum, config.sigma, config.trials
     theory_spec = config.theory_spectrum or spectrum
     scale, theta = np.sqrt(spectrum.eigenvalues), np.sqrt(spectrum.teacher_sq)
-    jobs = [(n, t) for n in sorted(config.n_values) for t in range(config.trials)]
-    buffers = [np.empty((max(config.n_values, default=0), spectrum.p)) for _ in range(2)]
-    rows = []
+    ns = sorted(config.n_values)
+    lams = [config.lam_schedule.lam_at(n) for n in ns]  # None on a cv row
+    # Per cv row: trial 0's (features, labels), then the chosen ridge.
+    designs = {row: Future() for row, lam in enumerate(lams) if lam is None}
+    chosen = {row: Future() for row in designs}
+    outcomes = [Future() for _ in range(len(ns) * trials)]  # job i: row i // trials
+    # Fits start in job order, so a wrapped ridge_fit sees the calls of a one-thread loop.
+    fitting = [threading.Event() for _ in outcomes]
+    jobs, jobs_lock, stop = iter(range(len(outcomes))), threading.Lock(), threading.Event()
 
-    def submit(i):
-        """Start drawing job i into the buffer that job i - 1 is not using."""
-        if i < len(jobs):
-            out, seed = buffers[i % 2][:jobs[i][0]], trial_seed(config.master_seed, *jobs[i])
-            return out, pool.submit(_draw, scale, sigma, seed, out)
-
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        nxt = submit(0)
-        for i, (n, t) in enumerate(jobs):
-            # Job i - 1's solve is done, so its buffer is free for job i + 1.
-            (features, drawing), nxt = nxt, submit(i + 1)
-            labels = _labels(features, theta, sigma, drawing.result())
+    def trial(i, buffer):
+        row, t = divmod(i, trials)
+        features = buffer[:ns[row]]
+        noise = _draw(scale, sigma, trial_seed(config.master_seed, ns[row], t), features)
+        labels = _labels(features, theta, sigma, noise)
+        lam = lams[row]
+        if lam is None:
             if t == 0:
-                outcomes, lam = [], config.lam_schedule.lam_at(n)
-                if lam is None:
-                    # One cross-validated regularization per row, chosen on trial 0.
-                    lam = grid_search_lambda(features, labels)
+                designs[row].set_result((features, labels))
+            lam = chosen[row].result()
+        if i > 0:
+            fitting[i - 1].wait()
+        fitting[i].set()
+        try:
+            return excess_error_empirical(ridge_fit(features, labels, lam), spectrum)
+        except SolverError as err:
+            return err
+
+    def work(buffer):
+        while not stop.is_set():
+            with jobs_lock:
+                i = next(jobs, None)
+            if i is None:
+                return
             try:
-                w = ridge_fit(features, labels, lam)
-            except SolverError as err:
-                outcomes.append(err)
-            else:
-                outcomes.append(excess_error_empirical(w, spectrum))
-            if t < config.trials - 1:
-                continue
-            failures = [o for o in outcomes if isinstance(o, SolverError)]
-            values = np.array([o for o in outcomes if not isinstance(o, SolverError)], float)
-            if len(failures) > 0.1 * config.trials or values.size == 0:
+                outcomes[i].set_result(trial(i, buffer))
+            except BaseException as err:  # re-raised where the calling thread reads it
+                row, t = divmod(i, trials)
+                if t == 0 and row in designs and not designs[row].done():
+                    designs[row].set_exception(err)  # the search would wait for it
+                outcomes[i].set_exception(err)
+            finally:
+                fitting[i].set()
+
+    n_max = max(config.n_values, default=0)
+    workers = [threading.Thread(target=work, args=(np.empty((n_max, spectrum.p)),))
+               for _ in range(2)]
+    rows = []
+    try:
+        for worker in workers:
+            worker.start()
+        for row, n in enumerate(ns):
+            lam = lams[row]
+            if lam is None:
+                # One cross-validated regularization per row, chosen on trial 0.
+                lam = grid_search_lambda(*designs[row].result())
+                chosen[row].set_result(lam)
+            results = [outcomes[row * trials + t].result() for t in range(trials)]
+            failures = [o for o in results if isinstance(o, SolverError)]
+            values = np.array([o for o in results if not isinstance(o, SolverError)], float)
+            if len(failures) > 0.1 * trials or values.size == 0:
                 raise failures[0]
             mean = float(values.mean())
             std = float(values.std(ddof=1)) if values.size > 1 else 0.0
@@ -398,6 +446,13 @@ def learning_curve(config: SimConfig) -> LearningCurve:
             rows.append(CurveRow(n=int(n), lam_used=float(lam), mean_excess=mean,
                                  std_excess=std, trials=int(values.size),
                                  theory_excess=float(theory), regime=regime))
+    finally:
+        stop.set()
+        for future in chosen.values():
+            future.cancel()  # releases a worker waiting for a ridge never chosen
+        for worker in workers:
+            if worker.ident is not None:
+                worker.join()
     return LearningCurve(rows=tuple(rows))
 
 

@@ -1,6 +1,8 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -384,6 +386,20 @@ def test_estimate_rejects_bad_flags(tmp_path, capsys, flags, message):
     assert code == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "e_estimate.json").exists()
+
+
+def test_kernel_overflow_exits_2_without_a_numpy_warning(tmp_path):
+    # The overflow is reported once, as a non-finite Gram entry.
+    data = tmp_path / "data.csv"
+    _planted_csv(data, n_tot=60, p=5)
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "krr_regimes.cli", "estimate", str(data),
+                           "--kernel", "polynomial", "--gamma", "1e100",
+                           "--out", str(tmp_path / "e")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert "non-finite entry inf" in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
 
 
 def _data_calls(monkeypatch) -> list:

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from krr_regimes import simulator
+from krr_regimes import dataspec, simulator
 from krr_regimes.errors import (
     DegenerateWindowError,
     InvalidParameterError,
@@ -122,6 +122,48 @@ def test_ridge_fit_rejects_negative_lambda():
     for lam in (-1.0, math.nan, math.inf, -math.inf):
         with pytest.raises(InvalidParameterError):
             ridge_fit(np.eye(3), np.ones(3), lam)
+
+
+def _solve_by_copy(mat, rhs):
+    """The ridgeless solve on a copy of mat, jitter retry included: the reference
+    for the in-place factorization."""
+    import scipy.linalg
+
+    try:
+        factor = scipy.linalg.cho_factor(mat, check_finite=False)
+    except scipy.linalg.LinAlgError:
+        jitter = simulator._JITTER_REL * np.trace(mat) / mat.shape[0]
+        factor = scipy.linalg.cho_factor(mat + jitter * np.eye(mat.shape[0]),
+                                         check_finite=False)
+    return scipy.linalg.cho_solve(factor, rhs, check_finite=False)
+
+
+@pytest.mark.parametrize("zero_row", [False, True], ids=["direct", "jitter-retry"])
+def test_in_place_solve_has_the_copy_solve_bits(monkeypatch, zero_row):
+    import scipy.linalg
+
+    features = np.random.default_rng(5).standard_normal((200, 300))
+    if zero_row:
+        features[57] = 0.0  # a zero pivot: the first factorization fails
+    gram, rhs = features @ features.T, features[:, 0].copy()
+    with simulator._one_blas_thread():  # n = 200: OpenBLAS would thread the factorization
+        expected = _solve_by_copy(gram.copy(), rhs)
+    passed, returned, cho_factor = [], [], scipy.linalg.cho_factor
+
+    def recording(a, **kwargs):
+        passed.append(np.shares_memory(a, gram))
+        factor = cho_factor(a, **kwargs)
+        returned.append(np.shares_memory(factor[0], gram))
+        return factor
+
+    monkeypatch.setattr(scipy.linalg, "cho_factor", recording)
+    with simulator._one_blas_thread():
+        solution = simulator._solve_psd(gram, rhs, lam_is_zero=True)
+    assert solution.tobytes() == expected.tobytes()
+    # The first factorization runs in gram's buffer, with no copy; the retry
+    # factors a fresh matrix.
+    assert passed == ([True, False] if zero_row else [True])
+    assert returned == [not zero_row]
 
 
 def test_excess_empirical_teacher_and_null():
@@ -277,47 +319,143 @@ def test_learning_curve_tolerates_one_failed_trial(monkeypatch):
     assert repr(curve) == repr(_reference_curve(cfg, skip={(48, 3)}))
 
 
-def test_learning_curve_calls_the_package_on_the_calling_thread(monkeypatch):
-    # The benchmark's tracer keeps one span stack, so every traced call
-    # (and every BLAS call) must stay on the thread that called learning_curve.
-    def main_thread_only(name):
-        original = getattr(simulator, name)
+def _record_threads(monkeypatch, names) -> dict:
+    """Patch each simulator function in names to record the threads it runs on."""
+    seen = {name: set() for name in names}
+    for name in names:
+        def recording(*args, name=name, original=getattr(simulator, name)):
+            seen[name].add(threading.get_ident())
+            return original(*args)
 
-        def guarded(*args, **kwargs):
-            if threading.current_thread() is not threading.main_thread():
-                raise RuntimeError(f"{name} called off the main thread")
-            return original(*args, **kwargs)
+        monkeypatch.setattr(simulator, name, recording)
+    return seen
 
-        monkeypatch.setattr(simulator, name, guarded)
 
-    for name in ("_labels", "ridge_fit", "excess_error_empirical",
-                 "grid_search_lambda", "excess_error_closed", "trial_seed"):
-        main_thread_only(name)
-    for schedule in (LamSchedule("fixed", lam=1e-3), LamSchedule("cv")):
-        curve = learning_curve(_config(n_values=(32, 64), trials=3, lam_schedule=schedule))
-        assert [row.trials for row in curve.rows] == [3, 3]
+def test_learning_curve_searches_and_labels_on_the_calling_thread(monkeypatch):
+    seen = _record_threads(monkeypatch, ("grid_search_lambda", "excess_error_closed",
+                                         "classify"))
+    curve = learning_curve(_config(n_values=(32, 64), trials=3, lam_schedule=LamSchedule("cv"),
+                                   regime_params=(2.0, 0.5)))
+    assert [row.trials for row in curve.rows] == [3, 3]
+    assert all(seen[name] == {threading.get_ident()} for name in seen), seen
+
+
+@pytest.mark.parametrize("schedule", [LamSchedule("fixed", lam=1e-3), LamSchedule("cv")],
+                         ids=["fixed", "cv"])
+@pytest.mark.parametrize("trials", [1, 3])
+def test_learning_curve_draws_and_fits_on_two_worker_threads(monkeypatch, schedule, trials):
+    seen = _record_threads(monkeypatch, ("_draw", "_labels", "ridge_fit",
+                                         "excess_error_empirical"))
+    learning_curve(_config(n_values=(32, 64, 128), trials=trials, lam_schedule=schedule))
+    workers = set().union(*seen.values())
+    assert 1 <= len(workers) <= 2 and threading.get_ident() not in workers
+    assert all(seen.values())
+
+
+def _leaves_no_thread(cfg, error):
+    """learning_curve(cfg) raises error within a time limit and leaves no thread."""
+    before, raised = threading.enumerate(), []
+
+    def run():
+        try:
+            learning_curve(cfg)
+        except error as err:
+            raised.append(err)
+
+    runner = threading.Thread(target=run, daemon=True)  # a hung curve must not block exit
+    runner.start()
+    runner.join(120)
+    assert not runner.is_alive() and len(raised) == 1
+    assert threading.enumerate() == before
+
+
+def test_learning_curve_leaves_no_thread_after_a_failing_draw(monkeypatch):
+    # Trial 0 of a cv row fails before it can hand its design to the search.
+    def breaks(*args):
+        raise RuntimeError("forced draw failure")
+
+    monkeypatch.setattr(simulator, "_draw", breaks)
+    _leaves_no_thread(_config(trials=3, lam_schedule=LamSchedule("cv")), RuntimeError)
+
+
+def test_learning_curve_leaves_no_thread_after_a_failing_trial(monkeypatch):
+    calls = []
+
+    def breaks_on_trial_2(features, labels, lam):
+        calls.append(lam)
+        if len(calls) == 3:
+            raise RuntimeError("forced crash")
+        return ridge_fit(features, labels, lam)
+
+    monkeypatch.setattr(simulator, "ridge_fit", breaks_on_trial_2)
+    _leaves_no_thread(_config(n_values=(32, 64), trials=3), RuntimeError)
+
+
+def test_learning_curve_leaves_no_thread_after_too_many_failures(monkeypatch):
+    def fails(features, labels, lam):
+        raise SingularSystemError("forced failure")
+
+    monkeypatch.setattr(simulator, "ridge_fit", fails)
+    _leaves_no_thread(_config(n_values=(32, 64, 128), trials=4), SingularSystemError)
+
+
+def test_learning_curve_leaves_no_thread_after_a_failing_search(monkeypatch):
+    # The search of row 2 raises while workers wait for its ridge.
+    rows = []
+
+    def breaks_at_row_2(features, labels):
+        rows.append(features.shape[0])
+        if len(rows) == 3:
+            raise RuntimeError("forced search failure")
+        return grid_search_lambda(features, labels)
+
+    monkeypatch.setattr(simulator, "grid_search_lambda", breaks_at_row_2)
+    _leaves_no_thread(_config(n_values=(32, 48, 64, 96), trials=2,
+                              lam_schedule=LamSchedule("cv")), RuntimeError)
+
+
+def test_concurrent_curves_keep_their_bits_under_a_short_switch_interval():
+    # Four curves at once: eight workers on the machine's cores, switching often.
+    configs = [_config(spectrum=power_law_spectrum(PowerLawParams(2.0, 0.5, 128)),
+                       n_values=(48, 24, 48), sigma=0.5, trials=3, lam_schedule=schedule,
+                       master_seed=seed)
+               for seed in (1, 2) for schedule in (LamSchedule("fixed", lam=1e-3),
+                                                   LamSchedule("cv"))]
+    expected = [repr(_reference_curve(cfg)) for cfg in configs]
+    got = [None] * len(configs)
+
+    def run(k):
+        got[k] = repr(learning_curve(configs[k]))
+
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(len(configs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got == expected
+
+
+def test_a_cv_curve_with_one_trial_and_duplicate_sample_counts_finishes():
+    cfg = _config(spectrum=power_law_spectrum(PowerLawParams(2.0, 0.5, 128)),
+                  n_values=(48, 24, 48, 24), sigma=0.5, trials=1,
+                  lam_schedule=LamSchedule("cv"))
+    curve = learning_curve(cfg)
+    assert [row.n for row in curve.rows] == [24, 24, 48, 48]
+    assert repr(curve) == repr(_reference_curve(cfg))
 
 
 def test_sampler_draw_makes_no_blas_or_package_call():
-    # What runs on the sampler thread: numpy's generator and an elementwise
-    # scale, nothing of this package and no matrix product.
+    # A draw is numpy's generator and an elementwise scale: nothing of this
+    # package and no matrix product.
     code = simulator._draw.__code__
     assert set(code.co_names) <= {"np", "random", "default_rng", "standard_normal", "shape"}
     assert not [ins for ins in dis.get_instructions(code) if ins.argrepr in ("@", "@=")]
-
-
-@pytest.mark.parametrize("trials", [1, 3])
-def test_learning_curve_draws_on_one_sampler_thread(monkeypatch, trials):
-    threads = set()
-    draw = simulator._draw
-
-    def recording_draw(*args):
-        threads.add(threading.get_ident())
-        return draw(*args)
-
-    monkeypatch.setattr(simulator, "_draw", recording_draw)
-    learning_curve(_config(trials=trials))
-    assert len(threads) == 1 and threading.get_ident() not in threads
 
 
 @pytest.mark.parametrize("flags", [["--lam", "0", "--n", "256,512"],
@@ -576,6 +714,29 @@ def test_grid_search_ties_go_to_the_largest_lambda(grid):
     largest = default_cv_grid()[-1] if grid is None else max(grid)
     assert grid_search_lambda(X, np.zeros(64), grid) == largest
     assert _reference_grid_search(X, np.zeros(64), grid) == largest
+
+
+@pytest.mark.parametrize("eigensolver", ["dsyevd", "eigh"])
+def test_grid_search_folds_get_the_eigh_bits(monkeypatch, eigensolver):
+    features, labels = sample_dataset(power_law_spectrum(PowerLawParams(2.0, 0.5, 300)),
+                                      120, 0.5, 4)
+    lam = grid_search_lambda(features, labels)
+    if eigensolver == "eigh":
+        monkeypatch.setattr(dataspec, "_dsyevd", lambda: None)
+    elif dataspec._dsyevd() is None:
+        pytest.skip("numpy's LAPACK has no scipy_dsyevd_64_")
+    same = []
+
+    def compared(block):
+        evals, evecs = np.linalg.eigh(block)
+        in_place = dataspec._eigh_overwrite(block)
+        same.append(in_place[0].tobytes() == evals.tobytes()
+                    and in_place[1].tobytes() == evecs.tobytes())
+        return in_place
+
+    monkeypatch.setattr(simulator, "_eigh_overwrite", compared)
+    assert grid_search_lambda(features, labels) == lam
+    assert same == [True] * 5
 
 
 def test_default_cv_grid_shape():
