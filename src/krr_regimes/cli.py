@@ -3,11 +3,11 @@
 Subcommands: theory, simulate, phase-diagram, estimate, fit-slope,
 optimal-lambda.  A JSON config file may supply any flag (flags given on the
 command line win); each value goes through the parser of its flag's text.
-Every command writes a run manifest next to its outputs; identical manifests
-reproduce the outputs byte-for-byte on the same numpy, scipy and BLAS build
-and CPU.  simulate's outputs do not depend on the BLAS thread count (its
-solves run OpenBLAS on one thread); estimate's do, because its
-eigendecomposition rounds differently at different thread counts.
+Every command but fit-slope writes a run manifest next to its outputs;
+identical manifests reproduce the outputs byte-for-byte on the same numpy,
+scipy and BLAS build and CPU.  simulate's outputs do not depend on the BLAS
+thread count (its solves run OpenBLAS on one thread); estimate's do, because
+its eigendecomposition rounds differently at different thread counts.
 
 main builds the parser tree once per process and reuses it for every call
 without config values, so repeated in-process calls do not pay for it

@@ -347,8 +347,8 @@ def ingest_binary_labels(data: np.ndarray, class_a_rows, class_b_rows,
     Noise is drawn in row order, so the result is reproducible for a given
     seed regardless of how the classes interleave.
     """
-    if sigma < 0:
-        raise InvalidParameterError(f"noise std must be >= 0, got {sigma}")
+    if not 0 <= sigma < math.inf:
+        raise InvalidParameterError(f"noise std must be finite and >= 0, got {sigma}")
     n = np.asarray(data).shape[0]
     a = np.asarray(sorted(class_a_rows), dtype=int)
     b = np.asarray(sorted(class_b_rows), dtype=int)

@@ -58,15 +58,16 @@ class RegimeLabel:
 
 
 def _check_point(alpha: float, r: float, sigma: float, n: float, lambda0: float) -> None:
-    """Reject a phase-diagram point outside the domain; NaN fails every comparison."""
-    if not alpha > 1:
-        raise InvalidParameterError(f"capacity exponent must be > 1, got {alpha}")
-    if not (r >= 0 and sigma >= 0):
-        raise InvalidParameterError("source exponent and noise std must be >= 0")
-    if not lambda0 > 0:
-        raise InvalidParameterError(f"lambda0 must be > 0, got {lambda0}")
-    if not n >= 1:
-        raise InvalidParameterError(f"sample count must be >= 1, got {n}")
+    """Reject a phase-diagram point outside the domain; NaN fails every comparison
+    and inf every upper bound."""
+    if not 1 < alpha < math.inf:
+        raise InvalidParameterError(f"capacity exponent must be finite and > 1, got {alpha}")
+    if not (0 <= r < math.inf and 0 <= sigma < math.inf):
+        raise InvalidParameterError("source exponent and noise std must be finite and >= 0")
+    if not 0 < lambda0 < math.inf:
+        raise InvalidParameterError(f"lambda0 must be finite and > 0, got {lambda0}")
+    if not 1 <= n < math.inf:
+        raise InvalidParameterError(f"sample count must be finite and >= 1, got {n}")
 
 
 def _msat(r: float) -> float:

@@ -141,12 +141,13 @@ class SimConfig:
     Per-trial randomness is derived from (master_seed, n, trial_index)
     through numpy's SeedSequence, so each trial is reproducible on its own
     and independent of execution order and of which of learning_curve's two
-    worker threads runs it.  A curve holds two n_max x p design buffers,
-    n_max the largest sample count, and one n x n system per worker (p x p
-    once n >= p).  The solves run OpenBLAS on one thread, so a curve's bytes
-    do not depend on the BLAS thread count either; where OpenBLAS offers no
-    per-thread setter (another BLAS, OpenBLAS < 0.3.27) nothing is pinned
-    and the Cholesky rounding still follows the thread count.
+    worker threads runs it.  A curve's trials borrow from one shared pair of
+    n_max x p design buffers, n_max the largest sample count, and each worker
+    holds one n x n system (p x p once n >= p).  The solves run OpenBLAS on
+    one thread, so a curve's bytes do not depend on the BLAS thread count
+    either; where OpenBLAS offers no per-thread setter (another BLAS,
+    OpenBLAS < 0.3.27) nothing is pinned and the Cholesky rounding still
+    follows the thread count.
     theory_spectrum, when given, is used for the attached closed-form column
     (the simulation spectrum may be truncated harder than the theory one);
     regime_params = (alpha, r), when given, lets rows carry a regime label.
@@ -354,22 +355,23 @@ def grid_search_lambda(features: np.ndarray, labels: np.ndarray,
 def learning_curve(config: SimConfig) -> LearningCurve:
     """Monte-Carlo learning curve with attached closed-form theory column.
 
-    Two worker threads run whole trials, taken in sorted-row, trial order:
-    each draws into its own one of two reused n_max x p float64 design
-    buffers, forms the labels, fits and scores the fit, and so holds one n x n
-    (or p x p) system at a time.  Fits start in trial order.  The whole curve
-    runs OpenBLAS on one thread (_one_blas_thread), so each core solves its
-    own trial and the Cholesky rounding does not follow the machine's thread
-    count.  The calling thread keeps the rest: on a cv row the worker drawing
-    trial 0 hands its design over and waits while the calling thread runs the
-    grid search; the calling thread also computes the theory column and the
-    regime label, and reduces the rows in sorted order, each row's trials in
-    trial order.  Trial failures are tolerated up to 10% per row, above which
-    the row's first failure is re-raised.  Any raise stops the workers before
-    it leaves: no queued trial starts, and a worker waiting for a ridge is
-    released.
+    A two-thread executor runs whole trials, submitted in sorted-row, trial
+    order: each trial borrows one of two shared n_max x p float64 design
+    buffers, draws into it, forms the labels, fits and scores the fit, so each
+    worker holds one n x n (or p x p) system at a time.  The whole curve runs
+    OpenBLAS on one thread (_one_blas_thread), so each core solves its own
+    trial and the Cholesky rounding does not follow the machine's thread
+    count.  The calling thread keeps the rest: on a cv row trial 0 hands its
+    design over and waits while the calling thread runs the grid search (run
+    in a worker, the search's temporaries would stay resident in that
+    thread's malloc arena); the calling thread also computes the theory
+    column and the regime label, and reduces the rows in sorted order, each
+    row's trials in trial order.  Trial failures are tolerated up to 10% per
+    row, above which the row's first failure is re-raised.  Any raise cancels
+    the queued trials and releases those waiting for a ridge before it leaves.
     """
-    from concurrent.futures import Future
+    import queue
+    from concurrent.futures import Future, ThreadPoolExecutor
 
     spectrum, sigma, trials = config.spectrum, config.sigma, config.trials
     theory_spec = config.theory_spectrum or spectrum
@@ -379,59 +381,44 @@ def learning_curve(config: SimConfig) -> LearningCurve:
     # Per cv row: trial 0's (features, labels), then the chosen ridge.
     designs = {row: Future() for row, lam in enumerate(lams) if lam is None}
     chosen = {row: Future() for row in designs}
-    outcomes = [Future() for _ in range(len(ns) * trials)]  # job i: row i // trials
-    # Fits start in job order, so a wrapped ridge_fit sees the calls of a one-thread loop.
-    fitting = [threading.Event() for _ in outcomes]
-    jobs, jobs_lock, stop = iter(range(len(outcomes))), threading.Lock(), threading.Event()
+    buffers = queue.SimpleQueue()
+    for _ in range(2):
+        buffers.put(np.empty((ns[-1], spectrum.p)))
 
-    def trial(i, buffer):
-        row, t = divmod(i, trials)
-        features = buffer[:ns[row]]
-        noise = _draw(scale, sigma, trial_seed(config.master_seed, ns[row], t), features)
-        labels = _labels(features, theta, sigma, noise)
-        lam = lams[row]
-        if lam is None:
-            if t == 0:
-                designs[row].set_result((features, labels))
-            lam = chosen[row].result()
-        if i > 0:
-            fitting[i - 1].wait()
-        fitting[i].set()
+    def trial(row, t):
+        buffer = buffers.get()
         try:
-            return excess_error_empirical(ridge_fit(features, labels, lam), spectrum)
-        except SolverError as err:
-            return err
-
-    def work(buffer):
-        while not stop.is_set():
-            with jobs_lock:
-                i = next(jobs, None)
-            if i is None:
-                return
+            features = buffer[:ns[row]]
+            noise = _draw(scale, sigma, trial_seed(config.master_seed, ns[row], t), features)
+            labels = _labels(features, theta, sigma, noise)
+            lam = lams[row]
+            if lam is None:
+                if t == 0:
+                    designs[row].set_result((features, labels))
+                lam = chosen[row].result()
             try:
-                outcomes[i].set_result(trial(i, buffer))
-            except BaseException as err:  # re-raised where the calling thread reads it
-                row, t = divmod(i, trials)
-                if t == 0 and row in designs and not designs[row].done():
-                    designs[row].set_exception(err)  # the search would wait for it
-                outcomes[i].set_exception(err)
-            finally:
-                fitting[i].set()
+                return excess_error_empirical(ridge_fit(features, labels, lam), spectrum)
+            except SolverError as err:
+                return err
+        except BaseException as err:  # re-raised where the calling thread reads it
+            if t == 0 and row in designs and not designs[row].done():
+                designs[row].set_exception(err)  # the search would wait for it
+            raise
+        finally:
+            buffers.put(buffer)
 
-    n_max = max(config.n_values, default=0)
-    workers = [threading.Thread(target=work, args=(np.empty((n_max, spectrum.p)),))
-               for _ in range(2)]
+    pool = ThreadPoolExecutor(2)
     rows = []
     try:
-        for worker in workers:
-            worker.start()
+        outcomes = [[pool.submit(trial, row, t) for t in range(trials)]
+                    for row in range(len(ns))]
         for row, n in enumerate(ns):
             lam = lams[row]
             if lam is None:
                 # One cross-validated regularization per row, chosen on trial 0.
                 lam = grid_search_lambda(*designs[row].result())
                 chosen[row].set_result(lam)
-            results = [outcomes[row * trials + t].result() for t in range(trials)]
+            results = [outcome.result() for outcome in outcomes[row]]
             failures = [o for o in results if isinstance(o, SolverError)]
             values = np.array([o for o in results if not isinstance(o, SolverError)], float)
             if len(failures) > 0.1 * trials or values.size == 0:
@@ -447,12 +434,9 @@ def learning_curve(config: SimConfig) -> LearningCurve:
                                  std_excess=std, trials=int(values.size),
                                  theory_excess=float(theory), regime=regime))
     finally:
-        stop.set()
         for future in chosen.values():
-            future.cancel()  # releases a worker waiting for a ridge never chosen
-        for worker in workers:
-            if worker.ident is not None:
-                worker.join()
+            future.cancel()  # releases a trial waiting for a ridge never chosen
+        pool.shutdown(cancel_futures=True)
     return LearningCurve(rows=tuple(rows))
 
 

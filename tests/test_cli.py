@@ -275,9 +275,11 @@ def test_phase_diagram_degenerate_grid(tmp_path):
     assert code == 0
     grid = _read_csv(tmp_path / "pd3_grid.csv")
     assert len(grid) == 2
-    # non-finite grid ends are rejected where they enter
+    # non-finite grid ends and point values are rejected where they enter
     for flag, value in (("--n-grid", "1,inf,5"), ("--n-grid", "nan,10,5"),
-                        ("--ell-grid", "0,inf,5"), ("--ell-grid", "-inf,1,5")):
+                        ("--ell-grid", "0,inf,5"), ("--ell-grid", "-inf,1,5"),
+                        ("--alpha", "inf"), ("--r", "inf"), ("--sigma", "inf"),
+                        ("--lambda0", "inf")):
         code = main(["phase-diagram", flag, value, "--out", str(tmp_path / "pd4")])
         assert code == 2, (flag, value)
     # and so are non-finite grid points given through --config
@@ -286,7 +288,7 @@ def test_phase_diagram_degenerate_grid(tmp_path):
         cfg.write_text(f'{{"{key}": {value}}}')
         code = main(["phase-diagram", "--config", str(cfg), "--out", str(tmp_path / "pd4")])
         assert code == 2, (key, value)
-    assert not (tmp_path / "pd4_grid.csv").exists()
+    assert not list(tmp_path.glob("pd4*"))
     code = main(["optimal-lambda", "--alpha", "2", "--r", "0.5", "--n", "100",
                  "--lam-grid", "nan,1,5", "--out", str(tmp_path / "opt.csv")])
     assert code == 2

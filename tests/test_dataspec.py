@@ -243,6 +243,9 @@ def test_ingest_binary_labels_errors():
         ingest_binary_labels(data, [0, 1], [1, 2], 0.0, 0)
     with pytest.raises(OverlapError):
         ingest_binary_labels(data, [0], [1], 0.0, 0)  # rows 2, 3 unlabeled
+    for sigma in (-0.1, math.nan, math.inf):
+        with pytest.raises(InvalidParameterError):
+            ingest_binary_labels(data, [0, 1], [2, 3], sigma, 0)
 
 
 def test_decomposition_and_tails_csv(tmp_path):

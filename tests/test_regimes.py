@@ -69,15 +69,18 @@ def test_classify_rejects_bad_query():
         RegimeQuery(alpha=1.0, r=0.5, sigma=0.1, ell=1.0, n=10)
     with pytest.raises(InvalidParameterError):
         RegimeQuery(alpha=2.0, r=0.5, sigma=0.1, ell=1.0, n=10, lambda0=0.0)
-    # NaN in any coordinate is rejected at both entry points; +-inf ell is legal
+    # NaN in any coordinate and inf in any but ell is rejected at both entry
+    # points; +-inf ell is legal
     point = dict(alpha=2.0, r=0.5, sigma=0.1, ell=1.0, n=10.0, lambda0=1.0)
     for key in point:
-        with pytest.raises(InvalidParameterError):
-            RegimeQuery(**{**point, key: math.nan})
+        for bad in (math.nan,) if key == "ell" else (math.nan, math.inf):
+            with pytest.raises(InvalidParameterError):
+                RegimeQuery(**{**point, key: bad})
     decay_args = dict(alpha=2.0, r=0.5, sigma=0.1, n=10.0)
     for key in decay_args:
-        with pytest.raises(InvalidParameterError):
-            optimal_decay(**{**decay_args, key: math.nan})
+        for bad in (math.nan, math.inf):
+            with pytest.raises(InvalidParameterError):
+                optimal_decay(**{**decay_args, key: bad})
     for ell in (math.inf, -math.inf):
         assert math.isfinite(classify(RegimeQuery(**{**point, "ell": ell})).exponent)
 

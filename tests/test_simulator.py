@@ -305,11 +305,13 @@ def test_learning_curve_errors_when_too_many_trials_fail(monkeypatch):
 def test_learning_curve_tolerates_one_failed_trial(monkeypatch):
     cfg = _config(spectrum=power_law_spectrum(PowerLawParams(2.0, 0.5, 200)),
                   n_values=(48,), sigma=0.3, trials=10)
+    # Trial 3 is recognized by its design: the workers fit in no fixed order.
+    _, trial_3_labels = _reference_sample(cfg.spectrum, 48, cfg.sigma, trial_seed(99, 48, 3))
     calls = []
 
     def fails_on_trial_3(features, labels, lam):
         calls.append(lam)
-        if len(calls) == 4:
+        if np.array_equal(labels, trial_3_labels):
             raise SingularSystemError("forced failure")
         return ridge_fit(features, labels, lam)
 
@@ -391,12 +393,16 @@ def test_learning_curve_leaves_no_thread_after_a_failing_trial(monkeypatch):
     _leaves_no_thread(_config(n_values=(32, 64), trials=3), RuntimeError)
 
 
-def test_learning_curve_leaves_no_thread_after_too_many_failures(monkeypatch):
+@pytest.mark.parametrize("schedule", [LamSchedule("fixed", lam=0.0), LamSchedule("cv")],
+                         ids=["fixed", "cv"])
+def test_learning_curve_leaves_no_thread_after_too_many_failures(monkeypatch, schedule):
+    # On cv, row 0's raise must release the later rows' trials that wait for their ridge.
     def fails(features, labels, lam):
         raise SingularSystemError("forced failure")
 
     monkeypatch.setattr(simulator, "ridge_fit", fails)
-    _leaves_no_thread(_config(n_values=(32, 64, 128), trials=4), SingularSystemError)
+    _leaves_no_thread(_config(n_values=(32, 64, 128), trials=4, lam_schedule=schedule),
+                      SingularSystemError)
 
 
 def test_learning_curve_leaves_no_thread_after_a_failing_search(monkeypatch):
