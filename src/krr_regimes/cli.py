@@ -4,10 +4,12 @@ Subcommands: theory, simulate, phase-diagram, estimate, fit-slope,
 optimal-lambda.  A JSON config file may supply any flag (flags given on the
 command line win); each value goes through the parser of its flag's text.
 Every command but fit-slope writes a run manifest next to its outputs;
-identical manifests reproduce the outputs byte-for-byte on the same numpy,
-scipy and BLAS build and CPU.  simulate's outputs do not depend on the BLAS
-thread count (its solves run OpenBLAS on one thread); estimate's do, because
-its eigendecomposition rounds differently at different thread counts.
+identical manifests reproduce the outputs byte-for-byte on the same numpy
+build, with the OpenBLAS it bundles, and CPU (simulate also needs the same
+scipy where numpy's LAPACK lacks the Cholesky routines and scipy's runs).
+simulate's outputs do not depend on the BLAS thread count (its solves run
+OpenBLAS on one thread); estimate's do, because its eigendecomposition
+rounds differently at different thread counts.
 
 main builds the parser tree once per process and reuses it for every call
 without config values, so repeated in-process calls do not pay for it
@@ -68,8 +70,8 @@ def _write_manifest(path, args, t0: float, outputs: list[str], seed: int | None 
                     **results) -> None:
     """Manifest of a finished command: its params (results recorded among them),
     seed and outputs.  They reproduce the outputs byte-for-byte on the same
-    numpy, scipy and BLAS build and CPU; estimate's outputs also need the same
-    BLAS thread count (see the module docstring)."""
+    numpy and BLAS build and CPU; estimate's outputs also need the same BLAS
+    thread count (see the module docstring)."""
     _write_json(path, {"command": args.command, "version": __version__,
                        "params": {**_params_of(args), **results}, "master_seed": seed,
                        "outputs": outputs, "wall_time_s": time.time() - t0})
@@ -120,6 +122,14 @@ def _int(value) -> int:
     if not (isinstance(number, float) and number.is_integer()):
         raise argparse.ArgumentTypeError(f"expected an integer, got {value!r}")
     return int(number)
+
+
+def _seed(value) -> int:
+    """A seed: an integer >= 0, as numpy's SeedSequence takes."""
+    seed = _int(value)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {value!r}")
+    return seed
 
 
 def _items(value) -> list:
@@ -397,7 +407,7 @@ def build_parser(supplied=()):
     p.add_argument("--theory-p", type=_int, default=None,
                    help="separate truncation for the theory column")
     p.add_argument("--trials", type=_int, default=100)
-    p.add_argument("--seed", type=_int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     # Deprecated no-op, hidden; kept so that manifests recording it still replay.
     p.add_argument("--workers", type=_int, default=None, help=argparse.SUPPRESS)
 
@@ -425,7 +435,7 @@ def build_parser(supplied=()):
                    "the decomposition needs about 24 bytes per row^2, so the default "
                    "implies about 1.5 GB of memory")
     p.add_argument("--subsample", type=_int, default=None)
-    p.add_argument("--seed", type=_int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--eigen-floor", type=float, default=1e-12)
     p.add_argument("--ell", type=float, default=1.0,
                    help="decay used for the regularized-regime exponent report")

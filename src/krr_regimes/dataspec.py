@@ -173,23 +173,38 @@ def _decompose(gram: np.ndarray, labels: np.ndarray, floor_rel: float) -> Featur
                                 floor=float(floor))
 
 
+_INT_P, _PTR = ctypes.POINTER(ctypes.c_int64), ctypes.c_void_p
+# Arguments of the LAPACK routines called through ctypes: the Fortran ones, then
+# the hidden lengths of the character arguments.
+_LAPACK_ARGS = {
+    # JOBZ, UPLO, N, A, LDA, W, WORK, LWORK, IWORK, LIWORK, INFO
+    "dsyevd": (ctypes.c_char_p, ctypes.c_char_p, _INT_P, _PTR, _INT_P, _PTR, _PTR, _INT_P,
+               _PTR, _INT_P, _INT_P, ctypes.c_size_t, ctypes.c_size_t),
+    # UPLO, N, A, LDA, INFO
+    "dpotrf": (ctypes.c_char_p, _INT_P, _PTR, _INT_P, _INT_P, ctypes.c_size_t),
+    # UPLO, N, NRHS, A, LDA, B, LDB, INFO
+    "dpotrs": (ctypes.c_char_p, _INT_P, _INT_P, _PTR, _INT_P, _PTR, _INT_P, _INT_P,
+               ctypes.c_size_t),
+}
+
+
 @functools.cache
-def _dsyevd():
-    """LAPACK dsyevd of the OpenBLAS that numpy.linalg runs (the ILP64 build that
-    numpy wheels bundle), or None where numpy links another LAPACK."""
+def _lapack(name: str):
+    """LAPACK routine name (a key of _LAPACK_ARGS) of the OpenBLAS that numpy.linalg
+    runs (the ILP64 build that numpy wheels bundle), or None where numpy links
+    another LAPACK."""
     try:
         from numpy.linalg import _umath_linalg
 
-        fn = ctypes.CDLL(_umath_linalg.__file__).scipy_dsyevd_64_
+        fn = getattr(ctypes.CDLL(_umath_linalg.__file__), f"scipy_{name}_64_")
     except (ImportError, OSError, AttributeError):
         return None
-    int_p, ptr = ctypes.POINTER(ctypes.c_int64), ctypes.c_void_p
-    # JOBZ, UPLO, N, A, LDA, W, WORK, LWORK, IWORK, LIWORK, INFO, then the
-    # hidden lengths of the two character arguments.
-    fn.argtypes = (ctypes.c_char_p, ctypes.c_char_p, int_p, ptr, int_p, ptr, ptr, int_p,
-                   ptr, int_p, int_p, ctypes.c_size_t, ctypes.c_size_t)
-    fn.restype = None
+    fn.argtypes, fn.restype = _LAPACK_ARGS[name], None
     return fn
+
+
+def _dsyevd():
+    return _lapack("dsyevd")
 
 
 def _eigh_overwrite(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

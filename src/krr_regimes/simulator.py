@@ -9,6 +9,7 @@ form against the known teacher, which removes test-set sampling noise.
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import math
 import threading
@@ -17,7 +18,7 @@ from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
-from .dataspec import _eigh_overwrite, fit_loglog_slope
+from .dataspec import _eigh_overwrite, _lapack, fit_loglog_slope
 from .errors import (
     DegenerateWindowError,
     InvalidParameterError,
@@ -31,9 +32,10 @@ from .theory import excess_error_closed
 
 _JITTER_REL = 1e-12
 
-# Extension modules whose OpenBLAS runs the Monte Carlo solves: numpy's (Gram
-# and label products) and scipy's (Cholesky).  Wheels bundle one each.
-_BLAS_MODULES = ("numpy._core._multiarray_umath", "scipy.linalg._flapack")
+# Extension module whose OpenBLAS runs the Monte Carlo solves: the Gram and label
+# products and, through _lapack, the Cholesky.  The scipy fallback of
+# _cholesky_solve runs scipy's own OpenBLAS, which is not pinned.
+_BLAS_MODULES = ("numpy._core._multiarray_umath",)
 _blas_lock = threading.Lock()
 _blas_depth = 0  # open _one_blas_thread blocks, over all threads
 _blas_saved = ()  # (setter, count before the outermost block) pairs
@@ -43,7 +45,6 @@ def _find_setters(modules) -> tuple:
     """openblas_set_num_threads_local of the OpenBLAS each module links, one per
     library (two handles on one shared library give one setter); a module without
     the symbol (another BLAS, OpenBLAS < 0.3.27, another loader) gives none."""
-    import ctypes
     import importlib
 
     found = {}
@@ -68,11 +69,13 @@ def _one_blas_thread():
     """Run OpenBLAS on one thread inside the block, then restore the earlier counts.
 
     One thread makes the Cholesky rounding independent of the machine's thread
-    count and lets each core solve its own trial (see learning_curve).  A pthreads
-    OpenBLAS (the one numpy and scipy wheels bundle) applies the count to the
-    whole process, and so to calls from every thread, so blocks are counted: the
-    first to open sets 1 thread and the last to close restores, in reverse order.
-    Without a setter this does nothing.
+    count and lets each core solve its own trial (see learning_curve).  It pins
+    numpy's OpenBLAS, which runs the products and the Cholesky; the scipy
+    fallback on builds whose numpy LAPACK lacks the Cholesky symbols runs
+    unpinned.  A pthreads OpenBLAS (the one numpy wheels bundle) applies the
+    count to the whole process, and so to calls from every thread, so blocks are
+    counted: the first to open sets 1 thread and the last to close restores, in
+    reverse order.  Without a setter this does nothing.
     """
     global _blas_depth, _blas_saved
     with _blas_lock:
@@ -146,8 +149,8 @@ class SimConfig:
     holds one n x n system (p x p once n >= p).  The solves run OpenBLAS on
     one thread, so a curve's bytes do not depend on the BLAS thread count
     either; where OpenBLAS offers no per-thread setter (another BLAS,
-    OpenBLAS < 0.3.27) nothing is pinned and the Cholesky rounding still
-    follows the thread count.
+    OpenBLAS < 0.3.27), or where the Cholesky falls back to scipy's, the
+    Cholesky is not pinned and its rounding still follows the thread count.
     theory_spectrum, when given, is used for the attached closed-form column
     (the simulation spectrum may be truncated harder than the theory one);
     regime_params = (alpha, r), when given, lets rows carry a regime label.
@@ -238,6 +241,36 @@ def sample_dataset(spectrum: Spectrum, n: int, sigma: float, seed):
     return features, _labels(features, np.sqrt(spectrum.teacher_sq), sigma, noise)
 
 
+def _cholesky_solve(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve a x = rhs for a symmetric, Fortran-ordered float64 a, factored in its
+    own buffer; raises LinAlgError where a is not positive definite.
+
+    dpotrf('U') then dpotrs('U') on a copy of rhs, from numpy's OpenBLAS: the
+    calls of scipy's cho_factor(a, overwrite_a=True) and cho_solve, which run
+    instead where numpy's LAPACK lacks the symbols.
+    """
+    dpotrf, dpotrs = _lapack("dpotrf"), _lapack("dpotrs")
+    if dpotrf is None or dpotrs is None:
+        import scipy.linalg
+
+        factor = scipy.linalg.cho_factor(a, overwrite_a=True, check_finite=False)
+        return scipy.linalg.cho_solve(factor, rhs, check_finite=False)
+    x = np.array(rhs, dtype=np.float64, order="F")
+    if not (a.dtype == np.float64 and a.flags.f_contiguous and a.flags.writeable
+            and a.ndim == 2 and a.shape[0] == a.shape[1] and x.ndim in (1, 2)
+            and x.shape[0] == a.shape[0]):
+        raise ValueError("Cholesky solve needs a square, writeable, Fortran-ordered "
+                         "float64 matrix and a matching right-hand side")
+    n, info = ctypes.c_int64(a.shape[0]), ctypes.c_int64(0)
+    dpotrf(b"U", ctypes.byref(n), a.ctypes.data, ctypes.byref(n), ctypes.byref(info), 1)
+    if info.value != 0:
+        raise np.linalg.LinAlgError(f"{info.value}-th leading minor not positive definite")
+    nrhs = ctypes.c_int64(x.size // a.shape[0])
+    dpotrs(b"U", ctypes.byref(n), ctypes.byref(nrhs), a.ctypes.data, ctypes.byref(n),
+           x.ctypes.data, ctypes.byref(n), ctypes.byref(info), 1)
+    return x
+
+
 def _solve_psd(mat: np.ndarray, rhs: np.ndarray, lam_is_zero: bool) -> np.ndarray:
     """Cholesky solve with a trace-scaled jitter retry in the ridgeless case.
 
@@ -245,16 +278,12 @@ def _solve_psd(mat: np.ndarray, rhs: np.ndarray, lam_is_zero: bool) -> np.ndarra
     buffer.  mat.T is that buffer in Fortran order and the same matrix, so the
     factor has the bits of one computed on a copy.  The factor overwrites mat's
     lower triangle; the retry rebuilds mat from the strict upper triangle and
-    the saved diagonal, then factors mat + jitter * I as a copy.
+    the saved diagonal, then factors mat + jitter * I, a fresh matrix.
     """
-    # Imported on first use: commands without a solve start without scipy.linalg.
-    import scipy.linalg
-
     diagonal = mat.diagonal().copy()
     try:
-        c = scipy.linalg.cho_factor(mat.T, overwrite_a=True, check_finite=False)
-        return scipy.linalg.cho_solve(c, rhs, check_finite=False)
-    except scipy.linalg.LinAlgError:
+        return _cholesky_solve(mat.T, rhs)
+    except np.linalg.LinAlgError:
         if not lam_is_zero:
             raise SingularSystemError("ridge system is numerically singular")
     for i in range(1, mat.shape[0]):
@@ -262,9 +291,8 @@ def _solve_psd(mat: np.ndarray, rhs: np.ndarray, lam_is_zero: bool) -> np.ndarra
     mat[np.diag_indices_from(mat)] = diagonal
     jitter = _JITTER_REL * np.trace(mat) / mat.shape[0]
     try:
-        c = scipy.linalg.cho_factor(mat + jitter * np.eye(mat.shape[0]), check_finite=False)
-        return scipy.linalg.cho_solve(c, rhs, check_finite=False)
-    except scipy.linalg.LinAlgError as err:
+        return _cholesky_solve((mat + jitter * np.eye(mat.shape[0])).T, rhs)
+    except np.linalg.LinAlgError as err:
         raise SingularSystemError(
             "Gram matrix singular beyond the configured jitter"
         ) from err

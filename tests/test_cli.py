@@ -777,6 +777,9 @@ _SAME_VALUE_CASES = [
     # switch
     ("optimal-lambda", "include_zero", ["--no-include-zero"], False, 0),
     ("optimal-lambda", "include_zero", None, "false", 2),
+    # seed, an integer >= 0
+    ("simulate", "seed", ["--seed", "-1"], -1, 2),
+    ("estimate", "seed", ["--seed", "-3"], -3, 2),
 ]
 
 

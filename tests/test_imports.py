@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import krr_regimes
+from krr_regimes import dataspec
 from krr_regimes.simulator import sample_dataset
 from krr_regimes.spectrum import PowerLawParams, power_law_spectrum
 
@@ -118,4 +119,19 @@ def test_phase_diagram_and_fit_slope_load_no_scipy(tmp_path):
 def test_theory_commands_load_no_scipy(tmp_path, argv):
     modules = _loaded_by([*argv, "--out", "t.csv"], tmp_path)
     assert "krr_regimes.theory" in modules
+    assert _scipy(modules) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["--lam", "0", "--n", "16,32"],
+    ["--cv", "--sigma", "0.5", "--n", "16,32"],
+    ["--ell", "1", "--sigma", "0.5", "--n", "32,64"],  # n = 64 > p: the normal equations
+], ids=["ridgeless", "cv", "n-at-least-p"])
+def test_simulate_loads_no_scipy(tmp_path, argv):
+    # The Cholesky runs numpy's bundled OpenBLAS; scipy's is only the fallback.
+    if dataspec._lapack("dpotrf") is None or dataspec._lapack("dpotrs") is None:
+        pytest.skip("numpy's LAPACK lacks the Cholesky symbols: simulate falls back to scipy")
+    modules = _loaded_by(["simulate", "--alpha", "2", "--r", "0.5", "--p", "40", "--trials",
+                          "2", *argv, "--out", "s.csv"], tmp_path)
+    assert "krr_regimes.simulator" in modules
     assert _scipy(modules) == []

@@ -1,4 +1,5 @@
 import dis
+import faulthandler
 import math
 import os
 import subprocess
@@ -125,8 +126,8 @@ def test_ridge_fit_rejects_negative_lambda():
 
 
 def _solve_by_copy(mat, rhs):
-    """The ridgeless solve on a copy of mat, jitter retry included: the reference
-    for the in-place factorization."""
+    """The ridgeless solve on a copy of mat, jitter retry included, by scipy: the
+    reference for the in-place factorization."""
     import scipy.linalg
 
     try:
@@ -138,32 +139,71 @@ def _solve_by_copy(mat, rhs):
     return scipy.linalg.cho_solve(factor, rhs, check_finite=False)
 
 
-@pytest.mark.parametrize("zero_row", [False, True], ids=["direct", "jitter-retry"])
-def test_in_place_solve_has_the_copy_solve_bits(monkeypatch, zero_row):
-    import scipy.linalg
-
+def _psd_system(zero_row):
     features = np.random.default_rng(5).standard_normal((200, 300))
     if zero_row:
         features[57] = 0.0  # a zero pivot: the first factorization fails
-    gram, rhs = features @ features.T, features[:, 0].copy()
-    with simulator._one_blas_thread():  # n = 200: OpenBLAS would thread the factorization
+    return features @ features.T, features[:, 0].copy()
+
+
+def _pin_scipy_blas_too(monkeypatch):
+    """Make _one_blas_thread pin scipy's OpenBLAS as well as numpy's, for solves
+    that run scipy's LAPACK; at n = 200 OpenBLAS would thread the factorization."""
+    scipy_setters = simulator._find_setters(("scipy.linalg._flapack",))
+    if not scipy_setters:
+        pytest.skip("no OpenBLAS per-thread setter found in scipy: its solve cannot be pinned")
+    setters = (*simulator._blas_setters(), *scipy_setters)
+    monkeypatch.setattr(simulator, "_blas_setters", lambda: setters)
+
+
+@pytest.mark.parametrize("zero_row", [False, True], ids=["direct", "jitter-retry"])
+def test_in_place_solve_has_the_copy_solve_bits(monkeypatch, zero_row):
+    dpotrf = dataspec._lapack("dpotrf")
+    if dpotrf is None or dataspec._lapack("dpotrs") is None:
+        pytest.skip("numpy's LAPACK lacks the Cholesky symbols: scipy's solve is the only path")
+    _pin_scipy_blas_too(monkeypatch)
+    gram, rhs = _psd_system(zero_row)
+    with simulator._one_blas_thread():
         expected = _solve_by_copy(gram.copy(), rhs)
-    passed, returned, cho_factor = [], [], scipy.linalg.cho_factor
+    start, factored = gram.ctypes.data, []
 
-    def recording(a, **kwargs):
-        passed.append(np.shares_memory(a, gram))
-        factor = cho_factor(a, **kwargs)
-        returned.append(np.shares_memory(factor[0], gram))
-        return factor
+    def recording(uplo, n, a, *rest):
+        factored.append(a - start if 0 <= a - start < gram.nbytes else None)
+        dpotrf(uplo, n, a, *rest)
 
-    monkeypatch.setattr(scipy.linalg, "cho_factor", recording)
+    monkeypatch.setattr(simulator, "_lapack",
+                        lambda name: recording if name == "dpotrf" else dataspec._lapack(name))
     with simulator._one_blas_thread():
         solution = simulator._solve_psd(gram, rhs, lam_is_zero=True)
     assert solution.tobytes() == expected.tobytes()
     # The first factorization runs in gram's buffer, with no copy; the retry
     # factors a fresh matrix.
-    assert passed == ([True, False] if zero_row else [True])
-    assert returned == [not zero_row]
+    assert factored == ([0, None] if zero_row else [0])
+
+
+@pytest.mark.parametrize("zero_row", [False, True], ids=["direct", "jitter-retry"])
+def test_scipy_fallback_solve_has_the_main_path_bits(monkeypatch, zero_row):
+    # Where numpy's LAPACK lacks dpotrf and dpotrs, scipy's Cholesky runs instead.
+    import scipy.linalg
+
+    if dataspec._lapack("dpotrf") is None or dataspec._lapack("dpotrs") is None:
+        pytest.skip("numpy's LAPACK lacks the Cholesky symbols: the fallback is the only path")
+    _pin_scipy_blas_too(monkeypatch)
+    gram, rhs = _psd_system(zero_row)
+    with simulator._one_blas_thread():
+        expected = simulator._solve_psd(gram.copy(), rhs, lam_is_zero=True)
+    factored, cho_factor = [], scipy.linalg.cho_factor
+
+    def recording(a, **kwargs):
+        factored.append(np.shares_memory(a, gram))
+        return cho_factor(a, **kwargs)
+
+    monkeypatch.setattr(simulator, "_lapack", lambda name: None)
+    monkeypatch.setattr(scipy.linalg, "cho_factor", recording)
+    with simulator._one_blas_thread():
+        solution = simulator._solve_psd(gram, rhs, lam_is_zero=True)
+    assert solution.tobytes() == expected.tobytes()
+    assert factored == ([True, False] if zero_row else [True])
 
 
 def test_excess_empirical_teacher_and_null():
@@ -354,24 +394,31 @@ def test_learning_curve_draws_and_fits_on_two_worker_threads(monkeypatch, schedu
     assert all(seen.values())
 
 
+@pytest.fixture
+def exit_on_hang(capsys):
+    """Within the test, a hang past 120 s ends the test process with every
+    thread's stack on stderr and status 1.  A hung learning curve waits in its
+    executor's shutdown, and the executor's workers are not daemon threads, so
+    the interpreter would not exit either."""
+    with capsys.disabled():
+        stderr = os.dup(2)  # the terminal's stderr, which the capture replaces
+    faulthandler.dump_traceback_later(120, exit=True, file=stderr)
+    try:
+        yield
+    finally:
+        faulthandler.cancel_dump_traceback_later()
+        os.close(stderr)
+
+
 def _leaves_no_thread(cfg, error):
-    """learning_curve(cfg) raises error within a time limit and leaves no thread."""
-    before, raised = threading.enumerate(), []
-
-    def run():
-        try:
-            learning_curve(cfg)
-        except error as err:
-            raised.append(err)
-
-    runner = threading.Thread(target=run, daemon=True)  # a hung curve must not block exit
-    runner.start()
-    runner.join(120)
-    assert not runner.is_alive() and len(raised) == 1
+    """learning_curve(cfg) raises error and leaves no thread; run it under exit_on_hang."""
+    before = threading.enumerate()
+    with pytest.raises(error):
+        learning_curve(cfg)
     assert threading.enumerate() == before
 
 
-def test_learning_curve_leaves_no_thread_after_a_failing_draw(monkeypatch):
+def test_learning_curve_leaves_no_thread_after_a_failing_draw(monkeypatch, exit_on_hang):
     # Trial 0 of a cv row fails before it can hand its design to the search.
     def breaks(*args):
         raise RuntimeError("forced draw failure")
@@ -380,7 +427,7 @@ def test_learning_curve_leaves_no_thread_after_a_failing_draw(monkeypatch):
     _leaves_no_thread(_config(trials=3, lam_schedule=LamSchedule("cv")), RuntimeError)
 
 
-def test_learning_curve_leaves_no_thread_after_a_failing_trial(monkeypatch):
+def test_learning_curve_leaves_no_thread_after_a_failing_trial(monkeypatch, exit_on_hang):
     calls = []
 
     def breaks_on_trial_2(features, labels, lam):
@@ -395,7 +442,8 @@ def test_learning_curve_leaves_no_thread_after_a_failing_trial(monkeypatch):
 
 @pytest.mark.parametrize("schedule", [LamSchedule("fixed", lam=0.0), LamSchedule("cv")],
                          ids=["fixed", "cv"])
-def test_learning_curve_leaves_no_thread_after_too_many_failures(monkeypatch, schedule):
+def test_learning_curve_leaves_no_thread_after_too_many_failures(monkeypatch, schedule,
+                                                                 exit_on_hang):
     # On cv, row 0's raise must release the later rows' trials that wait for their ridge.
     def fails(features, labels, lam):
         raise SingularSystemError("forced failure")
@@ -405,7 +453,7 @@ def test_learning_curve_leaves_no_thread_after_too_many_failures(monkeypatch, sc
                       SingularSystemError)
 
 
-def test_learning_curve_leaves_no_thread_after_a_failing_search(monkeypatch):
+def test_learning_curve_leaves_no_thread_after_a_failing_search(monkeypatch, exit_on_hang):
     # The search of row 2 raises while workers wait for its ridge.
     rows = []
 
