@@ -14,8 +14,9 @@ rounds differently at different thread counts.
 main builds the parser tree once per process and reuses it for every call
 without config values, so repeated in-process calls do not pay for it
 again; a call whose --config file holds values gets a tree of its own,
-because those values become that tree's defaults.  Parsed grids are read-only arrays, so no call can
-change a default grid that the next one parses.
+because those values become that tree's defaults.  Parsed grids are
+read-only arrays, so no call can change a default grid that the next one
+parses.
 
 Exit codes: 0 success, 2 usage, 3 numerical failure, 4 data/schema problem.
 """
@@ -99,12 +100,11 @@ def _plain(value):
     return value
 
 
-def _outpath(args, name: str) -> str:
-    """--out, or name, placed in the output directory unless it names a directory."""
-    base = args.out if args.out else name
-    if os.path.dirname(base):
-        return base
-    return os.path.join(os.environ.get(OUTDIR_ENV, "."), base)
+def _outpath(path: str) -> str:
+    """An output path as given, or in the output directory if it names no directory."""
+    if os.path.dirname(path):
+        return path
+    return os.path.join(os.environ.get(OUTDIR_ENV, "."), path)
 
 
 def _int(value) -> int:
@@ -207,7 +207,7 @@ def cmd_theory(args) -> int:
         label = schedule.label(args.alpha, args.r, args.sigma, n, lam)
         rows.append([n, lam, dec.sample_variance, dec.noise_variance, dec.total,
                      label.region.value, label.exponent])
-    out = _outpath(args, "theory_curve.csv")
+    out = _outpath(args.out or "theory_curve.csv")
     write_table(out, ["n", "lambda", "sample_variance", "noise_variance",
                       "excess", "region", "exponent"], rows)
     _write_manifest(out + ".manifest.json", args, t0, [out])
@@ -228,7 +228,7 @@ def cmd_simulate(args) -> int:
     if args.workers is not None:
         print("warning: --workers is deprecated and has no effect", file=sys.stderr)
     curve = learning_curve(config)
-    out = _outpath(args, "learning_curve.csv")
+    out = _outpath(args.out or "learning_curve.csv")
     curve.to_csv(out)
     _write_manifest(out + ".manifest.json", args, t0, [out], seed=args.seed)
     print(out)
@@ -239,7 +239,7 @@ def cmd_phase_diagram(args) -> int:
     t0 = time.time()
     diagram = phase_diagram(args.alpha, args.r, args.sigma, args.lambda0,
                             args.n_grid, args.ell_grid)
-    base = _outpath(args, "phase_diagram")
+    base = _outpath(args.out or "phase_diagram")
     grid_out = base + "_grid.csv"
     lines_out = base + "_lines.csv"
     write_phase_diagram_csv(diagram, grid_out)
@@ -306,15 +306,15 @@ def cmd_estimate(args) -> int:
             "optimal_decay_ell": ell_star,
         },
     }
-    base = _outpath(args, "estimate")
+    base = _outpath(args.out or "estimate")
     json_out = base + "_estimate.json"
     tails_out = base + "_tails.csv"
     _write_json(json_out, report)
     tails_to_csv(cap_tail, src_tail, tails_out)
     outputs = [json_out, tails_out]
     if args.decomposition_out:
-        dec.to_csv(args.decomposition_out)
-        outputs.append(args.decomposition_out)
+        outputs.append(_outpath(args.decomposition_out))
+        dec.to_csv(outputs[-1])
     _write_manifest(base + ".manifest.json", args, t0, outputs, seed=args.seed)
     print(_json_text(report))
     return 0
@@ -327,7 +327,7 @@ def cmd_fit_slope(args) -> int:
     report = {"slope": slope, "stderr": stderr, "window": [lo, hi],
               "points": hi - lo + 1}
     if args.out:
-        _write_json(_outpath(args, "slope.json"), report)
+        _write_json(_outpath(args.out), report)
     print(_json_text(report))
     return 0
 
@@ -341,7 +341,7 @@ def cmd_optimal_lambda(args) -> int:
         lam_star, excess_star = optimal_lambda(n, args.sigma, spectrum, grid)
         decay = optimal_decay(args.alpha, args.r, args.sigma, float(n))
         rows.append([n, lam_star, excess_star, decay.zone])
-    out = _outpath(args, "optimal_lambda.csv")
+    out = _outpath(args.out or "optimal_lambda.csv")
     write_table(out, ["n", "lam_star", "excess_star", "zone"], rows)
     _write_manifest(out + ".manifest.json", args, t0, [out])
     print(out)

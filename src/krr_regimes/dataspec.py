@@ -203,10 +203,6 @@ def _lapack(name: str):
     return fn
 
 
-def _dsyevd():
-    return _lapack("dsyevd")
-
-
 def _eigh_overwrite(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """np.linalg.eigh(a) of a symmetric, C-contiguous float64 matrix, computed in
     a's buffer, which then holds the eigenvectors.
@@ -216,7 +212,7 @@ def _eigh_overwrite(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     same call on a's buffer gives the same bits without the copy and the
     separate eigenvector output.  Without the symbol it calls eigh.
     """
-    dsyevd = _dsyevd()
+    dsyevd = _lapack("dsyevd")
     if dsyevd is None:
         return np.linalg.eigh(a)
     if not (a.dtype == np.float64 and a.flags.c_contiguous and a.flags.writeable

@@ -146,11 +146,14 @@ class SimConfig:
     and independent of execution order and of which of learning_curve's two
     worker threads runs it.  A curve's trials borrow from one shared pair of
     n_max x p design buffers, n_max the largest sample count, and each worker
-    holds one n x n system (p x p once n >= p).  The solves run OpenBLAS on
-    one thread, so a curve's bytes do not depend on the BLAS thread count
-    either; where OpenBLAS offers no per-thread setter (another BLAS,
-    OpenBLAS < 0.3.27), or where the Cholesky falls back to scipy's, the
-    Cholesky is not pinned and its rounding still follows the thread count.
+    holds one n x n system (p x p once n >= p).  A cv row's grid search
+    borrows one of the pair on the calling thread and draws trial 0's design
+    into it from trial 0's seed; no worker waits on the search.  The solves
+    run OpenBLAS on one thread, so a curve's bytes do not depend on the BLAS
+    thread count either; where OpenBLAS offers no per-thread setter (another
+    BLAS, OpenBLAS < 0.3.27), or where the Cholesky falls back to scipy's,
+    the Cholesky is not pinned and its rounding still follows the thread
+    count.
     theory_spectrum, when given, is used for the attached closed-form column
     (the simulation spectrum may be truncated harder than the theory one);
     regime_params = (alpha, r), when given, lets rows carry a regime label.
@@ -389,64 +392,58 @@ def learning_curve(config: SimConfig) -> LearningCurve:
     worker holds one n x n (or p x p) system at a time.  The whole curve runs
     OpenBLAS on one thread (_one_blas_thread), so each core solves its own
     trial and the Cholesky rounding does not follow the machine's thread
-    count.  The calling thread keeps the rest: on a cv row trial 0 hands its
-    design over and waits while the calling thread runs the grid search (run
-    in a worker, the search's temporaries would stay resident in that
-    thread's malloc arena); the calling thread also computes the theory
-    column and the regime label, and reduces the rows in sorted order, each
-    row's trials in trial order.  Trial failures are tolerated up to 10% per
-    row, above which the row's first failure is re-raised.  Any raise cancels
-    the queued trials and releases those waiting for a ridge before it leaves.
+    count.  The calling thread resolves each row's ridge before it submits the
+    row's trials, so no worker waits on it: on a cv row it borrows a buffer,
+    draws trial 0's design into it and runs the grid search there (run in a
+    worker, the search's temporaries would stay resident in that thread's
+    malloc arena); trial 0 then draws the same design again, about 140 ms of
+    one core over a p = 4000, n = 32..1024 curve.  The calling thread also
+    computes the theory column and the regime label, and reduces the rows in
+    sorted order, each row's trials in trial order, once every row's trials
+    are submitted.  Trial failures are tolerated up to 10% per row, above
+    which the row's first failure is re-raised.  Any raise cancels the queued
+    trials before it leaves.
     """
     import queue
-    from concurrent.futures import Future, ThreadPoolExecutor
+    from concurrent.futures import ThreadPoolExecutor
 
     spectrum, sigma, trials = config.spectrum, config.sigma, config.trials
     theory_spec = config.theory_spectrum or spectrum
     scale, theta = np.sqrt(spectrum.eigenvalues), np.sqrt(spectrum.teacher_sq)
     ns = sorted(config.n_values)
-    lams = [config.lam_schedule.lam_at(n) for n in ns]  # None on a cv row
-    # Per cv row: trial 0's (features, labels), then the chosen ridge.
-    designs = {row: Future() for row, lam in enumerate(lams) if lam is None}
-    chosen = {row: Future() for row in designs}
     buffers = queue.SimpleQueue()
     for _ in range(2):
         buffers.put(np.empty((ns[-1], spectrum.p)))
 
-    def trial(row, t):
+    def design(buffer, n, t):
+        features = buffer[:n]
+        noise = _draw(scale, sigma, trial_seed(config.master_seed, n, t), features)
+        return features, _labels(features, theta, sigma, noise)
+
+    def trial(n, t, lam):
         buffer = buffers.get()
         try:
-            features = buffer[:ns[row]]
-            noise = _draw(scale, sigma, trial_seed(config.master_seed, ns[row], t), features)
-            labels = _labels(features, theta, sigma, noise)
-            lam = lams[row]
-            if lam is None:
-                if t == 0:
-                    designs[row].set_result((features, labels))
-                lam = chosen[row].result()
-            try:
-                return excess_error_empirical(ridge_fit(features, labels, lam), spectrum)
-            except SolverError as err:
-                return err
-        except BaseException as err:  # re-raised where the calling thread reads it
-            if t == 0 and row in designs and not designs[row].done():
-                designs[row].set_exception(err)  # the search would wait for it
-            raise
+            return excess_error_empirical(ridge_fit(*design(buffer, n, t), lam), spectrum)
+        except SolverError as err:
+            return err
         finally:
             buffers.put(buffer)
 
     pool = ThreadPoolExecutor(2)
-    rows = []
+    submitted, rows = [], []
     try:
-        outcomes = [[pool.submit(trial, row, t) for t in range(trials)]
-                    for row in range(len(ns))]
-        for row, n in enumerate(ns):
-            lam = lams[row]
+        for n in ns:
+            lam = config.lam_schedule.lam_at(n)
             if lam is None:
                 # One cross-validated regularization per row, chosen on trial 0.
-                lam = grid_search_lambda(*designs[row].result())
-                chosen[row].set_result(lam)
-            results = [outcome.result() for outcome in outcomes[row]]
+                buffer = buffers.get()
+                try:
+                    lam = grid_search_lambda(*design(buffer, n, 0))
+                finally:
+                    buffers.put(buffer)
+            submitted.append((n, lam, [pool.submit(trial, n, t, lam) for t in range(trials)]))
+        for n, lam, outcomes in submitted:
+            results = [outcome.result() for outcome in outcomes]
             failures = [o for o in results if isinstance(o, SolverError)]
             values = np.array([o for o in results if not isinstance(o, SolverError)], float)
             if len(failures) > 0.1 * trials or values.size == 0:
@@ -462,8 +459,6 @@ def learning_curve(config: SimConfig) -> LearningCurve:
                                  std_excess=std, trials=int(values.size),
                                  theory_excess=float(theory), regime=regime))
     finally:
-        for future in chosen.values():
-            future.cancel()  # releases a trial waiting for a ridge never chosen
         pool.shutdown(cancel_futures=True)
     return LearningCurve(rows=tuple(rows))
 

@@ -602,6 +602,22 @@ def test_outdir_env_var(tmp_path, monkeypatch):
     assert (tmp_path / "theory_curve.csv").exists()
 
 
+def test_outdir_env_var_places_the_decomposition_output_too(tmp_path, monkeypatch):
+    data = tmp_path / "data.csv"
+    _planted_csv(data, n_tot=80, p=30)
+    outdir = tmp_path / "outdir"
+    outdir.mkdir()
+    monkeypatch.setenv("KRR_REGIMES_OUTDIR", str(outdir))
+    monkeypatch.chdir(tmp_path)
+    assert main(["estimate", str(data), "--kernel", "linear", "--gamma", "1",
+                 "--decomposition-out", "dec.csv"]) == 0
+    assert not (tmp_path / "dec.csv").exists()
+    manifest = json.loads((outdir / "estimate.manifest.json").read_text())
+    assert manifest["outputs"] == [str(outdir / name) for name in
+                                   ("estimate_estimate.json", "estimate_tails.csv", "dec.csv")]
+    assert all(os.path.isfile(output) for output in manifest["outputs"])
+
+
 def test_manifest_contents(tmp_path):
     out = tmp_path / "t.csv"
     main(["theory", "--alpha", "2", "--r", "0.5", "--lam", "0", "--p", "500",

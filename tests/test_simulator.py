@@ -324,7 +324,23 @@ def test_learning_curve_schedules_and_labels():
     assert all(r.regime for r in curve.rows)
 
 
-def test_learning_curve_errors_when_too_many_trials_fail(monkeypatch):
+@pytest.fixture
+def exit_on_hang(capsys):
+    """Within the test, a hang past 120 s ends the test process with every
+    thread's stack on stderr and status 1.  A hung learning curve waits in its
+    executor's shutdown, and the executor's workers are not daemon threads, so
+    the interpreter would not exit either."""
+    with capsys.disabled():
+        stderr = os.dup(2)  # the terminal's stderr, which the capture replaces
+    faulthandler.dump_traceback_later(120, exit=True, file=stderr)
+    try:
+        yield
+    finally:
+        faulthandler.cancel_dump_traceback_later()
+        os.close(stderr)
+
+
+def test_learning_curve_errors_when_too_many_trials_fail(monkeypatch, exit_on_hang):
     calls = {"i": 0}
 
     def flaky(features, labels, lam):
@@ -362,11 +378,11 @@ def test_learning_curve_tolerates_one_failed_trial(monkeypatch):
 
 
 def _record_threads(monkeypatch, names) -> dict:
-    """Patch each simulator function in names to record the threads it runs on."""
-    seen = {name: set() for name in names}
+    """Patch each simulator function in names to record the thread of each call."""
+    seen = {name: [] for name in names}
     for name in names:
         def recording(*args, name=name, original=getattr(simulator, name)):
-            seen[name].add(threading.get_ident())
+            seen[name].append(threading.get_ident())
             return original(*args)
 
         monkeypatch.setattr(simulator, name, recording)
@@ -379,35 +395,43 @@ def test_learning_curve_searches_and_labels_on_the_calling_thread(monkeypatch):
     curve = learning_curve(_config(n_values=(32, 64), trials=3, lam_schedule=LamSchedule("cv"),
                                    regime_params=(2.0, 0.5)))
     assert [row.trials for row in curve.rows] == [3, 3]
-    assert all(seen[name] == {threading.get_ident()} for name in seen), seen
+    assert all(set(seen[name]) == {threading.get_ident()} for name in seen), seen
 
 
 @pytest.mark.parametrize("schedule", [LamSchedule("fixed", lam=1e-3), LamSchedule("cv")],
                          ids=["fixed", "cv"])
 @pytest.mark.parametrize("trials", [1, 3])
 def test_learning_curve_draws_and_fits_on_two_worker_threads(monkeypatch, schedule, trials):
-    seen = _record_threads(monkeypatch, ("_draw", "_labels", "ridge_fit",
-                                         "excess_error_empirical"))
+    names = ("_draw", "_labels", "ridge_fit", "excess_error_empirical")
+    seen = _record_threads(monkeypatch, names)
     learning_curve(_config(n_values=(32, 64, 128), trials=trials, lam_schedule=schedule))
-    workers = set().union(*seen.values())
-    assert 1 <= len(workers) <= 2 and threading.get_ident() not in workers
+    caller = threading.get_ident()
+    workers = set().union(*seen.values()) - {caller}
+    assert 1 <= len(workers) <= 2
     assert all(seen.values())
+    # The calling thread draws and labels a cv row's search design, once a row.
+    searches = 3 if schedule.kind == "cv" else 0
+    assert [seen[name].count(caller) for name in names] == [searches, searches, 0, 0]
 
 
-@pytest.fixture
-def exit_on_hang(capsys):
-    """Within the test, a hang past 120 s ends the test process with every
-    thread's stack on stderr and status 1.  A hung learning curve waits in its
-    executor's shutdown, and the executor's workers are not daemon threads, so
-    the interpreter would not exit either."""
-    with capsys.disabled():
-        stderr = os.dup(2)  # the terminal's stderr, which the capture replaces
-    faulthandler.dump_traceback_later(120, exit=True, file=stderr)
-    try:
-        yield
-    finally:
-        faulthandler.cancel_dump_traceback_later()
-        os.close(stderr)
+def test_each_cv_search_runs_before_a_worker_draws_at_its_sample_count(monkeypatch,
+                                                                     exit_on_hang):
+    draw, search = simulator._draw, simulator.grid_search_lambda
+    caller, worker_draws, searches = threading.get_ident(), set(), []
+
+    def recording_draw(scale, sigma, seed, out):
+        if threading.get_ident() != caller:
+            worker_draws.add(out.shape[0])
+        return draw(scale, sigma, seed, out)
+
+    def checked_search(features, labels):
+        searches.append(features.shape[0] in worker_draws)
+        return search(features, labels)
+
+    monkeypatch.setattr(simulator, "_draw", recording_draw)
+    monkeypatch.setattr(simulator, "grid_search_lambda", checked_search)
+    learning_curve(_config(n_values=(32, 48, 64, 96), trials=3, lam_schedule=LamSchedule("cv")))
+    assert searches == [False] * 4
 
 
 def _leaves_no_thread(cfg, error):
@@ -419,7 +443,7 @@ def _leaves_no_thread(cfg, error):
 
 
 def test_learning_curve_leaves_no_thread_after_a_failing_draw(monkeypatch, exit_on_hang):
-    # Trial 0 of a cv row fails before it can hand its design to the search.
+    # On a cv curve the first draw is row 0's search design, on the calling thread.
     def breaks(*args):
         raise RuntimeError("forced draw failure")
 
@@ -444,7 +468,7 @@ def test_learning_curve_leaves_no_thread_after_a_failing_trial(monkeypatch, exit
                          ids=["fixed", "cv"])
 def test_learning_curve_leaves_no_thread_after_too_many_failures(monkeypatch, schedule,
                                                                  exit_on_hang):
-    # On cv, row 0's raise must release the later rows' trials that wait for their ridge.
+    # Row 0's raise comes while later rows' trials are still queued or running.
     def fails(features, labels, lam):
         raise SingularSystemError("forced failure")
 
@@ -454,7 +478,7 @@ def test_learning_curve_leaves_no_thread_after_too_many_failures(monkeypatch, sc
 
 
 def test_learning_curve_leaves_no_thread_after_a_failing_search(monkeypatch, exit_on_hang):
-    # The search of row 2 raises while workers wait for its ridge.
+    # The search of row 2 raises while rows 0 and 1's trials are queued or running.
     rows = []
 
     def breaks_at_row_2(features, labels):
@@ -468,7 +492,7 @@ def test_learning_curve_leaves_no_thread_after_a_failing_search(monkeypatch, exi
                               lam_schedule=LamSchedule("cv")), RuntimeError)
 
 
-def test_concurrent_curves_keep_their_bits_under_a_short_switch_interval():
+def test_concurrent_curves_keep_their_bits_under_a_short_switch_interval(exit_on_hang):
     # Four curves at once: eight workers on the machine's cores, switching often.
     configs = [_config(spectrum=power_law_spectrum(PowerLawParams(2.0, 0.5, 128)),
                        n_values=(48, 24, 48), sigma=0.5, trials=3, lam_schedule=schedule,
@@ -495,7 +519,7 @@ def test_concurrent_curves_keep_their_bits_under_a_short_switch_interval():
     assert got == expected
 
 
-def test_a_cv_curve_with_one_trial_and_duplicate_sample_counts_finishes():
+def test_a_cv_curve_with_one_trial_and_duplicate_sample_counts_finishes(exit_on_hang):
     cfg = _config(spectrum=power_law_spectrum(PowerLawParams(2.0, 0.5, 128)),
                   n_values=(48, 24, 48, 24), sigma=0.5, trials=1,
                   lam_schedule=LamSchedule("cv"))
@@ -776,8 +800,8 @@ def test_grid_search_folds_get_the_eigh_bits(monkeypatch, eigensolver):
                                       120, 0.5, 4)
     lam = grid_search_lambda(features, labels)
     if eigensolver == "eigh":
-        monkeypatch.setattr(dataspec, "_dsyevd", lambda: None)
-    elif dataspec._dsyevd() is None:
+        monkeypatch.setattr(dataspec, "_lapack", lambda name: None)
+    elif dataspec._lapack("dsyevd") is None:
         pytest.skip("numpy's LAPACK has no scipy_dsyevd_64_")
     same = []
 
