@@ -21,7 +21,7 @@ t0 = time.time()
 for sigma in (0.0, 0.5):
     config = SimConfig(spectrum=spectrum, n_values=(32, 64, 128, 256, 512),
                        sigma=sigma, lam_schedule=LamSchedule("fixed", lam=0.0),
-                       trials=30, master_seed=1, regime_params=(2.0, 0.5))
+                       trials=30, master_seed=1)
     curve = learning_curve(config)
     print(f"sigma = {sigma}")
     print(f"{'n':>6} {'simulation':>12} {'theory':>12} {'ratio':>7}  regime")

@@ -142,10 +142,21 @@ def _items(value) -> list:
 
 
 def _int_list(value) -> list[int]:
+    """Sample counts: at least one, each >= 1."""
     values = [_int(item) for item in _items(value) if item != ""]
     if not values:
         raise argparse.ArgumentTypeError(f"expected at least one integer, got {value!r}")
+    if min(values) < 1:
+        raise argparse.ArgumentTypeError(f"expected sample counts >= 1, got {value!r}")
     return values
+
+
+def _positive(value) -> float:
+    """A finite number > 0."""
+    number = float(value)
+    if not 0 < number < math.inf:
+        raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {value!r}")
+    return number
 
 
 def _int_pair(value) -> tuple[int, int]:
@@ -223,8 +234,7 @@ def cmd_simulate(args) -> int:
         theory_spectrum = power_law_spectrum(PowerLawParams(args.alpha, args.r, args.theory_p))
     config = SimConfig(spectrum=spectrum, n_values=tuple(args.n), sigma=args.sigma,
                        lam_schedule=_schedule_of(args), trials=args.trials,
-                       master_seed=args.seed, theory_spectrum=theory_spectrum,
-                       regime_params=(args.alpha, args.r))
+                       master_seed=args.seed, theory_spectrum=theory_spectrum)
     if args.workers is not None:
         print("warning: --workers is deprecated and has no effect", file=sys.stderr)
     curve = learning_curve(config)
@@ -389,7 +399,7 @@ def build_parser(supplied=()):
 
     def schedule(p, *more):
         """The ridge schedule group; more names its further members."""
-        p.add_argument("--lambda0", type=float, default=1.0)
+        p.add_argument("--lambda0", type=_positive, default=1.0)
         group = p.add_mutually_exclusive_group(required=required("lam", "ell", *more))
         group.add_argument("--lam", type=float, help="fixed regularization")
         group.add_argument("--ell", type=float,
@@ -415,7 +425,7 @@ def build_parser(supplied=()):
     p.add_argument("--alpha", type=float, default=2.0)
     p.add_argument("--r", type=float, default=0.5)
     p.add_argument("--sigma", type=float, default=0.1)
-    p.add_argument("--lambda0", type=float, default=1.0)
+    p.add_argument("--lambda0", type=_positive, default=1.0)
     p.add_argument("--n-grid", type=_log_grid, default=_log_grid("1,1e6,25"))
     p.add_argument("--ell-grid", type=_lin_grid, default=_lin_grid("0,4,33"))
     # The manifest records the asymptotic optimum among the params; this

@@ -12,8 +12,6 @@ and signal tails.
 from __future__ import annotations
 
 import csv
-import ctypes
-import functools
 import itertools
 import math
 import warnings
@@ -21,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _openblas
 from .errors import (
     DegenerateRangeError,
     DegenerateWindowError,
@@ -152,7 +151,7 @@ def _decompose(gram: np.ndarray, labels: np.ndarray, floor_rel: float) -> Featur
     np.add(gram, gram.T, out=gram)  # numpy buffers the overlapping operand
     gram *= 0.5
     gram /= n_tot
-    evals, evecs = _eigh_overwrite(gram)
+    evals, evecs = _openblas._eigh_overwrite(gram)
     if evals.min() < -1e-8 * max(evals.max(), 0.0):
         raise IndefiniteMatrixError(
             f"gram matrix has eigenvalue {evals.min():.3e} below the PSD tolerance"
@@ -171,70 +170,6 @@ def _decompose(gram: np.ndarray, labels: np.ndarray, floor_rel: float) -> Featur
     return FeatureDecomposition(eigenvalues=evals, phi=phi, theta_star=theta,
                                 n_tot=n_tot, n_floored=int(np.sum(~active)),
                                 floor=float(floor))
-
-
-_INT_P, _PTR = ctypes.POINTER(ctypes.c_int64), ctypes.c_void_p
-# Arguments of the LAPACK routines called through ctypes: the Fortran ones, then
-# the hidden lengths of the character arguments.
-_LAPACK_ARGS = {
-    # JOBZ, UPLO, N, A, LDA, W, WORK, LWORK, IWORK, LIWORK, INFO
-    "dsyevd": (ctypes.c_char_p, ctypes.c_char_p, _INT_P, _PTR, _INT_P, _PTR, _PTR, _INT_P,
-               _PTR, _INT_P, _INT_P, ctypes.c_size_t, ctypes.c_size_t),
-    # UPLO, N, A, LDA, INFO
-    "dpotrf": (ctypes.c_char_p, _INT_P, _PTR, _INT_P, _INT_P, ctypes.c_size_t),
-    # UPLO, N, NRHS, A, LDA, B, LDB, INFO
-    "dpotrs": (ctypes.c_char_p, _INT_P, _INT_P, _PTR, _INT_P, _PTR, _INT_P, _INT_P,
-               ctypes.c_size_t),
-}
-
-
-@functools.cache
-def _lapack(name: str):
-    """LAPACK routine name (a key of _LAPACK_ARGS) of the OpenBLAS that numpy.linalg
-    runs (the ILP64 build that numpy wheels bundle), or None where numpy links
-    another LAPACK."""
-    try:
-        from numpy.linalg import _umath_linalg
-
-        fn = getattr(ctypes.CDLL(_umath_linalg.__file__), f"scipy_{name}_64_")
-    except (ImportError, OSError, AttributeError):
-        return None
-    fn.argtypes, fn.restype = _LAPACK_ARGS[name], None
-    return fn
-
-
-def _eigh_overwrite(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """np.linalg.eigh(a) of a symmetric, C-contiguous float64 matrix, computed in
-    a's buffer, which then holds the eigenvectors.
-
-    numpy's eigh runs dsyevd('V', 'L') with the queried workspace on a Fortran
-    copy of its input; for a symmetric a that copy holds a's own bytes, so the
-    same call on a's buffer gives the same bits without the copy and the
-    separate eigenvector output.  Without the symbol it calls eigh.
-    """
-    dsyevd = _lapack("dsyevd")
-    if dsyevd is None:
-        return np.linalg.eigh(a)
-    if not (a.dtype == np.float64 and a.flags.c_contiguous and a.flags.writeable
-            and a.ndim == 2 and a.shape[0] == a.shape[1]):
-        raise ValueError("dsyevd needs a square, writeable, C-contiguous float64 matrix")
-    n = ctypes.c_int64(a.shape[0])
-    evals = np.empty(a.shape[0])
-    lwork, liwork, info = ctypes.c_int64(-1), ctypes.c_int64(-1), ctypes.c_int64(0)
-    work_size, iwork_size = ctypes.c_double(0.0), ctypes.c_int64(0)
-
-    def call(work, iwork):
-        dsyevd(b"V", b"L", ctypes.byref(n), a.ctypes.data, ctypes.byref(n), evals.ctypes.data,
-               work, ctypes.byref(lwork), iwork, ctypes.byref(liwork), ctypes.byref(info), 1, 1)
-        if info.value != 0:
-            raise np.linalg.LinAlgError(f"Eigenvalues did not converge (dsyevd info {info.value})")
-
-    call(ctypes.addressof(work_size), ctypes.addressof(iwork_size))
-    work = np.empty(int(work_size.value))
-    iwork = np.empty(iwork_size.value, dtype=np.int64)
-    lwork.value, liwork.value = work.size, iwork.size
-    call(work.ctypes.data, iwork.ctypes.data)
-    return evals, a.T
 
 
 def cumulative_tails(eigenvalues: np.ndarray, teacher_sq: np.ndarray):

@@ -9,16 +9,13 @@ form against the known teacher, which removes test-set sampling noise.
 
 from __future__ import annotations
 
-import ctypes
-import functools
 import math
-import threading
-from contextlib import contextmanager
 from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
-from .dataspec import _eigh_overwrite, _lapack, fit_loglog_slope
+from . import _openblas
+from .dataspec import fit_loglog_slope
 from .errors import (
     DegenerateWindowError,
     InvalidParameterError,
@@ -31,65 +28,6 @@ from .table import read_table, write_table
 from .theory import excess_error_closed
 
 _JITTER_REL = 1e-12
-
-# Extension module whose OpenBLAS runs the Monte Carlo solves: the Gram and label
-# products and, through _lapack, the Cholesky.  The scipy fallback of
-# _cholesky_solve runs scipy's own OpenBLAS, which is not pinned.
-_BLAS_MODULES = ("numpy._core._multiarray_umath",)
-_blas_lock = threading.Lock()
-_blas_depth = 0  # open _one_blas_thread blocks, over all threads
-_blas_saved = ()  # (setter, count before the outermost block) pairs
-
-
-def _find_setters(modules) -> tuple:
-    """openblas_set_num_threads_local of the OpenBLAS each module links, one per
-    library (two handles on one shared library give one setter); a module without
-    the symbol (another BLAS, OpenBLAS < 0.3.27, another loader) gives none."""
-    import importlib
-
-    found = {}
-    for name in modules:
-        try:
-            lib = ctypes.CDLL(importlib.import_module(name).__file__)
-            setter = lib.openblas_set_num_threads_local
-        except (ImportError, OSError, AttributeError):
-            continue
-        setter.argtypes, setter.restype = (ctypes.c_int,), ctypes.c_int
-        found.setdefault(ctypes.cast(setter, ctypes.c_void_p).value, setter)
-    return tuple(found.values())
-
-
-@functools.cache
-def _blas_setters() -> tuple:
-    return _find_setters(_BLAS_MODULES)
-
-
-@contextmanager
-def _one_blas_thread():
-    """Run OpenBLAS on one thread inside the block, then restore the earlier counts.
-
-    One thread makes the Cholesky rounding independent of the machine's thread
-    count and lets each core solve its own trial (see learning_curve).  It pins
-    numpy's OpenBLAS, which runs the products and the Cholesky; the scipy
-    fallback on builds whose numpy LAPACK lacks the Cholesky symbols runs
-    unpinned.  A pthreads OpenBLAS (the one numpy wheels bundle) applies the
-    count to the whole process, and so to calls from every thread, so blocks are
-    counted: the first to open sets 1 thread and the last to close restores, in
-    reverse order.  Without a setter this does nothing.
-    """
-    global _blas_depth, _blas_saved
-    with _blas_lock:
-        if _blas_depth == 0:
-            _blas_saved = tuple((setter, setter(1)) for setter in _blas_setters())
-        _blas_depth += 1
-    try:
-        yield
-    finally:
-        with _blas_lock:
-            _blas_depth -= 1
-            if _blas_depth == 0:
-                for setter, previous in reversed(_blas_saved):
-                    setter(previous)
 
 
 @dataclass(frozen=True)
@@ -143,20 +81,11 @@ class SimConfig:
 
     Per-trial randomness is derived from (master_seed, n, trial_index)
     through numpy's SeedSequence, so each trial is reproducible on its own
-    and independent of execution order and of which of learning_curve's two
-    worker threads runs it.  A curve's trials borrow from one shared pair of
-    n_max x p design buffers, n_max the largest sample count, and each worker
-    holds one n x n system (p x p once n >= p).  A cv row's grid search
-    borrows one of the pair on the calling thread and draws trial 0's design
-    into it from trial 0's seed; no worker waits on the search.  The solves
-    run OpenBLAS on one thread, so a curve's bytes do not depend on the BLAS
-    thread count either; where OpenBLAS offers no per-thread setter (another
-    BLAS, OpenBLAS < 0.3.27), or where the Cholesky falls back to scipy's,
-    the Cholesky is not pinned and its rounding still follows the thread
-    count.
+    and independent of execution order; learning_curve says how the trials
+    are threaded and why a curve's bytes do not follow the BLAS thread count.
     theory_spectrum, when given, is used for the attached closed-form column
-    (the simulation spectrum may be truncated harder than the theory one);
-    regime_params = (alpha, r), when given, lets rows carry a regime label.
+    (the simulation spectrum may be truncated harder than the theory one).
+    Rows carry a regime label where the spectrum has a power law.
     """
 
     spectrum: Spectrum
@@ -166,7 +95,6 @@ class SimConfig:
     trials: int
     master_seed: int
     theory_spectrum: Spectrum | None = None
-    regime_params: tuple[float, float] | None = None
 
     def __post_init__(self):
         if self.trials < 1:
@@ -244,36 +172,6 @@ def sample_dataset(spectrum: Spectrum, n: int, sigma: float, seed):
     return features, _labels(features, np.sqrt(spectrum.teacher_sq), sigma, noise)
 
 
-def _cholesky_solve(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve a x = rhs for a symmetric, Fortran-ordered float64 a, factored in its
-    own buffer; raises LinAlgError where a is not positive definite.
-
-    dpotrf('U') then dpotrs('U') on a copy of rhs, from numpy's OpenBLAS: the
-    calls of scipy's cho_factor(a, overwrite_a=True) and cho_solve, which run
-    instead where numpy's LAPACK lacks the symbols.
-    """
-    dpotrf, dpotrs = _lapack("dpotrf"), _lapack("dpotrs")
-    if dpotrf is None or dpotrs is None:
-        import scipy.linalg
-
-        factor = scipy.linalg.cho_factor(a, overwrite_a=True, check_finite=False)
-        return scipy.linalg.cho_solve(factor, rhs, check_finite=False)
-    x = np.array(rhs, dtype=np.float64, order="F")
-    if not (a.dtype == np.float64 and a.flags.f_contiguous and a.flags.writeable
-            and a.ndim == 2 and a.shape[0] == a.shape[1] and x.ndim in (1, 2)
-            and x.shape[0] == a.shape[0]):
-        raise ValueError("Cholesky solve needs a square, writeable, Fortran-ordered "
-                         "float64 matrix and a matching right-hand side")
-    n, info = ctypes.c_int64(a.shape[0]), ctypes.c_int64(0)
-    dpotrf(b"U", ctypes.byref(n), a.ctypes.data, ctypes.byref(n), ctypes.byref(info), 1)
-    if info.value != 0:
-        raise np.linalg.LinAlgError(f"{info.value}-th leading minor not positive definite")
-    nrhs = ctypes.c_int64(x.size // a.shape[0])
-    dpotrs(b"U", ctypes.byref(n), ctypes.byref(nrhs), a.ctypes.data, ctypes.byref(n),
-           x.ctypes.data, ctypes.byref(n), ctypes.byref(info), 1)
-    return x
-
-
 def _solve_psd(mat: np.ndarray, rhs: np.ndarray, lam_is_zero: bool) -> np.ndarray:
     """Cholesky solve with a trace-scaled jitter retry in the ridgeless case.
 
@@ -285,7 +183,7 @@ def _solve_psd(mat: np.ndarray, rhs: np.ndarray, lam_is_zero: bool) -> np.ndarra
     """
     diagonal = mat.diagonal().copy()
     try:
-        return _cholesky_solve(mat.T, rhs)
+        return _openblas._cholesky_solve(mat.T, rhs)
     except np.linalg.LinAlgError:
         if not lam_is_zero:
             raise SingularSystemError("ridge system is numerically singular")
@@ -294,14 +192,14 @@ def _solve_psd(mat: np.ndarray, rhs: np.ndarray, lam_is_zero: bool) -> np.ndarra
     mat[np.diag_indices_from(mat)] = diagonal
     jitter = _JITTER_REL * np.trace(mat) / mat.shape[0]
     try:
-        return _cholesky_solve((mat + jitter * np.eye(mat.shape[0])).T, rhs)
+        return _openblas._cholesky_solve((mat + jitter * np.eye(mat.shape[0])).T, rhs)
     except np.linalg.LinAlgError as err:
         raise SingularSystemError(
             "Gram matrix singular beyond the configured jitter"
         ) from err
 
 
-@_one_blas_thread()
+@_openblas._one_blas_thread()
 def ridge_fit(features: np.ndarray, labels: np.ndarray, lam: float) -> np.ndarray:
     """Exact minimizer of the mean squared error plus lam * ||w||^2.
 
@@ -338,7 +236,7 @@ def default_cv_grid() -> np.ndarray:
     return np.concatenate([[0.0], 10.0 ** (-10.0 + 0.026 * np.arange(1, count))])
 
 
-@_one_blas_thread()
+@_openblas._one_blas_thread()
 def grid_search_lambda(features: np.ndarray, labels: np.ndarray,
                        lam_grid=None, k_folds: int = 5) -> float:
     """k-fold cross-validated grid search over the regularization.
@@ -366,7 +264,7 @@ def grid_search_lambda(features: np.ndarray, labels: np.ndarray,
         train_idx = np.delete(np.arange(n), val)
         m = train_idx.size
         # The fancy-indexed block is a fresh, exactly symmetric array.
-        evals, evecs = _eigh_overwrite(gram[np.ix_(train_idx, train_idx)])
+        evals, evecs = _openblas._eigh_overwrite(gram[np.ix_(train_idx, train_idx)])
         evals = np.clip(evals, 0.0, None)
         uty = evecs.T @ labels[train_idx]
         b = gram[val, train_idx] @ evecs
@@ -382,7 +280,7 @@ def grid_search_lambda(features: np.ndarray, labels: np.ndarray,
     return float(lam_grid[lam_grid.size - 1 - np.argmin(mse[::-1])])
 
 
-@_one_blas_thread()
+@_openblas._one_blas_thread()
 def learning_curve(config: SimConfig) -> LearningCurve:
     """Monte-Carlo learning curve with attached closed-form theory column.
 
@@ -390,9 +288,9 @@ def learning_curve(config: SimConfig) -> LearningCurve:
     order: each trial borrows one of two shared n_max x p float64 design
     buffers, draws into it, forms the labels, fits and scores the fit, so each
     worker holds one n x n (or p x p) system at a time.  The whole curve runs
-    OpenBLAS on one thread (_one_blas_thread), so each core solves its own
-    trial and the Cholesky rounding does not follow the machine's thread
-    count.  The calling thread resolves each row's ridge before it submits the
+    OpenBLAS on one thread (_openblas._one_blas_thread), so each core solves
+    its own trial and, where the pin takes, the Cholesky rounding does not
+    follow the machine's thread count.  The calling thread resolves each row's ridge before it submits the
     row's trials, so no worker waits on it: on a cv row it borrows a buffer,
     draws trial 0's design into it and runs the grid search there (run in a
     worker, the search's temporaries would stay resident in that thread's
@@ -452,9 +350,8 @@ def learning_curve(config: SimConfig) -> LearningCurve:
             std = float(values.std(ddof=1)) if values.size > 1 else 0.0
             theory = excess_error_closed(n, lam, sigma, theory_spec).total
             regime = ""
-            if config.regime_params is not None:
-                alpha, r = config.regime_params
-                regime = config.lam_schedule.label(alpha, r, sigma, n, lam).region.value
+            if spectrum.law is not None:
+                regime = config.lam_schedule.label(*spectrum.law, sigma, n, lam).region.value
             rows.append(CurveRow(n=int(n), lam_used=float(lam), mean_excess=mean,
                                  std_excess=std, trials=int(values.size),
                                  theory_excess=float(theory), regime=regime))

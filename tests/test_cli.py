@@ -106,7 +106,7 @@ def test_non_integral_sample_count_is_usage_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command, flags, empty", [
-    ("theory", ["--lam", "0"], ","),
+    ("theory", ["--ell", "1"], ","),
     ("optimal-lambda", ["--lam-grid", "1e-6,1,5"], ","),
     ("simulate", ["--lam", "0", "--trials", "2"], ""),
 ])
@@ -120,6 +120,13 @@ def test_empty_sample_count_list_is_usage_error(tmp_path, capsys, command, flags
     cfg.write_text(json.dumps({"n": []}))
     assert main([*args, "--config", str(cfg)]) == 2
     assert "config key 'n'" in capsys.readouterr().err
+    # and so is a count below 1 (at n = 0, lambda0 * n^-ell divided by zero)
+    for n, listed in (("0", [0]), ("100,-5", [100, -5])):
+        assert main([*args, "--n", n]) == 2
+        assert "--n: expected sample counts >= 1" in capsys.readouterr().err
+        cfg.write_text(json.dumps({"n": listed}))
+        assert main([*args, "--config", str(cfg)]) == 2
+        assert "config key 'n'" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == [cfg]
 
 
@@ -201,8 +208,13 @@ def test_workers_flag_is_hidden_from_help(capsys):
     ("simulate", ["--ell=-inf"]),
     ("theory", ["--ell=-inf"]),
     ("theory", ["--ell", "1", "--lambda0", "inf"]),
+    # lambda0 is checked whatever the schedule
+    ("theory", ["--lam", "0", "--lambda0", "nan"]),
+    ("simulate", ["--lam", "0", "--lambda0", "nan"]),
+    ("simulate", ["--cv", "--lambda0", "-3"]),
 ], ids=["simulate-lam-inf", "simulate-lambda0-inf", "simulate-ell-minus-inf",
-        "theory-ell-minus-inf", "theory-lambda0-inf"])
+        "theory-ell-minus-inf", "theory-lambda0-inf", "theory-lam-lambda0-nan",
+        "simulate-lam-lambda0-nan", "simulate-cv-lambda0-negative"])
 @pytest.mark.parametrize("n", ["100", "1000"])
 def test_non_finite_schedule_is_usage_error_before_any_output(tmp_path, monkeypatch,
                                                              command, flags, n):
@@ -279,7 +291,7 @@ def test_phase_diagram_degenerate_grid(tmp_path):
     for flag, value in (("--n-grid", "1,inf,5"), ("--n-grid", "nan,10,5"),
                         ("--ell-grid", "0,inf,5"), ("--ell-grid", "-inf,1,5"),
                         ("--alpha", "inf"), ("--r", "inf"), ("--sigma", "inf"),
-                        ("--lambda0", "inf")):
+                        ("--lambda0", "inf"), ("--lambda0", "nan"), ("--lambda0", "-3")):
         code = main(["phase-diagram", flag, value, "--out", str(tmp_path / "pd4")])
         assert code == 2, (flag, value)
     # and so are non-finite grid points given through --config

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import krr_regimes
-from krr_regimes import dataspec
+from krr_regimes import _openblas
 from krr_regimes.cli import main
 from krr_regimes.dataspec import (
     KernelSpec,
@@ -506,7 +506,7 @@ def test_decomposition_without_the_lapack_symbol_is_bit_identical(tmp_path, monk
         (tmp_path / "in_place").mkdir()
         in_place = [feature_decomposition(g, y) for g in grams]
         in_place_files = _estimate_outputs(data, tmp_path / "in_place")
-        monkeypatch.setattr(dataspec, "_lapack", lambda name: None)
+        monkeypatch.setattr(_openblas, "_lapack", lambda name: None)
         (tmp_path / "fallback").mkdir()
         fallback = [feature_decomposition(g, y) for g in grams]
         fallback_files = _estimate_outputs(data, tmp_path / "fallback")
@@ -524,7 +524,7 @@ def test_dsyevd_found_with_numpy_ilp64_openblas():
     if lapack.get("name") != "scipy-openblas" or \
             "USE64BITINT" not in lapack.get("openblas configuration", ""):
         pytest.skip(f"numpy links {lapack.get('name')!r}, not the ILP64 scipy-openblas")
-    assert dataspec._lapack("dsyevd") is not None
+    assert _openblas._lapack("dsyevd") is not None
 
 
 # Resident memory just before the in-place decomposition of an n x n Gram
@@ -554,7 +554,7 @@ def test_in_place_decomposition_peak_memory():
     # measures about 3.2 on x86-64; np.linalg.eigh, with its working copy and
     # separate eigenvector output, about 4.2, and a decomposition that also
     # scales into a new array about 5.2.
-    if dataspec._lapack("dsyevd") is None:
+    if _openblas._lapack("dsyevd") is None:
         pytest.skip("numpy's LAPACK has no scipy_dsyevd_64_; eigh needs more memory")
     env = {**os.environ, "PYTHONPATH": str(Path(krr_regimes.__file__).resolve().parents[1])}
     proc = subprocess.run([sys.executable, "-c", _MEMORY_PROBE, "1500"], env=env,

@@ -4,6 +4,7 @@ The command checks run in a fresh interpreter and read sys.modules after
 cli.main returns: they guard what start-up pays for, not how long it takes.
 """
 
+import ast
 import csv
 import importlib
 import json
@@ -15,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import krr_regimes
-from krr_regimes import dataspec
+from krr_regimes import _openblas
 from krr_regimes.simulator import sample_dataset
 from krr_regimes.spectrum import PowerLawParams, power_law_spectrum
 
@@ -129,9 +130,23 @@ def test_theory_commands_load_no_scipy(tmp_path, argv):
 ], ids=["ridgeless", "cv", "n-at-least-p"])
 def test_simulate_loads_no_scipy(tmp_path, argv):
     # The Cholesky runs numpy's bundled OpenBLAS; scipy's is only the fallback.
-    if dataspec._lapack("dpotrf") is None or dataspec._lapack("dpotrs") is None:
+    if _openblas._lapack("dpotrf") is None or _openblas._lapack("dpotrs") is None:
         pytest.skip("numpy's LAPACK lacks the Cholesky symbols: simulate falls back to scipy")
     modules = _loaded_by(["simulate", "--alpha", "2", "--r", "0.5", "--p", "40", "--trials",
                           "2", *argv, "--out", "s.csv"], tmp_path)
     assert "krr_regimes.simulator" in modules
     assert _scipy(modules) == []
+
+
+def test_only_the_openblas_module_imports_ctypes():
+    # One module holds every foreign call, so one seam turns them all off.
+    package = Path(krr_regimes.__file__).parent
+    importers = set()
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = [alias.name for alias in node.names] if isinstance(node, ast.Import) \
+                else [node.module] if isinstance(node, ast.ImportFrom) else []
+            if any(name and name.split(".")[0] == "ctypes" for name in names):
+                importers.add(path.name)
+    assert importers == {"_openblas.py"}
+    assert (package / "_openblas.py").read_text().count("ctypes.CDLL(") == 1

@@ -1,3 +1,4 @@
+import ctypes
 import dis
 import faulthandler
 import math
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from krr_regimes import dataspec, simulator
+from krr_regimes import _openblas, simulator
 from krr_regimes.errors import (
     DegenerateWindowError,
     InvalidParameterError,
@@ -146,24 +147,30 @@ def _psd_system(zero_row):
     return features @ features.T, features[:, 0].copy()
 
 
-def _pin_scipy_blas_too(monkeypatch):
-    """Make _one_blas_thread pin scipy's OpenBLAS as well as numpy's, for solves
-    that run scipy's LAPACK; at n = 200 OpenBLAS would thread the factorization."""
-    scipy_setters = simulator._find_setters(("scipy.linalg._flapack",))
-    if not scipy_setters:
+def _pin_scipy_blas_too(request):
+    """Run scipy's OpenBLAS on one thread for the rest of the test, as
+    _one_blas_thread runs numpy's, for solves that run scipy's LAPACK; at
+    n = 200 OpenBLAS would thread the factorization."""
+    import scipy.linalg
+
+    lib = ctypes.CDLL(scipy.linalg._flapack.__file__)
+    setter = getattr(lib, "openblas_set_num_threads_local", None)
+    if setter is None:
         pytest.skip("no OpenBLAS per-thread setter found in scipy: its solve cannot be pinned")
-    setters = (*simulator._blas_setters(), *scipy_setters)
-    monkeypatch.setattr(simulator, "_blas_setters", lambda: setters)
+    setter.argtypes, setter.restype = (ctypes.c_int,), ctypes.c_int
+    previous = setter(1)
+    request.addfinalizer(lambda: setter(previous))
 
 
 @pytest.mark.parametrize("zero_row", [False, True], ids=["direct", "jitter-retry"])
-def test_in_place_solve_has_the_copy_solve_bits(monkeypatch, zero_row):
-    dpotrf = dataspec._lapack("dpotrf")
-    if dpotrf is None or dataspec._lapack("dpotrs") is None:
+def test_in_place_solve_has_the_copy_solve_bits(monkeypatch, request, zero_row):
+    lapack = _openblas._lapack
+    dpotrf = lapack("dpotrf")
+    if dpotrf is None or lapack("dpotrs") is None:
         pytest.skip("numpy's LAPACK lacks the Cholesky symbols: scipy's solve is the only path")
-    _pin_scipy_blas_too(monkeypatch)
+    _pin_scipy_blas_too(request)
     gram, rhs = _psd_system(zero_row)
-    with simulator._one_blas_thread():
+    with _openblas._one_blas_thread():
         expected = _solve_by_copy(gram.copy(), rhs)
     start, factored = gram.ctypes.data, []
 
@@ -171,9 +178,9 @@ def test_in_place_solve_has_the_copy_solve_bits(monkeypatch, zero_row):
         factored.append(a - start if 0 <= a - start < gram.nbytes else None)
         dpotrf(uplo, n, a, *rest)
 
-    monkeypatch.setattr(simulator, "_lapack",
-                        lambda name: recording if name == "dpotrf" else dataspec._lapack(name))
-    with simulator._one_blas_thread():
+    monkeypatch.setattr(_openblas, "_lapack",
+                        lambda name: recording if name == "dpotrf" else lapack(name))
+    with _openblas._one_blas_thread():
         solution = simulator._solve_psd(gram, rhs, lam_is_zero=True)
     assert solution.tobytes() == expected.tobytes()
     # The first factorization runs in gram's buffer, with no copy; the retry
@@ -182,15 +189,15 @@ def test_in_place_solve_has_the_copy_solve_bits(monkeypatch, zero_row):
 
 
 @pytest.mark.parametrize("zero_row", [False, True], ids=["direct", "jitter-retry"])
-def test_scipy_fallback_solve_has_the_main_path_bits(monkeypatch, zero_row):
+def test_scipy_fallback_solve_has_the_main_path_bits(monkeypatch, request, zero_row):
     # Where numpy's LAPACK lacks dpotrf and dpotrs, scipy's Cholesky runs instead.
     import scipy.linalg
 
-    if dataspec._lapack("dpotrf") is None or dataspec._lapack("dpotrs") is None:
+    if _openblas._lapack("dpotrf") is None or _openblas._lapack("dpotrs") is None:
         pytest.skip("numpy's LAPACK lacks the Cholesky symbols: the fallback is the only path")
-    _pin_scipy_blas_too(monkeypatch)
+    _pin_scipy_blas_too(request)
     gram, rhs = _psd_system(zero_row)
-    with simulator._one_blas_thread():
+    with _openblas._one_blas_thread():
         expected = simulator._solve_psd(gram.copy(), rhs, lam_is_zero=True)
     factored, cho_factor = [], scipy.linalg.cho_factor
 
@@ -198,9 +205,9 @@ def test_scipy_fallback_solve_has_the_main_path_bits(monkeypatch, zero_row):
         factored.append(np.shares_memory(a, gram))
         return cho_factor(a, **kwargs)
 
-    monkeypatch.setattr(simulator, "_lapack", lambda name: None)
+    monkeypatch.setattr(_openblas, "_lapack", lambda name: None)
     monkeypatch.setattr(scipy.linalg, "cho_factor", recording)
-    with simulator._one_blas_thread():
+    with _openblas._one_blas_thread():
         solution = simulator._solve_psd(gram, rhs, lam_is_zero=True)
     assert solution.tobytes() == expected.tobytes()
     assert factored == ([True, False] if zero_row else [True])
@@ -251,8 +258,8 @@ def _reference_curve(cfg, skip=frozenset()):
                            for t in range(cfg.trials) if (n, t) not in skip])
         theory = excess_error_closed(n, lam, cfg.sigma, cfg.theory_spectrum or cfg.spectrum)
         regime = ""
-        if cfg.regime_params is not None:
-            regime = cfg.lam_schedule.label(*cfg.regime_params, cfg.sigma, n, lam).region.value
+        if cfg.spectrum.law is not None:
+            regime = cfg.lam_schedule.label(*cfg.spectrum.law, cfg.sigma, n, lam).region.value
         rows.append(CurveRow(n, lam, float(values.mean()),
                              float(values.std(ddof=1)) if values.size > 1 else 0.0,
                              values.size, theory.total, regime))
@@ -270,7 +277,7 @@ def test_learning_curve_matches_the_per_trial_loop(schedule, sigma, trials):
     # in a different one of the two design buffers.
     cfg = _config(spectrum=power_law_spectrum(PowerLawParams(2.0, 0.5, 128)),
                   n_values=(96, 24, 160, 24), sigma=sigma, lam_schedule=schedule,
-                  trials=trials, regime_params=(2.0, 0.5))
+                  trials=trials)
     assert repr(learning_curve(cfg)) == repr(_reference_curve(cfg))
 
 
@@ -283,7 +290,7 @@ def test_learning_curve_interpolates_noiseless_full_rank():
 
 
 def test_learning_curve_deterministic_and_parallel_identical():
-    cfg = _config(trials=8, sigma=0.2, regime_params=(2.0, 0.5))
+    cfg = _config(trials=8, sigma=0.2)
     c1 = learning_curve(cfg)
     c2 = learning_curve(cfg)
     assert c1 == c2
@@ -317,8 +324,7 @@ def test_learning_curve_plateau_flattens():
 def test_learning_curve_schedules_and_labels():
     sp = power_law_spectrum(PowerLawParams(2.0, 0.5, 500))
     cfg = _config(spectrum=sp, n_values=(64, 128),
-                  lam_schedule=LamSchedule("power", lambda0=1.0, ell=1.0),
-                  regime_params=(2.0, 0.5))
+                  lam_schedule=LamSchedule("power", lambda0=1.0, ell=1.0))
     curve = learning_curve(cfg)
     assert [r.lam_used for r in curve.rows] == [1.0 / 64, 1.0 / 128]
     assert all(r.regime for r in curve.rows)
@@ -392,8 +398,7 @@ def _record_threads(monkeypatch, names) -> dict:
 def test_learning_curve_searches_and_labels_on_the_calling_thread(monkeypatch):
     seen = _record_threads(monkeypatch, ("grid_search_lambda", "excess_error_closed",
                                          "classify"))
-    curve = learning_curve(_config(n_values=(32, 64), trials=3, lam_schedule=LamSchedule("cv"),
-                                   regime_params=(2.0, 0.5)))
+    curve = learning_curve(_config(n_values=(32, 64), trials=3, lam_schedule=LamSchedule("cv")))
     assert [row.trials for row in curve.rows] == [3, 3]
     assert all(set(seen[name]) == {threading.get_ident()} for name in seen), seen
 
@@ -542,7 +547,7 @@ def test_sampler_draw_makes_no_blas_or_package_call():
 def test_curve_does_not_depend_on_the_blas_thread_count(tmp_path, flags):
     # From n = 128 on OpenBLAS threads the Cholesky factorization, whose rounding
     # then follows the thread count unless the solve is pinned to one thread.
-    if not simulator._blas_setters():
+    if _openblas._setter() is None:
         pytest.skip("no OpenBLAS per-thread setter found: the solve cannot be pinned")
     src = str(Path(simulator.__file__).resolve().parents[1])
     curves = []
@@ -567,24 +572,22 @@ def test_a_trial_by_hand_has_the_curve_bits():
     assert learning_curve(cfg).rows[0].mean_excess == by_hand
 
 
-def _blas_counts():
-    """Each setter's current thread count (a setter returns the count it replaces)."""
-    counts = []
-    for setter in simulator._blas_setters():
-        counts.append(setter(1))
-        setter(counts[-1])
-    return counts
+def _blas_count():
+    """The current thread count of numpy's OpenBLAS (the setter returns the count it replaces)."""
+    setter = _openblas._setter()
+    count = setter(1)
+    setter(count)
+    return count
 
 
 @pytest.fixture
 def blas_at_two_threads():
-    setters = simulator._blas_setters()
-    if not setters:
+    setter = _openblas._setter()
+    if setter is None:
         pytest.skip("no OpenBLAS per-thread setter found")
-    before = [setter(2) for setter in setters]
+    before = setter(2)
     yield
-    for setter, count in reversed(list(zip(setters, before))):
-        setter(count)
+    setter(before)
 
 
 def test_learning_curve_restores_the_blas_thread_counts(blas_at_two_threads, monkeypatch):
@@ -592,13 +595,13 @@ def test_learning_curve_restores_the_blas_thread_counts(blas_at_two_threads, mon
     excess = simulator.excess_error_empirical
 
     def recording_excess(w, spectrum):
-        seen.append(_blas_counts())
+        seen.append(_blas_count())
         return excess(w, spectrum)
 
     monkeypatch.setattr(simulator, "excess_error_empirical", recording_excess)
     learning_curve(_config(trials=2))
-    assert seen and all(counts == [1] * len(counts) for counts in seen)
-    assert _blas_counts() == [2] * len(seen[0])
+    assert seen and all(count == 1 for count in seen)
+    assert _blas_count() == 2
 
 
 def test_failed_learning_curve_restores_the_blas_thread_counts(blas_at_two_threads,
@@ -609,57 +612,82 @@ def test_failed_learning_curve_restores_the_blas_thread_counts(blas_at_two_threa
     monkeypatch.setattr(simulator, "ridge_fit", failing)
     with pytest.raises(SingularSystemError):
         learning_curve(_config(trials=5, n_values=(32, 64)))
-    assert set(_blas_counts()) == {2}
+    assert _blas_count() == 2
 
 
-class _SharedLibrary:
-    """One thread count reached through several setters, as when numpy and
-    scipy link one shared OpenBLAS."""
+def test_the_pin_sets_the_threads_of_numpys_blas():
+    # The setter found on numpy.linalg's library is the one numpy's matrix
+    # products run under.
+    setter = _openblas._setter()
+    if setter is None:
+        pytest.skip("no OpenBLAS per-thread setter found")
+    lib = ctypes.CDLL(pytest.importorskip("numpy._core._multiarray_umath").__file__)
+
+    def address(fn):
+        return ctypes.cast(fn, ctypes.c_void_p).value
+
+    assert address(setter) == address(lib.openblas_set_num_threads_local)
+
+
+def test_without_the_library_every_call_falls_back(monkeypatch):
+    # No handle: the pin calls no setter, the Cholesky is scipy's and the
+    # grid search decomposes with eigh.
+    import scipy.linalg
+
+    setter = _openblas._setter()
+    monkeypatch.setattr(_openblas, "_library", lambda: None)
+    calls = []
+
+    def recorded(name, original):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(scipy.linalg, "cho_factor",
+                        recorded("cho_factor", scipy.linalg.cho_factor))
+    monkeypatch.setattr(np.linalg, "eigh", recorded("eigh", np.linalg.eigh))
+    before = setter(3) if setter is not None else None
+    try:
+        with _openblas._one_blas_thread():
+            if setter is not None:
+                assert setter(3) == 3
+        features, labels = sample_dataset(power_law_spectrum(PowerLawParams(2.0, 0.5, 60)),
+                                          40, 0.5, 1)
+        ridge_fit(features, labels, 0.1)
+        grid_search_lambda(features, labels)
+    finally:
+        if setter is not None:
+            setter(before)
+    assert calls == ["cho_factor"] + ["eigh"] * 5
+
+
+class _FakeSetter:
+    """A thread count behind a setter that returns the count it replaces."""
 
     def __init__(self, count):
         self.count = count
 
-    def setter(self):
-        def set_count(n):
-            previous, self.count = self.count, n
-            return previous
-        return set_count
-
-
-def test_find_setters_keeps_one_setter_per_library():
-    numpy_ext = simulator._BLAS_MODULES[0]
-    if not simulator._find_setters((numpy_ext,)):
-        pytest.skip("no OpenBLAS per-thread setter found")
-    assert len(simulator._find_setters((numpy_ext, numpy_ext))) == 1
-    # A pure-Python module and a missing one have no setter: nothing is pinned.
-    assert simulator._find_setters(("json", "krr_regimes.no_such_module")) == ()
-
-
-def test_setters_of_one_library_restore_in_reverse_order(monkeypatch):
-    lib = _SharedLibrary(3)
-    monkeypatch.setattr(simulator, "_blas_setters", lambda: (lib.setter(), lib.setter()))
-    with simulator._one_blas_thread():
-        assert lib.count == 1
-    assert lib.count == 3
-    learning_curve(_config(trials=2))
-    assert lib.count == 3
+    def __call__(self, n):
+        previous, self.count = self.count, n
+        return previous
 
 
 def test_overlapping_blocks_on_two_threads_restore_once(monkeypatch):
     # The count is process-wide: the last block to close restores it.
-    lib = _SharedLibrary(3)
-    monkeypatch.setattr(simulator, "_blas_setters", lambda: (lib.setter(),))
+    lib = _FakeSetter(3)
+    monkeypatch.setattr(_openblas, "_setter", lambda: lib)
     opened, release = threading.Event(), threading.Event()
 
     def other_block():
-        with simulator._one_blas_thread():
+        with _openblas._one_blas_thread():
             opened.set()
             release.wait(10)
 
     other = threading.Thread(target=other_block)
     other.start()
     assert opened.wait(10)
-    with simulator._one_blas_thread():
+    with _openblas._one_blas_thread():
         release.set()
         other.join(10)
         assert lib.count == 1
@@ -667,13 +695,13 @@ def test_overlapping_blocks_on_two_threads_restore_once(monkeypatch):
 
 
 def test_blocks_on_many_threads_keep_one_thread_and_restore(monkeypatch):
-    lib = _SharedLibrary(3)
-    monkeypatch.setattr(simulator, "_blas_setters", lambda: (lib.setter(),))
+    lib = _FakeSetter(3)
+    monkeypatch.setattr(_openblas, "_setter", lambda: lib)
     seen = set()
 
     def blocks():
         for _ in range(300):
-            with simulator._one_blas_thread():
+            with _openblas._one_blas_thread():
                 seen.add(lib.count)
 
     interval = sys.getswitchinterval()
@@ -766,7 +794,7 @@ def test_grid_search_picks_the_per_lambda_loop_choice():
     # The CV spec of the mc-curves benchmark: trial 0 of each row, 20 seeds.
     sp = power_law_spectrum(PowerLawParams(2.0, 0.5, 4000))
     flips = []
-    with simulator._one_blas_thread():
+    with _openblas._one_blas_thread():
         for seed in range(20):
             for n in (32, 64, 128, 256, 512, 1024):
                 X, y = sample_dataset(sp, n, 0.5, trial_seed(seed, n, 0))
@@ -799,20 +827,21 @@ def test_grid_search_folds_get_the_eigh_bits(monkeypatch, eigensolver):
     features, labels = sample_dataset(power_law_spectrum(PowerLawParams(2.0, 0.5, 300)),
                                       120, 0.5, 4)
     lam = grid_search_lambda(features, labels)
+    eigh_overwrite = _openblas._eigh_overwrite
     if eigensolver == "eigh":
-        monkeypatch.setattr(dataspec, "_lapack", lambda name: None)
-    elif dataspec._lapack("dsyevd") is None:
+        monkeypatch.setattr(_openblas, "_lapack", lambda name: None)
+    elif _openblas._lapack("dsyevd") is None:
         pytest.skip("numpy's LAPACK has no scipy_dsyevd_64_")
     same = []
 
     def compared(block):
         evals, evecs = np.linalg.eigh(block)
-        in_place = dataspec._eigh_overwrite(block)
+        in_place = eigh_overwrite(block)
         same.append(in_place[0].tobytes() == evals.tobytes()
                     and in_place[1].tobytes() == evecs.tobytes())
         return in_place
 
-    monkeypatch.setattr(simulator, "_eigh_overwrite", compared)
+    monkeypatch.setattr(_openblas, "_eigh_overwrite", compared)
     assert grid_search_lambda(features, labels) == lam
     assert same == [True] * 5
 
@@ -861,7 +890,7 @@ def test_fit_loglog_slope_rejects_non_finite_values(x, y, cause):
 
 
 def test_curve_csv_roundtrip(tmp_path):
-    cfg = _config(trials=3, sigma=0.1, regime_params=(2.0, 0.5))
+    cfg = _config(trials=3, sigma=0.1)
     path = tmp_path / "curve.csv"
     # a simulated curve, and hand-made rows with extreme values and no regime label
     for curve in (learning_curve(cfg),
