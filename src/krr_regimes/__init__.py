@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "dataspec": ("CapacitySourceEstimate", "FeatureDecomposition", "KernelSpec",
                  "cumulative_tails", "estimate_alpha_r", "feature_decomposition",
-                 "fit_loglog_slope", "gram_matrix", "ingest_binary_labels"),
+                 "fit_loglog_slope", "gram_matrix"),
     "regimes": ("CrossoverLines", "OptimalDecay", "PhaseDiagram", "Region", "RegimeLabel",
                 "RegimeQuery", "classify", "noise_crossover_n", "noisy_optimum",
                 "optimal_decay", "phase_diagram", "region_exponent",

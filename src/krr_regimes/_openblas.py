@@ -5,8 +5,9 @@ Every foreign call of the package goes through _library(), one handle on the
 extension module that numpy.linalg runs; its OpenBLAS also runs numpy's
 matrix products.  Where a symbol is missing (numpy links another BLAS or
 LAPACK, or an OpenBLAS older than 0.3.27), each caller falls back: the
-eigensolver to np.linalg.eigh, the Cholesky to scipy's, and the pin to
-nothing, so the Cholesky rounding then follows the BLAS thread count.
+eigensolver to np.linalg.eigh, the Cholesky solve to np.linalg.cholesky and
+np.linalg.solve, and the pin to nothing, so the solves' rounding then
+follows the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -99,19 +100,17 @@ def _eigh_overwrite(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _cholesky_solve(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve a x = rhs for a symmetric, Fortran-ordered float64 a, factored in its
-    own buffer; raises LinAlgError where a is not positive definite.
+    """Solve a x = rhs for a symmetric, Fortran-ordered float64 a, which may be
+    overwritten; raises LinAlgError where a is not positive definite.
 
-    dpotrf('U') then dpotrs('U') on a copy of rhs: the calls of scipy's
-    cho_factor(a, overwrite_a=True) and cho_solve, which run instead where the
-    symbols are missing.
+    dpotrf('U') in a's buffer, then dpotrs('U') on a copy of rhs.  Where the
+    symbols are missing, np.linalg.cholesky tests definiteness and
+    np.linalg.solve solves: the same solution up to rounding, not to the bit.
     """
     dpotrf, dpotrs = _lapack("dpotrf"), _lapack("dpotrs")
     if dpotrf is None or dpotrs is None:
-        import scipy.linalg
-
-        factor = scipy.linalg.cho_factor(a, overwrite_a=True, check_finite=False)
-        return scipy.linalg.cho_solve(factor, rhs, check_finite=False)
+        np.linalg.cholesky(a)
+        return np.linalg.solve(a, rhs)
     x = np.array(rhs, dtype=np.float64, order="F")
     if not (a.dtype == np.float64 and a.flags.f_contiguous and a.flags.writeable
             and a.ndim == 2 and a.shape[0] == a.shape[1] and x.ndim in (1, 2)

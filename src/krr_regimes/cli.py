@@ -5,11 +5,10 @@ optimal-lambda.  A JSON config file may supply any flag (flags given on the
 command line win); each value goes through the parser of its flag's text.
 Every command but fit-slope writes a run manifest next to its outputs;
 identical manifests reproduce the outputs byte-for-byte on the same numpy
-build, with the OpenBLAS it bundles, and CPU (simulate also needs the same
-scipy where numpy's LAPACK lacks the Cholesky routines and scipy's runs).
-simulate's outputs do not depend on the BLAS thread count (its solves run
-OpenBLAS on one thread); estimate's do, because its eigendecomposition
-rounds differently at different thread counts.
+build, with the OpenBLAS it bundles, and CPU.  simulate's outputs do not
+depend on the BLAS thread count (its solves run OpenBLAS on one thread);
+estimate's do, because its eigendecomposition rounds differently at
+different thread counts.
 
 main builds the parser tree once per process and reuses it for every call
 without config values, so repeated in-process calls do not pay for it
@@ -19,6 +18,7 @@ read-only arrays, so no call can change a default grid that the next one
 parses.
 
 Exit codes: 0 success, 2 usage, 3 numerical failure, 4 data/schema problem.
+A library warning is printed to stderr as one "warning: <text>" line.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ import math
 import os
 import sys
 import time
+import warnings
 
 import numpy as np
 
@@ -159,11 +160,25 @@ def _positive(value) -> float:
     return number
 
 
-def _int_pair(value) -> tuple[int, int]:
+def _int_pair(value, low: int) -> tuple[int, int]:
+    """lo,hi with low <= lo < hi."""
     items = _items(value)
     if len(items) != 2:
         raise argparse.ArgumentTypeError("expected lo,hi")
-    return _int(items[0]), _int(items[1])
+    lo, hi = _int(items[0]), _int(items[1])
+    if not low <= lo < hi:
+        raise argparse.ArgumentTypeError(f"expected {low} <= lo < hi, got {value!r}")
+    return lo, hi
+
+
+def _fit_range(value) -> tuple[int, int]:
+    """A tail-fit range of 1-based mode indices."""
+    return _int_pair(value, 1)
+
+
+def _window(value) -> tuple[int, int]:
+    """A slope-fit window of 0-based row indices."""
+    return _int_pair(value, 0)
 
 
 def _grid(value, log: bool) -> np.ndarray:
@@ -235,8 +250,6 @@ def cmd_simulate(args) -> int:
     config = SimConfig(spectrum=spectrum, n_values=tuple(args.n), sigma=args.sigma,
                        lam_schedule=_schedule_of(args), trials=args.trials,
                        master_seed=args.seed, theory_spectrum=theory_spectrum)
-    if args.workers is not None:
-        print("warning: --workers is deprecated and has no effect", file=sys.stderr)
     curve = learning_curve(config)
     out = _outpath(args.out or "learning_curve.csv")
     curve.to_csv(out)
@@ -418,8 +431,6 @@ def build_parser(supplied=()):
                    help="separate truncation for the theory column")
     p.add_argument("--trials", type=_int, default=100)
     p.add_argument("--seed", type=_seed, default=0)
-    # Deprecated no-op, hidden; kept so that manifests recording it still replay.
-    p.add_argument("--workers", type=_int, default=None, help=argparse.SUPPRESS)
 
     p = add("phase-diagram", cmd_phase_diagram, help="regime grid plus crossover lines")
     p.add_argument("--alpha", type=float, default=2.0)
@@ -438,8 +449,8 @@ def build_parser(supplied=()):
                    required=required("kernel"))
     p.add_argument("--gamma", type=float, required=required("gamma"))
     p.add_argument("--degree", type=_int, default=5)
-    p.add_argument("--fit-range-capacity", type=_int_pair, default=None)
-    p.add_argument("--fit-range-source", type=_int_pair, default=None)
+    p.add_argument("--fit-range-capacity", type=_fit_range, default=None)
+    p.add_argument("--fit-range-source", type=_fit_range, default=None)
     p.add_argument("--cap", type=_int, default=8000,
                    help="refuse datasets above this size unless --subsample is given; "
                    "the decomposition needs about 24 bytes per row^2, so the default "
@@ -453,7 +464,7 @@ def build_parser(supplied=()):
 
     p = add("fit-slope", cmd_fit_slope, help="log-log slope of a learning-curve CSV")
     p.add_argument("curve")
-    p.add_argument("--window", type=_int_pair, default=None,
+    p.add_argument("--window", type=_window, default=None,
                    help="inclusive 0-based row range lo,hi")
 
     p = add("optimal-lambda", cmd_optimal_lambda, help="per-n optimal regularization")
@@ -519,6 +530,11 @@ def _read_config(argv) -> dict:
     return config
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    """A library warning as one stderr line, without its source location."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
@@ -550,7 +566,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_EXIT
     try:
-        return args.func(args)
+        with warnings.catch_warnings():
+            warnings.showwarning = _print_warning
+            return args.func(args)
     except InvalidParameterError as err:
         print(f"error: {err}", file=sys.stderr)
         return USAGE_EXIT

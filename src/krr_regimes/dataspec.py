@@ -25,7 +25,6 @@ from .errors import (
     DegenerateWindowError,
     IndefiniteMatrixError,
     InvalidParameterError,
-    OverlapError,
     SchemaError,
 )
 from .table import write_table
@@ -282,33 +281,6 @@ def estimate_alpha_r(cap_tail: np.ndarray, src_tail: np.ndarray,
                                   fit_range_capacity=tuple(fit_range_capacity),
                                   fit_range_source=tuple(fit_range_source),
                                   r2_capacity=r2_cap, r2_source=r2_src)
-
-
-def ingest_binary_labels(data: np.ndarray, class_a_rows, class_b_rows,
-                         sigma: float, seed) -> np.ndarray:
-    """Assign +1 / -1 labels to the two row sets plus seeded Gaussian noise.
-
-    The row sets must be disjoint and together cover every data row (pass a
-    pre-filtered data matrix for two-class subsets of a larger dataset).
-    Noise is drawn in row order, so the result is reproducible for a given
-    seed regardless of how the classes interleave.
-    """
-    if not 0 <= sigma < math.inf:
-        raise InvalidParameterError(f"noise std must be finite and >= 0, got {sigma}")
-    n = np.asarray(data).shape[0]
-    a = np.asarray(sorted(class_a_rows), dtype=int)
-    b = np.asarray(sorted(class_b_rows), dtype=int)
-    overlap = np.intersect1d(a, b)
-    if overlap.size:
-        raise OverlapError(f"row sets overlap ({overlap.size} rows, first {overlap[:5]})")
-    covered = np.union1d(a, b)
-    if covered.size != n or (covered.size and (covered[0] < 0 or covered[-1] >= n)):
-        raise OverlapError("row sets must partition the data rows")
-    labels = np.empty(n)
-    labels[a] = 1.0
-    labels[b] = -1.0
-    rng = np.random.default_rng(seed)
-    return labels + sigma * rng.standard_normal(n)
 
 
 def load_dataset_csv(path):

@@ -37,9 +37,5 @@ class IndefiniteMatrixError(ValueError):
     """A matrix required to be positive semi-definite has significantly negative eigenvalues."""
 
 
-class OverlapError(ValueError):
-    """Row sets required to be disjoint overlap (or leave rows unlabeled)."""
-
-
 class SchemaError(ValueError):
     """An input file does not match the expected schema."""

@@ -177,9 +177,10 @@ def _solve_psd(mat: np.ndarray, rhs: np.ndarray, lam_is_zero: bool) -> np.ndarra
 
     mat must be exactly symmetric and C-contiguous; it is factored in its own
     buffer.  mat.T is that buffer in Fortran order and the same matrix, so the
-    factor has the bits of one computed on a copy.  The factor overwrites mat's
-    lower triangle; the retry rebuilds mat from the strict upper triangle and
-    the saved diagonal, then factors mat + jitter * I, a fresh matrix.
+    factor has the bits of one computed on a copy.  The factor may overwrite
+    mat's lower triangle; the retry rebuilds mat from the strict upper
+    triangle and the saved diagonal, then factors mat + jitter * I, a fresh
+    matrix.
     """
     diagonal = mat.diagonal().copy()
     try:

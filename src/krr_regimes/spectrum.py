@@ -137,16 +137,6 @@ class Spectrum:
             return float(self.eigenvalues.sum())
         return float(_power_sums(np.array([self._law[0]]), 1, self._p)[0])
 
-    def truncate(self, p: int) -> "Spectrum":
-        """Return the spectrum restricted to its first p modes."""
-        if p < 1:
-            raise InvalidParameterError(f"truncation dimension must be >= 1, got {p}")
-        if p >= self.p:
-            return self
-        if self._law is not None:
-            return Spectrum._of_law(self._law, p)
-        return Spectrum(self.eigenvalues[:p], self.teacher_sq[:p])
-
     def __repr__(self) -> str:
         return f"Spectrum(p={self._p}, law={self._law})"
 

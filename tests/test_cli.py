@@ -179,29 +179,6 @@ def test_simulate_deterministic(tmp_path):
     assert all(r.regime for r in curve.rows)
 
 
-def test_deprecated_workers_flag_warns_and_changes_nothing(tmp_path, capsys):
-    a, c = tmp_path / "a.csv", tmp_path / "c.csv"
-    assert main(_SIMULATE_ARGS + ["--out", str(a)]) == 0
-    assert "--workers" not in capsys.readouterr().err
-    params = json.loads((tmp_path / "a.csv.manifest.json").read_text())["params"]
-    assert params["workers"] is None
-    assert main(_SIMULATE_ARGS + ["--workers", "4", "--out", str(c)]) == 0
-    assert "warning: --workers is deprecated and has no effect" in capsys.readouterr().err
-    assert a.read_bytes() == c.read_bytes()
-    # A manifest of an earlier version recorded "workers": 1; it still replays.
-    cfg = tmp_path / "old.json"
-    cfg.write_text(json.dumps({**params, "workers": 1}))
-    replay = tmp_path / "replay.csv"
-    assert main(["simulate", "--config", str(cfg), "--out", str(replay)]) == 0
-    assert replay.read_bytes() == a.read_bytes()
-
-
-def test_workers_flag_is_hidden_from_help(capsys):
-    assert main(["simulate", "--help"]) == 0
-    out = capsys.readouterr().out
-    assert "--trials" in out and "--workers" not in out
-
-
 @pytest.mark.parametrize("command, flags", [
     ("simulate", ["--lam", "inf"]),
     ("simulate", ["--ell", "1", "--lambda0", "inf"]),
@@ -391,7 +368,9 @@ def test_estimate_cap_refusal_and_subsample(tmp_path):
     (["--subsample", "-5"], "--subsample"), (["--subsample", "0"], "--subsample"),
     (["--cap", "0"], "--cap"), (["--eigen-floor", "nan"], "eigenvalue floor"),
     (["--eigen-floor", "-1"], "eigenvalue floor"), (["--eigen-floor", "1"], "eigenvalue floor"),
-    (["--kernel", "polynomial", "--gamma", "1e100"], "non-finite entry inf")])
+    (["--kernel", "polynomial", "--gamma", "1e100"], "non-finite entry inf"),
+    (["--fit-range-capacity", "5,2"], "--fit-range-capacity: expected 1 <= lo < hi"),
+    (["--fit-range-source", "0,20"], "--fit-range-source: expected 1 <= lo < hi")])
 def test_estimate_rejects_bad_flags(tmp_path, capsys, flags, message):
     data = tmp_path / "data.csv"
     _planted_csv(data, n_tot=60, p=5)
@@ -400,6 +379,16 @@ def test_estimate_rejects_bad_flags(tmp_path, capsys, flags, message):
     assert code == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "e_estimate.json").exists()
+
+
+def test_library_warnings_print_as_one_line_each(tmp_path, capsys, recwarn):
+    data = tmp_path / "data.csv"
+    _planted_csv(data, n_tot=100, p=30)
+    assert main(["estimate", str(data), "--kernel", "rbf", "--gamma", "1",
+                 "--out", str(tmp_path / "e")]) == 0
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("warning: tail fits explain little variance (r2 capacity ")
+    assert len(recwarn) == 0
 
 
 def test_kernel_overflow_exits_2_without_a_numpy_warning(tmp_path):
@@ -499,8 +488,9 @@ def test_fit_slope_degenerate_window(tmp_path):
     assert main(["fit-slope", str(path), "--window", "0,1"]) == 4
     # a window must be an increasing row range inside the curve
     _slope_csv(path, [(10, 1.0), (100, 0.5), (1000, 0.25), (10000, 0.125)])
-    for window in ("0,100", "-1,3", "2,1"):
-        assert main(["fit-slope", str(path), f"--window={window}"]) == 4, window
+    assert main(["fit-slope", str(path), "--window=0,100"]) == 4
+    for window in ("-1,3", "2,1"):
+        assert main(["fit-slope", str(path), f"--window={window}"]) == 2, window
     # a row shorter than the header is a schema error, not a crash
     with open(path, "a", newline="") as f:
         f.write("10000,0,0.125\r\n")
@@ -570,6 +560,11 @@ def test_config_equals_form_and_unknown_key(tmp_path, capsys):
     cfg.write_text(json.dumps({"alpha": 2.0, "r": 0.5, "lam": 0.0, "n": 50}))
     assert main(["theory", "--config", str(cfg), "--out", str(out)]) == 2
     assert "'n'" in capsys.readouterr().err
+    # simulate takes no workers, which older manifests record
+    cfg.write_text(json.dumps({"alpha": 2.0, "r": 0.5, "lam": 0.0, "p": 50, "n": [8],
+                               "trials": 2, "workers": None}))
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "unknown config key(s): workers" in capsys.readouterr().err
 
 
 _REPLAY_ARGS = {
@@ -808,6 +803,11 @@ _SAME_VALUE_CASES = [
     # seed, an integer >= 0
     ("simulate", "seed", ["--seed", "-1"], -1, 2),
     ("estimate", "seed", ["--seed", "-3"], -3, 2),
+    # int pairs with their bounds: a fit range 1 <= lo < hi, a window 0 <= lo < hi
+    ("fit-slope", "window", ["--window", "3,1"], [3, 1], 2),
+    ("fit-slope", "window", ["--window=-1,3"], [-1, 3], 2),
+    ("estimate", "fit_range_capacity", ["--fit-range-capacity", "5,2"], [5, 2], 2),
+    ("estimate", "fit_range_source", ["--fit-range-source", "0,20"], [0, 20], 2),
 ]
 
 
@@ -848,8 +848,7 @@ def test_config_and_command_line_take_the_same_values(tmp_path, command, key, to
 # or whose value a manifest records as a string.
 _MINIMAL_ARGS = {
     "theory": ["--alpha", "2", "--r", "0.5", "--ell", "inf", "--n", "100"],
-    "simulate": ["--alpha", "2", "--r", "0.5", "--cv", "--n", "8,16", "--theory-p", "1e3",
-                 "--workers", "1"],
+    "simulate": ["--alpha", "2", "--r", "0.5", "--cv", "--n", "8,16", "--theory-p", "1e3"],
     "phase-diagram": [],
     "estimate": ["data.csv", "--kernel", "rbf", "--gamma", "1", "--fit-range-capacity", "1,5",
                  "--fit-range-source", "2,6", "--subsample", "50", "--ell=-inf",

@@ -21,7 +21,6 @@ from krr_regimes.dataspec import (
     estimate_alpha_r,
     feature_decomposition,
     gram_matrix,
-    ingest_binary_labels,
     load_dataset_csv,
     tails_to_csv,
 )
@@ -29,7 +28,6 @@ from krr_regimes.errors import (
     DegenerateRangeError,
     IndefiniteMatrixError,
     InvalidParameterError,
-    OverlapError,
     SchemaError,
 )
 from krr_regimes.simulator import sample_dataset
@@ -217,35 +215,6 @@ def test_pipeline_recovers_planted_exponents(planted_decomposition):
     est = estimate_alpha_r(cap, src)
     assert est.alpha_hat == pytest.approx(2.0, rel=0.10)
     assert est.r_hat == pytest.approx(0.5, rel=0.15)
-
-
-def test_ingest_binary_labels_exact_without_noise():
-    data = np.zeros((6, 2))
-    labels = ingest_binary_labels(data, [0, 2, 4], [1, 3, 5], 0.0, 0)
-    assert labels.tolist() == [1.0, -1.0, 1.0, -1.0, 1.0, -1.0]
-
-
-def test_ingest_binary_labels_reproducible_and_variance():
-    data = np.zeros((10_000, 1))
-    a = range(0, 5000)
-    b = range(5000, 10_000)
-    l1 = ingest_binary_labels(data, a, b, 0.5, 42)
-    l2 = ingest_binary_labels(data, a, b, 0.5, 42)
-    assert np.array_equal(l1, l2)
-    var = l1[:5000].var(ddof=1)
-    stderr = 0.25 * np.sqrt(2.0 / 4999)
-    assert abs(var - 0.25) <= 3 * stderr
-
-
-def test_ingest_binary_labels_errors():
-    data = np.zeros((4, 1))
-    with pytest.raises(OverlapError):
-        ingest_binary_labels(data, [0, 1], [1, 2], 0.0, 0)
-    with pytest.raises(OverlapError):
-        ingest_binary_labels(data, [0], [1], 0.0, 0)  # rows 2, 3 unlabeled
-    for sigma in (-0.1, math.nan, math.inf):
-        with pytest.raises(InvalidParameterError):
-            ingest_binary_labels(data, [0, 1], [2, 3], sigma, 0)
 
 
 def test_decomposition_and_tails_csv(tmp_path):

@@ -16,7 +16,6 @@ from pathlib import Path
 import pytest
 
 import krr_regimes
-from krr_regimes import _openblas
 from krr_regimes.simulator import sample_dataset
 from krr_regimes.spectrum import PowerLawParams, power_law_spectrum
 
@@ -46,7 +45,7 @@ def _scipy(modules) -> list[str]:
 
 
 def test_every_export_is_its_submodule_attribute():
-    assert len(krr_regimes.__all__) == len(set(krr_regimes.__all__)) == 42
+    assert len(krr_regimes.__all__) == len(set(krr_regimes.__all__)) == 41
     for module, names in krr_regimes._EXPORTS.items():
         owner = importlib.import_module("krr_regimes." + module)
         for name in names:
@@ -129,13 +128,45 @@ def test_theory_commands_load_no_scipy(tmp_path, argv):
     ["--ell", "1", "--sigma", "0.5", "--n", "32,64"],  # n = 64 > p: the normal equations
 ], ids=["ridgeless", "cv", "n-at-least-p"])
 def test_simulate_loads_no_scipy(tmp_path, argv):
-    # The Cholesky runs numpy's bundled OpenBLAS; scipy's is only the fallback.
-    if _openblas._lapack("dpotrf") is None or _openblas._lapack("dpotrs") is None:
-        pytest.skip("numpy's LAPACK lacks the Cholesky symbols: simulate falls back to scipy")
     modules = _loaded_by(["simulate", "--alpha", "2", "--r", "0.5", "--p", "40", "--trials",
                           "2", *argv, "--out", "s.csv"], tmp_path)
     assert "krr_regimes.simulator" in modules
     assert _scipy(modules) == []
+
+
+# Runs cli.main on each argv of a JSON list with scipy unimportable and no
+# handle on numpy's OpenBLAS, so every LAPACK call takes numpy's fallback, and
+# prints the exit codes.
+_NUMPY_ONLY_PROBE = """
+import json, sys
+sys.modules["scipy"] = None
+from krr_regimes import _openblas, cli
+_openblas._library = lambda: None
+print(json.dumps([cli.main(argv) for argv in json.loads(sys.argv[1])]))
+"""
+
+
+def test_every_command_runs_on_numpy_alone(tmp_path):
+    _planted_csv(tmp_path / "data.csv")
+    _curve_csv(tmp_path / "c.csv")
+    model = ["--alpha", "2", "--r", "0.5"]
+    simulate = ["simulate", *model, "--p", "40", "--trials", "2"]
+    argvs = [
+        ["theory", *model, "--lam", "0", "--n", "100,1000", "--out", "t.csv"],
+        ["optimal-lambda", *model, "--sigma", "0.5", "--p", "2000", "--n", "100",
+         "--lam-grid", "1e-6,1,13", "--out", "o.csv"],
+        ["phase-diagram", "--n-grid", "1,1e4,5", "--ell-grid", "0,4,5", "--out", "pd"],
+        [*simulate, "--lam", "0", "--n", "16,32", "--out", "s1.csv"],
+        [*simulate, "--ell", "1", "--sigma", "0.5", "--n", "32,64", "--out", "s2.csv"],
+        [*simulate, "--cv", "--sigma", "0.5", "--n", "16,32", "--out", "s3.csv"],
+        *(["estimate", "data.csv", "--kernel", kernel, "--gamma", "0.1", "--out", kernel]
+          for kernel in ("linear", "rbf", "polynomial")),
+        ["fit-slope", "c.csv"],
+    ]
+    proc = subprocess.run([sys.executable, "-c", _NUMPY_ONLY_PROBE, json.dumps(argvs)],
+                          cwd=tmp_path, env=ENV, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0] * len(argvs), proc.stderr
 
 
 def test_only_the_openblas_module_imports_ctypes():

@@ -109,14 +109,6 @@ def test_csv_bad_header(tmp_path):
             Spectrum.from_csv(path)
 
 
-def test_truncate():
-    sp = power_law_spectrum(PowerLawParams(2.0, 0.5, 100))
-    assert sp.truncate(10).p == 10
-    assert sp.truncate(200) is sp
-    with pytest.raises(InvalidParameterError):
-        sp.truncate(0)
-
-
 def _todays_arrays(alpha, r, p):
     k = np.arange(1, p + 1, dtype=float)
     return k ** (-alpha), k ** (alpha - 1.0 - 2.0 * r * alpha)
@@ -167,22 +159,3 @@ def test_law_spectrum_theory_at_p_1e8_builds_no_arrays():
     finally:
         tracemalloc.stop()
     assert peak < 64e6
-
-
-def test_truncate_keeps_the_law_without_building_arrays():
-    sp = power_law_spectrum(PowerLawParams(2.0, 0.5, 100_000_000))
-    tracemalloc.start()
-    try:
-        cut = sp.truncate(10_000_000)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 1e6
-    assert (cut.law, cut.p) == (sp.law, 10_000_000)
-    small = power_law_spectrum(PowerLawParams(2.0, 0.5, 1000))
-    small.eigenvalues  # built in full before the cut
-    for base in (small, power_law_spectrum(PowerLawParams(2.0, 0.5, 1000))):
-        cut = base.truncate(10)
-        assert cut.law == (2.0, 0.5)
-        assert cut.eigenvalues.tobytes() == small.eigenvalues[:10].tobytes()
-        assert cut.teacher_sq.tobytes() == small.teacher_sq[:10].tobytes()
