@@ -52,14 +52,23 @@ class KernelSpec:
             raise InvalidParameterError(f"degree must be >= 1, got {self.degree}")
 
 
+_BLOCK = 256  # rows per block of the in-place n x n passes
+
+
 def gram_matrix(data: np.ndarray, kernel: KernelSpec) -> np.ndarray:
     """Pairwise kernel evaluations, symmetric by construction.
 
-    Each kernel is evaluated in place, so at most two n x n arrays are alive.
+    The kernel and its symmetrization run in place, one block of rows at a
+    time, so one n x n array is alive.
     """
     data = np.asarray(data, dtype=float)
     if data.ndim != 2 or data.shape[0] == 0:
         raise InvalidParameterError("data must be a non-empty 2-d array")
+    finite = np.isfinite(data)
+    if not finite.all():
+        i, j = divmod(int(np.argmin(finite)), data.shape[1])
+        raise InvalidParameterError(f"data has non-finite value {data[i, j]} at row {i}, "
+                                    f"column {j}")
     gram = data @ data.T
     # An overflow leaves an inf that _decompose reports; numpy's warning would only
     # repeat it on stderr.
@@ -72,17 +81,40 @@ def gram_matrix(data: np.ndarray, kernel: KernelSpec) -> np.ndarray:
             gram **= kernel.degree
         else:
             sq = np.diag(gram).copy()
-            dist = sq[:, None] + sq[None, :]
-            gram *= 2.0
-            dist -= gram
-            gram = np.clip(dist, 0.0, None, out=dist)
-            gram *= -0.5 * kernel.gamma
-            np.exp(gram, out=gram)
-        sym = gram + gram.T
-    sym *= 0.5
+            scratch = np.empty((min(_BLOCK, sq.size), sq.size))
+            for i in range(0, sq.size, _BLOCK):
+                # ||x_i - x_j||^2 as (sq_i + sq_j) - 2 g_ij, clipped at 0.
+                block = gram[i:i + _BLOCK]
+                dist = np.add(sq[i:i + _BLOCK, None], sq, out=scratch[:len(block)])
+                block *= 2.0
+                dist -= block
+                np.clip(dist, 0.0, None, out=dist)
+                dist *= -0.5 * kernel.gamma
+                np.exp(dist, out=block)
+        _symmetrize(gram)
     if kernel.kind == "rbf":
-        np.fill_diagonal(sym, 1.0)
-    return sym
+        np.fill_diagonal(gram, 1.0)
+    return gram
+
+
+def _symmetrize(gram: np.ndarray, n_tot: int | None = None) -> float:
+    """Overwrite a square gram with (gram + gram^T) * 0.5, then divided by n_tot
+    when given, one pair of blocks at a time; returns max |gram - gram^T| of the
+    input, which is only meaningful for a finite gram."""
+    asym, n = 0.0, gram.shape[0]
+    for i in range(0, n, _BLOCK):
+        for j in range(i, n, _BLOCK):
+            upper, lower = gram[i:i + _BLOCK, j:j + _BLOCK], gram[j:j + _BLOCK, i:i + _BLOCK].T
+            with np.errstate(invalid="ignore"):  # inf - inf after a kernel overflow
+                diff = upper - lower
+            asym = max(asym, float(np.abs(diff, out=diff).max()))
+            np.add(upper, lower, out=diff)
+            diff *= 0.5
+            if n_tot is not None:
+                diff /= n_tot
+            upper[...] = diff
+            lower[...] = diff
+    return asym
 
 
 @dataclass(frozen=True)
@@ -90,8 +122,9 @@ class FeatureDecomposition:
     """Eigenbasis of the Gram matrix under the empirical measure.
 
     eigenvalues are those of gram / n_tot, descending.  phi is scaled so
-    phi^T phi / n_tot is the identity.  theta_star holds the (signed)
-    teacher coefficients in the rescaled feature basis; modes whose
+    phi^T phi / n_tot is the identity; it is the transposed view of a
+    C-ordered array whose rows are the eigenvectors.  theta_star holds the
+    (signed) teacher coefficients in the rescaled feature basis; modes whose
     eigenvalue fell below the relative floor are reported in n_floored and
     carry a zero coefficient.
     """
@@ -130,45 +163,67 @@ def _decompose(gram: np.ndarray, labels: np.ndarray, floor_rel: float) -> Featur
     buffer: gram is overwritten, so the caller must not read it afterwards."""
     _check_eigen_floor(floor_rel)
     labels = np.asarray(labels, dtype=float)
-    n_tot = gram.shape[0]
-    if gram.ndim != 2 or gram.shape[1] != n_tot:
+    if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
         raise InvalidParameterError("gram must be square")
+    n_tot = gram.shape[0]
+    if n_tot == 0:
+        raise InvalidParameterError("gram must have at least one row")
     if labels.shape != (n_tot,):
         raise InvalidParameterError("labels must be one vector per data row")
+    finite = np.isfinite(labels)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise InvalidParameterError(f"labels have non-finite value {labels[i]} at row {i}")
     hi, lo = gram.max(), gram.min()
     if not (math.isfinite(hi) and math.isfinite(lo)):
         i, j = divmod(int(np.argmin(np.isfinite(gram))), n_tot)
         raise InvalidParameterError(
             f"gram matrix has non-finite entry {gram[i, j]} at ({i}, {j}); "
             "the kernel may have overflowed (try a smaller gamma or degree)")
-    diff = gram - gram.T
-    asym = np.abs(diff, out=diff).max()
-    del diff
+    asym = _symmetrize(gram, n_tot)
     if asym > 1e-8 * max(hi, -lo, 1.0):
         raise InvalidParameterError(f"gram matrix asymmetric (max |K-K^T| = {asym:.3e})")
 
-    np.add(gram, gram.T, out=gram)  # numpy buffers the overlapping operand
-    gram *= 0.5
-    gram /= n_tot
     evals, evecs = _openblas._eigh_overwrite(gram)
+    # Rows are the eigenvectors: gram itself after dsyevd, a copy after eigh.
+    rows = np.ascontiguousarray(evecs.T)
+    del evecs
     if evals.min() < -1e-8 * max(evals.max(), 0.0):
         raise IndefiniteMatrixError(
             f"gram matrix has eigenvalue {evals.min():.3e} below the PSD tolerance"
         )
     order = np.argsort(evals)[::-1]
     evals = np.clip(evals[order], 0.0, None)
-    phi = evecs[:, order]
-    del evecs
-    phi *= np.sqrt(n_tot)
+    _permute_rows(rows, order)
+    rows *= np.sqrt(n_tot)
 
     floor = floor_rel * evals[0] if evals[0] > 0 else 0.0
-    active = evals > floor
+    # evals descend, so the modes above the floor are a prefix.
+    n_active = int(np.sum(evals > floor))
     theta = np.zeros(n_tot)
     # theta = Sigma^(-1/2) phi^T y / n_tot on the active modes.
-    theta[active] = (phi[:, active].T @ labels) / (np.sqrt(evals[active]) * n_tot)
-    return FeatureDecomposition(eigenvalues=evals, phi=phi, theta_star=theta,
-                                n_tot=n_tot, n_floored=int(np.sum(~active)),
+    theta[:n_active] = (rows[:n_active] @ labels) / (np.sqrt(evals[:n_active]) * n_tot)
+    return FeatureDecomposition(eigenvalues=evals, phi=rows.T, theta_star=theta,
+                                n_tot=n_tot, n_floored=n_tot - n_active,
                                 floor=float(floor))
+
+
+def _permute_rows(a: np.ndarray, order: np.ndarray) -> None:
+    """a[:] = a[order] in place, following the permutation's cycles with one row
+    of scratch."""
+    order = order.tolist()
+    done = [False] * len(order)
+    for start in range(len(order)):
+        if done[start]:
+            continue
+        saved = a[start].copy()
+        k = start
+        while order[k] != start:
+            a[k] = a[order[k]]
+            done[k] = True
+            k = order[k]
+        a[k] = saved
+        done[k] = True
 
 
 def cumulative_tails(eigenvalues: np.ndarray, teacher_sq: np.ndarray):

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import krr_regimes
-from krr_regimes import _openblas
+from krr_regimes import _openblas, dataspec
 from krr_regimes.cli import main
 from krr_regimes.dataspec import (
     KernelSpec,
@@ -374,6 +374,7 @@ def _assert_decomposition_matches(gram, labels):
     assert dec.eigenvalues.tobytes() == evals.tobytes()
     assert dec.phi.tobytes() == phi.tobytes()
     assert dec.theta_star.tobytes() == theta.tobytes()
+    return dec
 
 
 _KERNELS = [KernelSpec("linear", gamma=1.7), KernelSpec("rbf", gamma=0.05),
@@ -392,6 +393,47 @@ def test_gram_and_decomposition_bit_identical_to_reference(kernel):
         gram = gram_matrix(data, kernel)
         assert gram.tobytes() == _gram_reference(data, kernel).tobytes()
         _assert_decomposition_matches(gram, rng.standard_normal(data.shape[0]))
+
+
+# Below one block of the in-place passes, and a size that is not a multiple of it.
+_BLOCKED_SIZES = [dataspec._BLOCK // 3, 2 * dataspec._BLOCK + 37]
+
+
+@pytest.mark.parametrize("eigensolver", ["dsyevd", "eigh"])
+@pytest.mark.parametrize("kernel", _KERNELS, ids=lambda k: f"{k.kind}{k.degree}")
+@pytest.mark.parametrize("n", _BLOCKED_SIZES)
+def test_blocked_gram_and_decomposition_bit_identical_to_reference(n, kernel, eigensolver,
+                                                                   monkeypatch):
+    if eigensolver == "eigh":
+        monkeypatch.setattr(_openblas, "_lapack", lambda name: None)
+    rng = np.random.default_rng(n)
+    data = rng.standard_normal((n, 40))
+    gram = gram_matrix(data, kernel)
+    assert gram.tobytes() == _gram_reference(data, kernel).tobytes()
+    dec = _assert_decomposition_matches(gram, rng.standard_normal(n))
+    if kernel.kind == "linear":  # rank 40: the other modes fall below the floor
+        assert dec.n_floored == n - 40
+
+
+@pytest.mark.parametrize("eigensolver", ["dsyevd", "eigh"])
+@pytest.mark.parametrize("n", _BLOCKED_SIZES)
+def test_decomposition_bit_identical_with_tied_eigenvalues(n, eigensolver, monkeypatch):
+    if eigensolver == "eigh":
+        monkeypatch.setattr(_openblas, "_lapack", lambda name: None)
+    y = np.random.default_rng(n).standard_normal(n)
+    dec = _assert_decomposition_matches(n * np.eye(n), y)
+    assert dec.n_floored == 0
+
+
+def test_permute_rows_follows_every_cycle():
+    rng = np.random.default_rng(23)
+    a = rng.standard_normal((50, 3))
+    orders = [rng.permutation(50), np.arange(50), np.arange(50)[::-1],
+              np.r_[1, 2, 0, 3:50]]  # one 3-cycle, then fixed points
+    for order in orders:
+        b = a.copy()
+        dataspec._permute_rows(b, order)
+        assert b.tobytes() == a[order].tobytes()
 
 
 def test_decomposition_bit_identical_on_nearly_symmetric_gram():
@@ -424,6 +466,28 @@ def test_gram_and_decomposition_bit_identical_above_half_max():
 def test_decomposition_rejects_bad_floor(floor_rel):
     with pytest.raises(InvalidParameterError):
         feature_decomposition(np.eye(3), np.ones(3), floor_rel=floor_rel)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_decomposition_rejects_non_finite_labels(bad):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidParameterError, match=f"non-finite value {bad} at row 1"):
+            feature_decomposition(3 * np.eye(3), [1.0, bad, 2.0])
+
+
+def test_decomposition_rejects_empty_gram():
+    with pytest.raises(InvalidParameterError, match="at least one row"):
+        feature_decomposition(np.zeros((0, 0)), np.zeros(0))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("kind", ["linear", "rbf", "polynomial"])
+def test_gram_rejects_non_finite_data(kind, bad):
+    data = np.ones((4, 3))
+    data[2, 1] = bad
+    with pytest.raises(InvalidParameterError, match=f"non-finite value {bad} at row 2, column 1"):
+        gram_matrix(data, KernelSpec(kind, gamma=1.0))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -496,36 +560,53 @@ def test_dsyevd_found_with_numpy_ilp64_openblas():
     assert _openblas._lapack("dsyevd") is not None
 
 
-# Resident memory just before the in-place decomposition of an n x n Gram
-# matrix, and the peak after it, in units of one n x n float64 array.  The
-# peak is VmHWM, the high-water mark of this process's own address space:
-# ru_maxrss keeps the parent's peak across fork and exec.
+# Resident memory just before a call on n x n data, and the peak after it, in
+# units of one n x n float64 array.  The peak is VmHWM, the high-water mark of
+# this process's own address space: ru_maxrss keeps the parent's peak across
+# fork and exec.  The 40-column data is made first, and for the decomposition
+# its Gram matrix too.
 _MEMORY_PROBE = """
 import os, sys
 import numpy as np
 from krr_regimes import dataspec
-n = int(sys.argv[1])
+n, kind = int(sys.argv[1]), sys.argv[2]
 x = np.random.default_rng(0).standard_normal((n, 40))
-gram = x @ x.T
-del x
+if kind == "decompose":
+    gram = x @ x.T
+    del x
 with open("/proc/self/statm") as f:
     before = int(f.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
-dataspec._decompose(gram, np.ones(n), dataspec.DEFAULT_EIGENVALUE_FLOOR)
+if kind == "decompose":
+    dataspec._decompose(gram, np.ones(n), dataspec.DEFAULT_EIGENVALUE_FLOOR)
+else:
+    dataspec.gram_matrix(x, dataspec.KernelSpec(kind, gamma=0.01))
 with open("/proc/self/status") as f:
     peak = next(int(line.split()[1]) * 1024 for line in f if line.startswith("VmHWM:"))
 print((peak - before) / (n * n * 8))
 """
 
 
+def _peak_memory(kind: str) -> float:
+    env = {**os.environ, "PYTHONPATH": str(Path(krr_regimes.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", _MEMORY_PROBE, "1500", kind], env=env,
+                          capture_output=True, text=True, check=True, timeout=120)
+    return float(proc.stdout)
+
+
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self")
 def test_in_place_decomposition_peak_memory():
     # The in-place dsyevd (LAPACK's 2 n^2 workspace plus OpenBLAS's own buffers)
-    # measures about 3.2 on x86-64; np.linalg.eigh, with its working copy and
-    # separate eigenvector output, about 4.2, and a decomposition that also
-    # scales into a new array about 5.2.
+    # measures about 2.2 on x86-64.  Each further n x n temporary adds 1: the
+    # asymmetry check's difference, numpy's buffered copy in an in-place
+    # gram + gram.T, or a reordered copy of the eigenvectors.
     if _openblas._lapack("dsyevd") is None:
         pytest.skip("numpy's LAPACK has no scipy_dsyevd_64_; eigh needs more memory")
-    env = {**os.environ, "PYTHONPATH": str(Path(krr_regimes.__file__).resolve().parents[1])}
-    proc = subprocess.run([sys.executable, "-c", _MEMORY_PROBE, "1500"], env=env,
-                          capture_output=True, text=True, check=True, timeout=120)
-    assert float(proc.stdout) <= 4.0
+    assert _peak_memory("decompose") <= 2.6
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self")
+@pytest.mark.parametrize("kind", ["linear", "rbf", "polynomial"])
+def test_gram_matrix_peak_memory(kind):
+    # The product itself is 1; the blocked kernel and symmetrization add a few
+    # row blocks.  A symmetrized copy, or rbf's full distance matrix, adds 1 each.
+    assert _peak_memory(kind) <= 1.5
