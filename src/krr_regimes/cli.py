@@ -2,7 +2,8 @@
 
 Subcommands: theory, simulate, phase-diagram, estimate, fit-slope,
 optimal-lambda.  A JSON config file may supply any flag (flags given on the
-command line win); each value goes through the parser of its flag's text.
+command line win, and a schedule flag given there drops the file's other
+schedule flags); each value goes through the parser of its flag's text.
 Every command but fit-slope writes a run manifest next to its outputs;
 identical manifests reproduce the outputs byte-for-byte on the same numpy
 build, with the OpenBLAS it bundles, and CPU.  simulate's outputs do not
@@ -511,6 +512,19 @@ def _typed_config(sub, config: dict) -> dict:
     return typed
 
 
+def _unshadowed(sub, args, config: dict) -> dict:
+    """config without its values for the other members of each mutually
+    exclusive group, such as the ridge schedule, that the command line sets a
+    member of.  args is the command line parsed without config defaults, so
+    a member it holds at other than its default was given there."""
+    dropped = set()
+    for group in sub._mutually_exclusive_groups:
+        unset = {a.dest for a in group._group_actions if getattr(args, a.dest) == a.default}
+        if len(unset) < len(group._group_actions):
+            dropped |= unset
+    return {key: value for key, value in config.items() if key not in dropped}
+
+
 @functools.cache
 def _config_parser():
     pre = argparse.ArgumentParser(add_help=False, exit_on_error=False)
@@ -561,7 +575,7 @@ def main(argv=None) -> int:
                 sub.error(f"unknown config key(s): {', '.join(unknown)}")
             if config.get("command", args.command) != args.command:
                 sub.error(f"config file is for the {config['command']!r} command")
-            sub.set_defaults(**_typed_config(sub, config))
+            sub.set_defaults(**_typed_config(sub, _unshadowed(sub, args, config)))
             args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_EXIT

@@ -53,14 +53,21 @@ class LamSchedule:
             raise InvalidParameterError("schedule values must not be NaN")
 
     def lam_at(self, n: int) -> float | None:
-        """Schedule value at sample count n; None for cv (chosen per dataset)."""
-        if self.kind == "fixed":
-            return self.lam
+        """Schedule value at sample count n; None for cv (chosen per dataset).
+
+        A value, or n times it, that is not finite is rejected.
+        """
+        if self.kind == "cv":
+            return None
+        lam = self.lam
         if self.kind == "power":
-            if math.isinf(self.ell):
-                return 0.0
-            return self.lambda0 * float(n) ** (-self.ell)
-        return None
+            try:
+                lam = 0.0 if math.isinf(self.ell) else self.lambda0 * float(n) ** (-self.ell)
+            except OverflowError:
+                lam = math.inf
+        if not n * lam < math.inf:
+            raise InvalidParameterError(f"n*lam of {self} at n={n} is not finite")
+        return lam
 
     def label(self, alpha: float, r: float, sigma: float, n: int, lam: float) -> RegimeLabel:
         """Regime of the row at n whose ridge this schedule resolved to lam.
@@ -144,32 +151,27 @@ def trial_seed(master_seed: int, n: int, trial_index: int) -> np.random.SeedSequ
     return np.random.SeedSequence(entropy=(int(master_seed), int(n), int(trial_index)))
 
 
-def _draw(scale: np.ndarray, sigma: float, seed, out: np.ndarray) -> np.ndarray | None:
-    """Fill out (n x p) with a design drawn from seed; return the noise draw.  It makes
-    no BLAS call and calls nothing else of this package."""
-    rng = np.random.default_rng(seed)
-    rng.standard_normal(out=out)
-    out *= scale
-    return rng.standard_normal(out.shape[0]) if sigma > 0 else None
-
-
-def _labels(features: np.ndarray, theta: np.ndarray, sigma: float, noise) -> np.ndarray:
-    labels = features @ theta
-    return labels + sigma * noise if sigma > 0 else labels
-
-
-def sample_dataset(spectrum: Spectrum, n: int, sigma: float, seed):
+def sample_dataset(spectrum: Spectrum, n: int, sigma: float, seed, out=None):
     """Draw (features, labels) from the Gaussian teacher model.
 
     Row mu holds independent coordinates with variance eigenvalue_k; the
     label is the teacher response (positive-root coefficients) plus
-    sigma-scaled standard normal noise.
+    sigma-scaled standard normal noise.  out, when given, is a C-contiguous
+    float64 n x p array that receives the features and is returned as them.
     """
     if n < 1:
         raise InvalidParameterError(f"sample count must be >= 1, got {n}")
-    features = np.empty((n, spectrum.p))
-    noise = _draw(np.sqrt(spectrum.eigenvalues), sigma, seed, features)
-    return features, _labels(features, np.sqrt(spectrum.teacher_sq), sigma, noise)
+    out = np.empty((n, spectrum.p)) if out is None else out
+    if out.shape != (n, spectrum.p) or out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise InvalidParameterError(
+            f"out must be a C-contiguous float64 array of shape ({n}, {spectrum.p})")
+    rng = np.random.default_rng(seed)
+    rng.standard_normal(out=out)
+    out *= np.sqrt(spectrum.eigenvalues)
+    labels = out @ np.sqrt(spectrum.teacher_sq)
+    if sigma > 0:
+        labels += sigma * rng.standard_normal(n)
+    return out, labels
 
 
 def _solve_psd(mat: np.ndarray, rhs: np.ndarray, lam_is_zero: bool) -> np.ndarray:
@@ -285,39 +287,40 @@ def grid_search_lambda(features: np.ndarray, labels: np.ndarray,
 def learning_curve(config: SimConfig) -> LearningCurve:
     """Monte-Carlo learning curve with attached closed-form theory column.
 
-    A two-thread executor runs whole trials, submitted in sorted-row, trial
-    order: each trial borrows one of two shared n_max x p float64 design
-    buffers, draws into it, forms the labels, fits and scores the fit, so each
-    worker holds one n x n (or p x p) system at a time.  The whole curve runs
-    OpenBLAS on one thread (_openblas._one_blas_thread), so each core solves
-    its own trial and, where the pin takes, the Cholesky rounding does not
-    follow the machine's thread count.  The calling thread resolves each row's ridge before it submits the
-    row's trials, so no worker waits on it: on a cv row it borrows a buffer,
-    draws trial 0's design into it and runs the grid search there (run in a
-    worker, the search's temporaries would stay resident in that thread's
-    malloc arena); trial 0 then draws the same design again, about 140 ms of
-    one core over a p = 4000, n = 32..1024 curve.  The calling thread also
-    computes the theory column and the regime label, and reduces the rows in
-    sorted order, each row's trials in trial order, once every row's trials
-    are submitted.  Trial failures are tolerated up to 10% per row, above
-    which the row's first failure is re-raised.  Any raise cancels the queued
-    trials before it leaves.
+    Every row's schedule value is checked (LamSchedule.lam_at) before any
+    trial runs.  A two-thread executor runs whole trials, submitted in
+    sorted-row, trial order: each trial borrows one of two shared n_max x p
+    float64 buffers, draws its design there through sample_dataset, fits
+    and scores the fit, so each worker holds one n x n (or p x p) system at
+    a time.  The whole curve runs OpenBLAS on one thread
+    (_openblas._one_blas_thread), so each core solves its own trial and,
+    where the pin takes, the Cholesky rounding does not follow the machine's
+    thread count.  The calling thread resolves each row's ridge before it
+    submits the row's trials, so no worker waits on it: on a cv row it
+    borrows a buffer, draws trial 0's design into it and runs the grid
+    search there (run in a worker, the search's temporaries would stay
+    resident in that thread's malloc arena); trial 0 then draws the same
+    design again, about 140 ms of one core over a p = 4000, n = 32..1024
+    curve.  The calling thread also computes the theory column and the
+    regime label, and reduces the rows in sorted order, each row's trials in
+    trial order, once every row's trials are submitted.  Trial failures are
+    tolerated up to 10% per row, above which the row's first failure is
+    re-raised.  Any raise cancels the queued trials before it leaves.
     """
     import queue
     from concurrent.futures import ThreadPoolExecutor
 
     spectrum, sigma, trials = config.spectrum, config.sigma, config.trials
     theory_spec = config.theory_spectrum or spectrum
-    scale, theta = np.sqrt(spectrum.eigenvalues), np.sqrt(spectrum.teacher_sq)
     ns = sorted(config.n_values)
+    lams = [config.lam_schedule.lam_at(n) for n in ns]
     buffers = queue.SimpleQueue()
     for _ in range(2):
         buffers.put(np.empty((ns[-1], spectrum.p)))
 
     def design(buffer, n, t):
-        features = buffer[:n]
-        noise = _draw(scale, sigma, trial_seed(config.master_seed, n, t), features)
-        return features, _labels(features, theta, sigma, noise)
+        return sample_dataset(spectrum, n, sigma, trial_seed(config.master_seed, n, t),
+                              buffer[:n])
 
     def trial(n, t, lam):
         buffer = buffers.get()
@@ -331,8 +334,7 @@ def learning_curve(config: SimConfig) -> LearningCurve:
     pool = ThreadPoolExecutor(2)
     submitted, rows = [], []
     try:
-        for n in ns:
-            lam = config.lam_schedule.lam_at(n)
+        for n, lam in zip(ns, lams):
             if lam is None:
                 # One cross-validated regularization per row, chosen on trial 0.
                 buffer = buffers.get()

@@ -3,7 +3,8 @@
 A spectrum couples a non-increasing sequence of positive covariance
 eigenvalues with the squared teacher coefficients expressed in the same
 eigenbasis.  Spectra are either synthetic (capacity/source power laws with
-unit prefactor) or empirical (measured from data and loaded from CSV).
+unit prefactor) or empirical (given as arrays, such as the modes of a
+dataset's feature decomposition).
 """
 
 from __future__ import annotations
@@ -14,14 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError
-from .table import read_table, write_table
 
 # Truncation defaults: simulation-facing callers keep the feature space small
 # enough to sample, theory-facing callers push the truncation one decade further.
 DEFAULT_P_SIMULATION = 10_000
 DEFAULT_P_THEORY = 100_000
-
-_HEADER = ("k", "eigenvalue", "teacher_sq")
 
 
 @dataclass(frozen=True)
@@ -139,17 +137,6 @@ class Spectrum:
 
     def __repr__(self) -> str:
         return f"Spectrum(p={self._p}, law={self._law})"
-
-    def to_csv(self, path) -> None:
-        """Write columns (k, eigenvalue, teacher_sq) with a header row."""
-        write_table(path, _HEADER,
-                    zip(range(1, self.p + 1), self.eigenvalues, self.teacher_sq))
-
-    @staticmethod
-    def from_csv(path) -> "Spectrum":
-        rows = read_table(path, _HEADER)
-        return Spectrum(np.array([float(row[1]) for row in rows]),
-                        np.array([float(row[2]) for row in rows]))
 
 
 def power_law_spectrum(params: PowerLawParams) -> Spectrum:

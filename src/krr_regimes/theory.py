@@ -184,25 +184,22 @@ class ZSolution:
     df2: float
 
 
-def solve_z(n: int, lam: float, spectrum: Spectrum) -> ZSolution:
+def solve_z(n: int, lam: float, spectrum: Spectrum, z: float | None = None) -> ZSolution:
     """Solve z = n*lam + (z/n) * sum_k eig_k / (z/n + eig_k) by Newton's method.
 
     With zeta = z/n the gap g(z) = z - n*lam - zeta * df1(zeta) is convex with
     slope 1 - df2(zeta)/n, so Newton's method started above the largest root,
-    here at n*lam + tr(Sigma) + 1 >= root + 1, descends to it without a
-    bracket; it stops at the first step that no longer lowers z.  At lam = 0
-    the root is positive exactly when the spectrum has more modes than n.
+    by default at n*lam + tr(Sigma) + 1 >= root + 1, descends to it without a
+    bracket; it stops at the first step that no longer lowers z.  A given
+    start z must not lie below the root; None, or a z that is not positive
+    and finite, starts cold.  At lam = 0 the root is positive exactly when
+    the spectrum has more modes than n.  n*lam must be finite.
     """
-    return _solve_z(n, lam, spectrum, None)
-
-
-def _solve_z(n: int, lam: float, spectrum: Spectrum, z: float | None) -> ZSolution:
-    """solve_z started from z, which must not lie below the root; None, or a z
-    that is not positive and finite, starts cold."""
     if n < 1:
         raise InvalidParameterError(f"sample count must be >= 1, got {n}")
-    if not 0 <= lam < math.inf:
-        raise InvalidParameterError(f"regularization must be finite and >= 0, got {lam}")
+    if not (0 <= lam and n * lam < math.inf):
+        raise InvalidParameterError(
+            f"regularization must be >= 0 with n*lam finite, got lam={lam} at n={n}")
     if lam == 0.0 and spectrum.p <= n:
         # The spectral sum never catches up with z; at z = 0 each mode adds 1 to df2.
         return ZSolution(z=0.0, residual=0.0, branch="interpolation", df2=float(spectrum.p))
@@ -220,7 +217,7 @@ def _solve_z(n: int, lam: float, spectrum: Spectrum, z: float | None) -> ZSoluti
         raise NonConvergenceError(
             f"Newton iteration still moving after {_NEWTON_MAX_STEPS} steps at z={z:.6e}")
     residual = abs(gap)
-    if residual > _Z_TOL * max(1.0, z):
+    if not residual <= _Z_TOL * max(1.0, z):
         raise NonConvergenceError(f"root residual {residual:.3e} exceeds tolerance at z={z:.6e}")
     branch = "regularization" if n * lam >= z - n * lam else "spectral"
     return ZSolution(z=float(z), residual=float(residual), branch=branch, df2=df2)
@@ -240,8 +237,8 @@ class ErrorDecomposition:
     total: float
 
 
-def excess_error_closed(n: int, lam: float, sigma: float,
-                        spectrum: Spectrum) -> ErrorDecomposition:
+def excess_error_closed(n: int, lam: float, sigma: float, spectrum: Spectrum,
+                        zsol: ZSolution | None = None) -> ErrorDecomposition:
     """Closed-form excess error on the truncated spectrum.
 
     With zeta the per-sample effective regularization from ``solve_z`` and
@@ -250,15 +247,12 @@ def excess_error_closed(n: int, lam: float, sigma: float,
         sample_variance = sum_k teacher_sq_k eig_k (zeta/(zeta+eig_k))^2 / (1 - S2)
         noise_variance  = sigma^2 S2 / (1 - S2)
 
+    zsol is the ``solve_z`` root at (n, lam), solved here when not given.
     Raises DegenerateDenominatorError when 1 - S2 <= 0 (truncation or
     parameters outside the formula's validity).
     """
-    return _decompose(n, lam, sigma, spectrum, solve_z(n, lam, spectrum))
-
-
-def _decompose(n: int, lam: float, sigma: float, spectrum: Spectrum,
-               zsol: ZSolution) -> ErrorDecomposition:
-    """The closed form at the root zsol, whose df2 gives S2."""
+    if zsol is None:
+        zsol = solve_z(n, lam, spectrum)
     if not 0 <= sigma < math.inf:
         raise InvalidParameterError(f"noise std must be finite and >= 0, got {sigma}")
     (sample_sum,) = _spectral_sums(zsol.z / n, spectrum, (_SAMPLE,))
@@ -390,9 +384,9 @@ def optimal_lambda(n: int, sigma: float, spectrum: Spectrum,
     for lam in map(float, np.sort(lam_grid)[::-1]):
         # At the previous root the gap at lam is n * (lam_prev - lam).
         z = None if zsol is None else zsol.z - n * (lam_prev - lam) / (1.0 - zsol.df2 / n)
-        zsol, lam_prev = _solve_z(n, lam, spectrum, z), lam
+        zsol, lam_prev = solve_z(n, lam, spectrum, z), lam
         try:
-            total = _decompose(n, lam, sigma, spectrum, zsol).total
+            total = excess_error_closed(n, lam, sigma, spectrum, zsol).total
         except DegenerateDenominatorError as err:
             last_error = err
             continue

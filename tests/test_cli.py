@@ -232,6 +232,58 @@ def test_simulate_usage_error(tmp_path):
                  "--ell", "1", "--n", "32"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["theory", "--lam", "1e308", "--p", "100"],
+    ["theory", "--lam", "1e308", "--p", "1000000"],
+    ["simulate", "--lam", "1e308", "--p", "100", "--trials", "2"],
+    ["optimal-lambda", "--lam-grid", "1e300,1e308,3", "--no-include-zero", "--p", "100"],
+    ["theory", "--ell=-300", "--p", "100"],
+    ["simulate", "--ell=-300", "--p", "100", "--trials", "2"]],
+    ids=["theory-lam", "theory-lam-large-p", "simulate-lam", "optimal-lambda-grid",
+         "theory-ell", "simulate-ell"])
+def test_a_ridge_whose_n_times_lam_overflows_is_usage_error_before_any_output(
+        tmp_path, monkeypatch, capsys, argv):
+    # At n = 10, lam = 1e308 makes n * lam overflow; --ell -300 gives 1e300 at
+    # n = 10, and n^300 overflows at n = 100.
+    def no_draw(*args):
+        raise AssertionError("a design was drawn before every ridge was checked")
+
+    monkeypatch.setattr(simulator, "sample_dataset", no_draw)
+    code = main([*argv, "--alpha", "2", "--r", "0.5", "--n", "10,100",
+                 "--out", str(tmp_path / "x.csv")])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err.startswith("error: ") and "n=10" in err and "warning" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command, config, flags, lams, recorded", [
+    ("theory", {"ell": 1.0}, ["--lam", "0.5"], ["0.5", "0.5"], {"lam": 0.5, "ell": None}),
+    ("theory", {"lam": 0.5}, ["--ell", "1"], ["0.10000000000000001", "0.050000000000000003"],
+     {"lam": None, "ell": 1.0}),
+    ("simulate", {"cv": True}, ["--lam", "0"], ["0", "0"],
+     {"lam": 0.0, "ell": None, "cv": False}),
+    ("simulate", {"ell": 1.0, "lam": None}, ["--lam", "0"], ["0", "0"],
+     {"lam": 0.0, "ell": None, "cv": False}),
+    ("simulate", {"lam": 0.5}, ["--cv"], None, {"lam": None, "ell": None, "cv": True})],
+    ids=["theory-lam-over-ell", "theory-ell-over-lam", "simulate-lam-over-cv",
+         "simulate-lam-over-ell", "simulate-cv-over-lam"])
+def test_a_schedule_flag_beats_the_config_schedule(tmp_path, command, config, flags, lams,
+                                                   recorded):
+    # The config's values for the schedule's other flags are dropped, so
+    # neither the curve nor the manifest keeps them.
+    cfg = tmp_path / "cfg.json"
+    extra = {"trials": 2, "sigma": 0.1} if command == "simulate" else {}
+    cfg.write_text(json.dumps({"alpha": 2, "r": 0.5, "n": [10, 20], "p": 60, **extra,
+                               **config}))
+    out = tmp_path / "out.csv"
+    assert main([command, "--config", str(cfg), *flags, "--out", str(out)]) == 0
+    if lams is not None:
+        assert [row[1] for row in _read_csv(out)[1:]] == lams
+    params = json.loads((tmp_path / "out.csv.manifest.json").read_text())["params"]
+    assert {key: params[key] for key in recorded} == recorded
+
+
 def test_phase_diagram_outputs(tmp_path):
     base = tmp_path / "pd"
     code = main(["phase-diagram", "--out", str(base)])

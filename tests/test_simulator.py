@@ -1,5 +1,4 @@
 import ctypes
-import dis
 import faulthandler
 import math
 import os
@@ -71,6 +70,19 @@ def test_sample_dataset_matches_the_direct_formula(n, sigma):
     for got, want in zip(sample_dataset(sp, n, sigma, seed),
                          _reference_sample(sp, n, sigma, seed)):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_sample_dataset_fills_out_with_the_same_bits():
+    sp = power_law_spectrum(PowerLawParams(2.0, 0.5, 120))
+    want = sample_dataset(sp, 40, 0.3, 8)
+    buffer = np.full((50, 120), np.nan)
+    features, labels = sample_dataset(sp, 40, 0.3, 8, out=buffer[:40])
+    assert np.shares_memory(features, buffer) and features.shape == (40, 120)
+    assert features.tobytes() == want[0].tobytes() and labels.tobytes() == want[1].tobytes()
+    for bad in (buffer, np.empty((40, 120), np.float32), np.empty((120, 40)).T,
+                buffer[:40, :60]):
+        with pytest.raises(InvalidParameterError, match="C-contiguous float64"):
+            sample_dataset(sp, 40, 0.3, 8, out=bad)
 
 
 def test_sample_dataset_column_variances():
@@ -410,33 +422,50 @@ def test_learning_curve_searches_and_labels_on_the_calling_thread(monkeypatch):
                          ids=["fixed", "cv"])
 @pytest.mark.parametrize("trials", [1, 3])
 def test_learning_curve_draws_and_fits_on_two_worker_threads(monkeypatch, schedule, trials):
-    names = ("_draw", "_labels", "ridge_fit", "excess_error_empirical")
+    names = ("sample_dataset", "ridge_fit", "excess_error_empirical")
     seen = _record_threads(monkeypatch, names)
     learning_curve(_config(n_values=(32, 64, 128), trials=trials, lam_schedule=schedule))
     caller = threading.get_ident()
     workers = set().union(*seen.values()) - {caller}
     assert 1 <= len(workers) <= 2
     assert all(seen.values())
-    # The calling thread draws and labels a cv row's search design, once a row.
+    # The calling thread draws a cv row's search design, once a row.
     searches = 3 if schedule.kind == "cv" else 0
-    assert [seen[name].count(caller) for name in names] == [searches, searches, 0, 0]
+    assert [seen[name].count(caller) for name in names] == [searches, 0, 0]
+
+
+@pytest.mark.parametrize("schedule", [LamSchedule("fixed", lam=1e-3), LamSchedule("cv")],
+                         ids=["fixed", "cv"])
+def test_learning_curve_draws_every_design_through_sample_dataset(monkeypatch, schedule):
+    # The one draw path that the benchmark's tracer wraps: rows x trials designs,
+    # plus one search design per cv row, each into a shared buffer's rows.
+    draws, real = [], simulator.sample_dataset
+
+    def counting(spectrum, n, sigma, seed, out=None):
+        draws.append((n, out is not None))
+        return real(spectrum, n, sigma, seed, out)
+
+    monkeypatch.setattr(simulator, "sample_dataset", counting)
+    learning_curve(_config(n_values=(64, 32), trials=2, lam_schedule=schedule))
+    per_row = 2 + (schedule.kind == "cv")
+    assert sorted(draws) == [(n, True) for n in (32, 64) for _ in range(per_row)]
 
 
 def test_each_cv_search_runs_before_a_worker_draws_at_its_sample_count(monkeypatch,
                                                                      exit_on_hang):
-    draw, search = simulator._draw, simulator.grid_search_lambda
+    draw, search = simulator.sample_dataset, simulator.grid_search_lambda
     caller, worker_draws, searches = threading.get_ident(), set(), []
 
-    def recording_draw(scale, sigma, seed, out):
+    def recording_draw(spectrum, n, sigma, seed, out=None):
         if threading.get_ident() != caller:
-            worker_draws.add(out.shape[0])
-        return draw(scale, sigma, seed, out)
+            worker_draws.add(n)
+        return draw(spectrum, n, sigma, seed, out)
 
     def checked_search(features, labels):
         searches.append(features.shape[0] in worker_draws)
         return search(features, labels)
 
-    monkeypatch.setattr(simulator, "_draw", recording_draw)
+    monkeypatch.setattr(simulator, "sample_dataset", recording_draw)
     monkeypatch.setattr(simulator, "grid_search_lambda", checked_search)
     learning_curve(_config(n_values=(32, 48, 64, 96), trials=3, lam_schedule=LamSchedule("cv")))
     assert searches == [False] * 4
@@ -455,7 +484,7 @@ def test_learning_curve_leaves_no_thread_after_a_failing_draw(monkeypatch, exit_
     def breaks(*args):
         raise RuntimeError("forced draw failure")
 
-    monkeypatch.setattr(simulator, "_draw", breaks)
+    monkeypatch.setattr(simulator, "sample_dataset", breaks)
     _leaves_no_thread(_config(trials=3, lam_schedule=LamSchedule("cv")), RuntimeError)
 
 
@@ -534,14 +563,6 @@ def test_a_cv_curve_with_one_trial_and_duplicate_sample_counts_finishes(exit_on_
     curve = learning_curve(cfg)
     assert [row.n for row in curve.rows] == [24, 24, 48, 48]
     assert repr(curve) == repr(_reference_curve(cfg))
-
-
-def test_sampler_draw_makes_no_blas_or_package_call():
-    # A draw is numpy's generator and an elementwise scale: nothing of this
-    # package and no matrix product.
-    code = simulator._draw.__code__
-    assert set(code.co_names) <= {"np", "random", "default_rng", "standard_normal", "shape"}
-    assert not [ins for ins in dis.get_instructions(code) if ins.argrepr in ("@", "@=")]
 
 
 @pytest.mark.parametrize("flags", [["--lam", "0", "--n", "256,512"],
@@ -942,3 +963,27 @@ def test_lam_schedule_rejects_a_non_finite_or_out_of_range_value(kind, key, valu
 
 def test_lam_schedule_keeps_ell_inf_as_zero_ridge():
     assert LamSchedule("power", ell=math.inf).lam_at(100) == 0.0
+
+
+@pytest.mark.parametrize("schedule, n", [
+    (LamSchedule("fixed", lam=1e308), 10),
+    (LamSchedule("power", ell=-300.0), 100),  # n^-ell itself overflows
+    (LamSchedule("power", lambda0=1e300, ell=-10.0), 10),  # lambda0 * n^-ell overflows
+    (LamSchedule("power", lambda0=1e300, ell=-8.0), 10)],  # only n * lam overflows
+    ids=["fixed", "power-overflow", "power-product", "power-times-n"])
+def test_lam_schedule_rejects_a_ridge_whose_n_times_lam_is_not_finite(schedule, n):
+    assert math.isfinite(schedule.lam_at(1))
+    with pytest.raises(InvalidParameterError, match=rf"n={n} is not finite") as err:
+        schedule.lam_at(n)
+    assert repr(schedule) in str(err.value)
+
+
+def test_learning_curve_refuses_a_non_finite_ridge_before_any_draw(monkeypatch):
+    # Row n = 10 is fine (lam = 1e300); row n = 100 overflows, and no trial runs.
+    def no_draw(*args):
+        raise AssertionError("a design was drawn before every ridge was checked")
+
+    monkeypatch.setattr(simulator, "sample_dataset", no_draw)
+    with pytest.raises(InvalidParameterError, match="n=100"):
+        learning_curve(_config(n_values=(10, 100), lam_schedule=LamSchedule("power",
+                                                                            ell=-300.0)))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from krr_regimes import theory
-from krr_regimes.errors import InvalidParameterError, SchemaError
+from krr_regimes.errors import InvalidParameterError
 from krr_regimes.spectrum import (
     PowerLawParams,
     Spectrum,
@@ -85,28 +85,6 @@ def test_teacher_variance_monotone_in_p_and_bounded():
         assert val > prev
         prev = val
     assert prev < ZETA3  # zeta(1 + 2 r alpha) bound for r > 0
-
-
-def test_csv_roundtrip(tmp_path):
-    path = tmp_path / "spectrum.csv"
-    # a power law, and an empirical spectrum with extreme and inexact values
-    for sp in (power_law_spectrum(PowerLawParams(1.65, 0.097, 50)),
-               Spectrum(np.array([1.0, 1.0 / 3.0, 1e-300, 5e-324]),
-                        np.array([0.0, 2.0 / 3.0, 1e300, 0.1]))):
-        sp.to_csv(path)
-        back = Spectrum.from_csv(path)
-        assert np.array_equal(back.eigenvalues, sp.eigenvalues)
-        assert np.array_equal(back.teacher_sq, sp.teacher_sq)
-
-
-def test_csv_bad_header(tmp_path):
-    path = tmp_path / "bad.csv"
-    # wrong names, a short row, and an extra trailing column
-    for text in ("a,b,c\n1,1,1\n", "k,eigenvalue,teacher_sq\n1,1\n",
-                 "k,eigenvalue,teacher_sq,extra\n1,1,1,1\n"):
-        path.write_text(text)
-        with pytest.raises(SchemaError):
-            Spectrum.from_csv(path)
 
 
 def _todays_arrays(alpha, r, p):

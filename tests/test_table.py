@@ -22,6 +22,17 @@ def test_write_table_exact_bytes(tmp_path):
         read_table(path, ["i", "f", "f64", "zero"])
 
 
+@pytest.mark.parametrize("text", ["a,b,c\n1,1,1\n", "k,eigenvalue,theta_star\n1,1\n",
+                                  "k,eigenvalue,theta_star,extra\n1,1,1,1\n",
+                                  "k,eigenvalue,theta_star\n1,1,1,1\n"],
+                         ids=["wrong-header", "short-row", "extra-column", "long-row"])
+def test_read_table_rejects_a_malformed_table(tmp_path, text):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(SchemaError):
+        read_table(path, ["k", "eigenvalue", "theta_star"])
+
+
 _EXTREMES = (0.0, -0.0, 5e-324, -5e-324, sys.float_info.min, sys.float_info.max,
              -sys.float_info.max, math.inf, -math.inf, math.nan, 0.1, 1.0 / 3.0)
 

@@ -126,10 +126,46 @@ def test_newton_iteration_that_keeps_moving_or_stalls_raises(monkeypatch):
         z = n * zeta
         return [(z / 2 - n * lam) / zeta, 2.0 * n]
 
-    for sums in (creeping, stalled):
+    def not_a_number(zeta, spectrum, kernels):
+        # A NaN gap, whose residual fails every comparison with the tolerance.
+        return [math.nan, math.nan]
+
+    for sums in (creeping, stalled, not_a_number):
         monkeypatch.setattr(theory, "_spectral_sums", sums)
         with pytest.raises(NonConvergenceError):
             solve_z(n, lam, sp)
+
+
+@pytest.mark.parametrize("p", [100, 1_000_000])
+def test_a_ridge_whose_n_times_lam_overflows_is_rejected(p):
+    # With n * lam = inf the cold start would be inf: a NaN root at small p,
+    # and a math domain error in the head size at large p.
+    sp = power_law_spectrum(PowerLawParams(2.0, 0.5, p))
+    assert math.isfinite(solve_z(1, 1e308, sp).z)
+    with pytest.raises(InvalidParameterError, match="n=10"):
+        solve_z(10, 1e308, sp)
+    with pytest.raises(InvalidParameterError):
+        excess_error_closed(10, 1e308, 0.0, sp)
+    # A grid point that overflows is an error, not a point skipped.
+    with pytest.raises(InvalidParameterError):
+        optimal_lambda(10, 0.0, sp, [1e300, 1e304, 1e308])
+
+
+def test_optimal_lambda_solves_through_the_public_names(monkeypatch):
+    # The one path the benchmark's tracer wraps: one solve_z and one
+    # excess_error_closed per grid point, plus the winner's cold solve.
+    sp = power_law_spectrum(PowerLawParams(2.0, 0.5, 20_000))
+    grid = np.concatenate([[0.0], np.geomspace(1e-6, 1.0, 13)])
+    want = optimal_lambda(300, 0.5, sp, grid)
+    calls = {"solve_z": 0, "excess_error_closed": 0}
+    for name in calls:
+        def counting(*args, name=name, original=getattr(theory, name)):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(theory, name, counting)
+    assert optimal_lambda(300, 0.5, sp, grid) == want
+    assert calls == {"solve_z": grid.size + 1, "excess_error_closed": grid.size + 1}
 
 
 def test_optimal_lambda_warm_sweep_matches_cold_sweep():
@@ -387,7 +423,7 @@ def _exact_sums(zeta, sp):
                      (ratio, ratio ** 2, weight * comp ** 2, weight * ratio)])
 
 
-def test_power_law_tail_matches_exact_sums(tmp_path):
+def test_power_law_tail_matches_exact_sums():
     kernels = (theory._DF1, theory._DF2, theory._SAMPLE, theory._OVERLAP)
     for p in (4000, 100_000, 1_000_000):
         for alpha in (1.5, 2.0, 3.0):
@@ -416,12 +452,10 @@ def test_power_law_tail_matches_exact_sums(tmp_path):
 
     sp = power_law_spectrum(PowerLawParams(2.0, 0.5, 100_000))
     assert sp.law == (2.0, 0.5)
-    path = tmp_path / "spectrum.csv"
-    sp.to_csv(path)
-    loaded = Spectrum.from_csv(path)
-    assert loaded.law is None
+    arrays = Spectrum(sp.eigenvalues, sp.teacher_sq)
+    assert arrays.law is None
     for n, lam, sigma in ((300, 0.0, 0.5), (1000, 1e-3, 0.1)):
-        want = excess_error_closed(n, lam, sigma, loaded).total
+        want = excess_error_closed(n, lam, sigma, arrays).total
         assert excess_error_closed(n, lam, sigma, sp).total == pytest.approx(want, rel=1e-12)
 
 
