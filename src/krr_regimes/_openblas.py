@@ -65,14 +65,18 @@ def _setter():
     return _function("openblas_set_num_threads_local", (ctypes.c_int,), ctypes.c_int)
 
 
-def _eigh_overwrite(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _eigh_overwrite(a: np.ndarray, work: np.ndarray | None = None
+                    ) -> tuple[np.ndarray, np.ndarray]:
     """np.linalg.eigh(a) of a symmetric, C-contiguous float64 matrix, computed in
     a's buffer, which then holds the eigenvectors.
 
     numpy's eigh runs dsyevd('V', 'L') with the queried workspace on a Fortran
     copy of its input; for a symmetric a that copy holds a's own bytes, so the
     same call on a's buffer gives the same bits without the copy and the
-    separate eigenvector output.  Without the symbol it calls eigh.
+    separate eigenvector output.  work, a 1-D writeable, contiguous float64
+    array that must not overlap a, supplies that workspace where it holds
+    enough (2 n^2 + 6 n + 1 doubles); otherwise the workspace is allocated.
+    Without the symbol it calls eigh.
     """
     dsyevd = _lapack("dsyevd")
     if dsyevd is None:
@@ -80,6 +84,11 @@ def _eigh_overwrite(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if not (a.dtype == np.float64 and a.flags.c_contiguous and a.flags.writeable
             and a.ndim == 2 and a.shape[0] == a.shape[1]):
         raise ValueError("dsyevd needs a square, writeable, C-contiguous float64 matrix")
+    if work is not None and not (work.dtype == np.float64 and work.flags.c_contiguous
+                                 and work.flags.writeable and work.ndim == 1
+                                 and not np.may_share_memory(a, work)):
+        raise ValueError("dsyevd's workspace must be a 1-D, writeable, contiguous float64 "
+                         "array apart from the matrix")
     n = ctypes.c_int64(a.shape[0])
     evals = np.empty(a.shape[0])
     lwork, liwork, info = ctypes.c_int64(-1), ctypes.c_int64(-1), ctypes.c_int64(0)
@@ -92,7 +101,8 @@ def _eigh_overwrite(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             raise np.linalg.LinAlgError(f"Eigenvalues did not converge (dsyevd info {info.value})")
 
     call(ctypes.addressof(work_size), ctypes.addressof(iwork_size))
-    work = np.empty(int(work_size.value))
+    size = int(work_size.value)
+    work = work[:size] if work is not None and work.size >= size else np.empty(size)
     iwork = np.empty(iwork_size.value, dtype=np.int64)
     lwork.value, liwork.value = work.size, iwork.size
     call(work.ctypes.data, iwork.ctypes.data)

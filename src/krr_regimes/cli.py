@@ -3,7 +3,8 @@
 Subcommands: theory, simulate, phase-diagram, estimate, fit-slope,
 optimal-lambda.  A JSON config file may supply any flag (flags given on the
 command line win, and a schedule flag given there drops the file's other
-schedule flags); each value goes through the parser of its flag's text.
+schedule flags; a file that sets two of them, with none given there, exits 2);
+each value goes through the parser of its flag's text.
 Every command but fit-slope writes a run manifest next to its outputs;
 identical manifests reproduce the outputs byte-for-byte on the same numpy
 build, with the OpenBLAS it bundles, and CPU.  simulate's outputs do not
@@ -516,12 +517,19 @@ def _unshadowed(sub, args, config: dict) -> dict:
     """config without its values for the other members of each mutually
     exclusive group, such as the ridge schedule, that the command line sets a
     member of.  args is the command line parsed without config defaults, so
-    a member it holds at other than its default was given there."""
+    a member it holds at other than its default was given there.  Where the
+    command line sets none, a config that sets more than one (a value other
+    than null, or false for a switch) exits 2 naming them."""
     dropped = set()
     for group in sub._mutually_exclusive_groups:
         unset = {a.dest for a in group._group_actions if getattr(args, a.dest) == a.default}
         if len(unset) < len(group._group_actions):
             dropped |= unset
+            continue
+        both = [a.dest for a in group._group_actions
+                if config.get(a.dest) is not None and config[a.dest] is not False]
+        if len(both) > 1:
+            sub.error(f"config keys {' and '.join(map(repr, both))} are mutually exclusive")
     return {key: value for key, value in config.items() if key not in dropped}
 
 

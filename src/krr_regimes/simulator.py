@@ -241,7 +241,7 @@ def default_cv_grid() -> np.ndarray:
 
 @_openblas._one_blas_thread()
 def grid_search_lambda(features: np.ndarray, labels: np.ndarray,
-                       lam_grid=None, k_folds: int = 5) -> float:
+                       lam_grid=None, k_folds: int = 5, work=None) -> float:
     """k-fold cross-validated grid search over the regularization.
 
     Returns the grid value minimizing the mean validation MSE, ties broken
@@ -250,6 +250,13 @@ def grid_search_lambda(features: np.ndarray, labels: np.ndarray,
     computed in the block's own buffer, turns every grid point into a filter
     of the eigenvalues, so one (validation x m) @ (m x grid) product per fold
     scores the whole grid.
+
+    work, a C-contiguous float64 array that the search may overwrite, may be
+    features' own buffer: the n x n Gram matrix is formed before the first
+    write.  Each fold carves its arrays from work and puts the eigensolver's
+    workspace after them, about 3 n^2 doubles at 5 folds and the default grid,
+    so where work holds them the search allocates only the Gram matrix.  A
+    fold whose arrays do not fit allocates them.
     """
     if k_folds < 2:
         raise InvalidParameterError(f"k_folds must be >= 2, got {k_folds}")
@@ -259,26 +266,48 @@ def grid_search_lambda(features: np.ndarray, labels: np.ndarray,
     lam_grid = default_cv_grid() if lam_grid is None else np.sort(np.asarray(lam_grid, dtype=float))
     if lam_grid.size == 0 or not np.all((lam_grid >= 0) & (lam_grid < np.inf)):
         raise InvalidParameterError("lam_grid must be non-empty with finite entries >= 0")
+    if work is not None and not (work.dtype == np.float64 and work.flags.c_contiguous
+                                 and work.flags.writeable):
+        raise InvalidParameterError("work must be a writeable, C-contiguous float64 array")
 
     gram = features @ features.T
-    mse = np.zeros(lam_grid.size)
+    work = None if work is None else work.reshape(-1)
+    g = lam_grid.size
+    mse = np.zeros(g)
     for val_idx in np.array_split(np.arange(n), k_folds):
-        val = slice(val_idx[0], val_idx[-1] + 1)
-        train_idx = np.delete(np.arange(n), val)
-        m = train_idx.size
-        # The fancy-indexed block is a fresh, exactly symmetric array.
-        evals, evecs = _openblas._eigh_overwrite(gram[np.ix_(train_idx, train_idx)])
+        lo, hi = int(val_idx[0]), int(val_idx[-1]) + 1
+        v, m = hi - lo, n - (hi - lo)
+        # The training block, the validation x training block, its projection,
+        # the coefficients and the scores, taken in this order from work where
+        # they all fit, the eigensolver's workspace after them; otherwise each
+        # is allocated when taken, as the fold needs it.
+        sizes = (m * m, v * m, v * m, m * g, v * g)
+        end = sum(sizes)
+        fits = work is not None and work.size >= end
+        parts = iter(np.split(work[:end], np.cumsum(sizes)[:-1]) if fits
+                     else map(np.empty, sizes))
+        # The training block, copied in four slices, is exactly symmetric.
+        tt = next(parts).reshape(m, m)
+        tt[:lo, :lo], tt[:lo, lo:] = gram[:lo, :lo], gram[:lo, hi:]
+        tt[lo:, :lo], tt[lo:, lo:] = gram[hi:, :lo], gram[hi:, hi:]
+        evals, evecs = _openblas._eigh_overwrite(tt, work[end:] if fits else None)
         evals = np.clip(evals, 0.0, None)
-        uty = evecs.T @ labels[train_idx]
-        b = gram[val, train_idx] @ evecs
+        uty = evecs.T @ np.concatenate((labels[:lo], labels[hi:]))
+        # Fortran-ordered, the layout of gram[val, train_idx]: a C-ordered
+        # copy changes the product's rounding.
+        vt = next(parts).reshape(m, v).T
+        vt[:, :lo], vt[:, lo:] = gram[lo:hi, :lo], gram[lo:hi, hi:]
+        b = np.matmul(vt, evecs, out=next(parts).reshape(v, m))
         floor = max(evals.max(), 1.0) * np.finfo(float).eps * m
         # coef[:, i] is the filtered coefficient vector at lam_grid[i].
-        coef = evals[:, None] + m * lam_grid
+        coef = np.add(evals[:, None], m * lam_grid, out=next(parts).reshape(m, g))
         dropped = coef <= floor
         np.maximum(coef, floor, out=coef)
         np.divide(uty[:, None], coef, out=coef)
         coef[dropped] = 0.0
-        mse += ((b @ coef - labels[val, None]) ** 2).sum(axis=0)
+        scores = np.matmul(b, coef, out=next(parts).reshape(v, g))
+        np.subtract(scores, labels[lo:hi, None], out=scores)
+        mse += np.square(scores, out=scores).sum(axis=0)
     mse /= n
     return float(lam_grid[lam_grid.size - 1 - np.argmin(mse[::-1])])
 
@@ -298,8 +327,10 @@ def learning_curve(config: SimConfig) -> LearningCurve:
     thread count.  The calling thread resolves each row's ridge before it
     submits the row's trials, so no worker waits on it: on a cv row it
     borrows a buffer, draws trial 0's design into it and runs the grid
-    search there (run in a worker, the search's temporaries would stay
-    resident in that thread's malloc arena); trial 0 then draws the same
+    search there, handing it the whole buffer as its work (its contents are
+    dead once the Gram matrix is formed), so the search allocates only that
+    n x n matrix where the buffer holds its fold arrays, about 3 n^2 doubles,
+    and its folds allocate them otherwise; trial 0 then draws the same
     design again, about 140 ms of one core over a p = 4000, n = 32..1024
     curve.  The calling thread also computes the theory column and the
     regime label, and reduces the rows in sorted order, each row's trials in
@@ -339,7 +370,7 @@ def learning_curve(config: SimConfig) -> LearningCurve:
                 # One cross-validated regularization per row, chosen on trial 0.
                 buffer = buffers.get()
                 try:
-                    lam = grid_search_lambda(*design(buffer, n, 0))
+                    lam = grid_search_lambda(*design(buffer, n, 0), work=buffer.reshape(-1))
                 finally:
                     buffers.put(buffer)
             submitted.append((n, lam, [pool.submit(trial, n, t, lam) for t in range(trials)]))

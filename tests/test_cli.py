@@ -284,6 +284,34 @@ def test_a_schedule_flag_beats_the_config_schedule(tmp_path, command, config, fl
     assert {key: params[key] for key in recorded} == recorded
 
 
+@pytest.mark.parametrize("command, config", [
+    ("theory", {"lam": 0.5, "ell": 1.0}),
+    ("simulate", {"cv": True, "lam": 0}),
+    ("simulate", {"ell": 1.0, "cv": True}),
+    ("simulate", {"lam": 0.0, "ell": 1.0, "cv": True})],
+    ids=["theory-lam-ell", "simulate-cv-lam", "simulate-ell-cv", "simulate-all-three"])
+def test_a_config_that_sets_two_schedule_flags_is_usage_error(tmp_path, capsys, command,
+                                                               config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"alpha": 2, "r": 0.5, "n": [10, 20], "p": 60, **config}))
+    (tmp_path / "out").mkdir()
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out" / "x.csv")]) == 2
+    err = capsys.readouterr().err
+    assert all(repr(key) in err for key in config) and "mutually exclusive" in err
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+def test_a_recorded_schedule_with_its_unset_members_replays(tmp_path):
+    # A manifest records null for the unset members, and false for --cv.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"alpha": 2, "r": 0.5, "n": [10, 20], "p": 60, "trials": 2,
+                               "lam": None, "ell": 1.0, "cv": False}))
+    out = tmp_path / "x.csv"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    assert [row[1] for row in _read_csv(out)[1:]] == ["0.10000000000000001",
+                                                      "0.050000000000000003"]
+
+
 def test_phase_diagram_outputs(tmp_path):
     base = tmp_path / "pd"
     code = main(["phase-diagram", "--out", str(base)])

@@ -402,9 +402,9 @@ def _record_threads(monkeypatch, names) -> dict:
     """Patch each simulator function in names to record the thread of each call."""
     seen = {name: [] for name in names}
     for name in names:
-        def recording(*args, name=name, original=getattr(simulator, name)):
+        def recording(*args, name=name, original=getattr(simulator, name), **kwargs):
             seen[name].append(threading.get_ident())
-            return original(*args)
+            return original(*args, **kwargs)
 
         monkeypatch.setattr(simulator, name, recording)
     return seen
@@ -461,9 +461,9 @@ def test_each_cv_search_runs_before_a_worker_draws_at_its_sample_count(monkeypat
             worker_draws.add(n)
         return draw(spectrum, n, sigma, seed, out)
 
-    def checked_search(features, labels):
+    def checked_search(features, labels, work=None):
         searches.append(features.shape[0] in worker_draws)
-        return search(features, labels)
+        return search(features, labels, work=work)
 
     monkeypatch.setattr(simulator, "sample_dataset", recording_draw)
     monkeypatch.setattr(simulator, "grid_search_lambda", checked_search)
@@ -518,11 +518,11 @@ def test_learning_curve_leaves_no_thread_after_a_failing_search(monkeypatch, exi
     # The search of row 2 raises while rows 0 and 1's trials are queued or running.
     rows = []
 
-    def breaks_at_row_2(features, labels):
+    def breaks_at_row_2(features, labels, work=None):
         rows.append(features.shape[0])
         if len(rows) == 3:
             raise RuntimeError("forced search failure")
-        return grid_search_lambda(features, labels)
+        return grid_search_lambda(features, labels, work=work)
 
     monkeypatch.setattr(simulator, "grid_search_lambda", breaks_at_row_2)
     _leaves_no_thread(_config(n_values=(32, 48, 64, 96), trials=2,
@@ -769,6 +769,9 @@ def test_grid_search_validation():
         grid_search_lambda(X, y, k_folds=1)
     with pytest.raises(InvalidParameterError):
         grid_search_lambda(X[:3], y[:3], k_folds=5)
+    for work in (np.zeros((40, 40)).T, np.zeros(100, dtype=np.float32)):
+        with pytest.raises(InvalidParameterError):
+            grid_search_lambda(X, y, k_folds=2, work=work)
     for grid in ([], [-1e-3, 1.0], [math.nan], [math.inf], [0.0, 1e-3, math.inf],
                  [1e-3, math.nan, 1.0]):
         with pytest.raises(InvalidParameterError):
@@ -855,9 +858,9 @@ def test_grid_search_folds_get_the_eigh_bits(monkeypatch, eigensolver):
         pytest.skip("numpy's LAPACK has no scipy_dsyevd_64_")
     same = []
 
-    def compared(block):
+    def compared(block, work=None):
         evals, evecs = np.linalg.eigh(block)
-        in_place = eigh_overwrite(block)
+        in_place = eigh_overwrite(block, work)
         same.append(in_place[0].tobytes() == evals.tobytes()
                     and in_place[1].tobytes() == evecs.tobytes())
         return in_place
@@ -865,6 +868,129 @@ def test_grid_search_folds_get_the_eigh_bits(monkeypatch, eigensolver):
     monkeypatch.setattr(_openblas, "_eigh_overwrite", compared)
     assert grid_search_lambda(features, labels) == lam
     assert same == [True] * 5
+
+
+def _searched(monkeypatch, features, labels, grid, k_folds, work=None):
+    """grid_search_lambda's choice and the bytes of each fold's squared validation
+    residuals, the terms of its mse."""
+    folds, square = [], np.square
+
+    def recording(*args, **kwargs):
+        out = square(*args, **kwargs)
+        folds.append(out.tobytes())
+        return out
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "square", recording)
+        lam = grid_search_lambda(features, labels, grid, k_folds, work=work)
+    assert len(folds) == k_folds
+    return lam, folds
+
+
+def _fold_terms(features, labels, lam_grid, k_folds):
+    """Each fold's squared validation residuals as fresh arrays give them: the
+    fancy-indexed blocks and temporaries of the search before it took work.
+    Call it on one BLAS thread, as the search runs."""
+    n, gram, folds = features.shape[0], features @ features.T, []
+    for val_idx in np.array_split(np.arange(n), k_folds):
+        val = slice(val_idx[0], val_idx[-1] + 1)
+        train_idx = np.delete(np.arange(n), val)
+        m = train_idx.size
+        evals, evecs = _openblas._eigh_overwrite(gram[np.ix_(train_idx, train_idx)])
+        evals = np.clip(evals, 0.0, None)
+        uty = evecs.T @ labels[train_idx]
+        b = gram[val, train_idx] @ evecs
+        floor = max(evals.max(), 1.0) * np.finfo(float).eps * m
+        coef = evals[:, None] + m * lam_grid
+        dropped = coef <= floor
+        coef = uty[:, None] / np.maximum(coef, floor)
+        coef[dropped] = 0.0
+        folds.append(((b @ coef - labels[val, None]) ** 2).tobytes())
+    return folds
+
+
+@pytest.mark.parametrize("eigensolver", ["dsyevd", "eigh"])
+@pytest.mark.parametrize("work", ["separate", "features", "arrays-only", "too-small"])
+@pytest.mark.parametrize("k_folds", [2, 3, 5])
+@pytest.mark.parametrize("n", [5, 7, 23, 64, 256])
+def test_grid_search_in_a_work_buffer_keeps_every_bit(monkeypatch, n, k_folds, work,
+                                                      eigensolver):
+    # At p = 3n + 64 an n x p buffer holds every fold's arrays and the
+    # eigensolver's workspace for the 41-point grid; "features" searches in the
+    # design's own buffer, as learning_curve does.  n^2 + 41 n doubles hold a
+    # fold's arrays but not its workspace, whose 2 m^2 exceed v^2.
+    sp = power_law_spectrum(PowerLawParams(2.0, 0.5, 3 * n + 64))
+    grid = np.concatenate([[0.0], np.geomspace(1e-6, 10.0, 40)])
+    seed = trial_seed(3, n, k_folds)
+    if eigensolver == "eigh":
+        monkeypatch.setattr(_openblas, "_lapack", lambda name: None)
+    want = _searched(monkeypatch, *sample_dataset(sp, n, 0.3, seed), grid, k_folds)
+    with _openblas._one_blas_thread():
+        assert want[1] == _fold_terms(*sample_dataset(sp, n, 0.3, seed), grid, k_folds)
+    features, labels = sample_dataset(sp, n, 0.3, seed)
+    buffer = {"separate": np.full(n * sp.p, np.nan), "features": features,
+              "arrays-only": np.full(n * n + n * grid.size, np.nan),
+              "too-small": np.full(n, np.nan)}[work]
+    before = buffer.copy()
+    assert _searched(monkeypatch, features, labels, grid, k_folds, buffer) == want
+    # Only a buffer too small for the first fold is left as it was.
+    assert np.array_equal(buffer, before, equal_nan=True) == (work == "too-small")
+
+
+@pytest.mark.parametrize("offset", [0, 1, 3])
+def test_eigh_overwrite_takes_its_workspace_from_work(offset):
+    if _openblas._lapack("dsyevd") is None:
+        pytest.skip("numpy's LAPACK has no scipy_dsyevd_64_")
+    x = np.random.default_rng(offset).standard_normal((60, 40))
+    gram = x @ x.T
+    want = [a.tobytes() for a in _openblas._eigh_overwrite(gram.copy())]
+    work, small = np.full(offset + 3 * 60 * 60, np.nan)[offset:], np.full(60, np.nan)
+    for buffer in (work, small):
+        assert [a.tobytes() for a in _openblas._eigh_overwrite(gram.copy(), buffer)] == want
+    assert not np.isnan(work).all() and np.isnan(small).all()
+    for bad in (np.empty((60, 200)), np.empty(20000, dtype=np.float32), np.empty(40000)[::2]):
+        with pytest.raises(ValueError):
+            _openblas._eigh_overwrite(gram.copy(), bad)
+    with pytest.raises(ValueError):
+        both = np.empty(60 * 60 + 20000)
+        _openblas._eigh_overwrite(both[:3600].reshape(60, 60), both)
+
+
+# Peak memory of one search on 1024 x 3000 data, above what was resident
+# before it, in units of one n x n float64 array; VmHWM as in test_dataspec's
+# probe.  With work the search may use the data's own buffer, as learning_curve
+# does.
+_SEARCH_MEMORY_PROBE = """
+import os, sys
+import numpy as np
+from krr_regimes import simulator
+n = 1024
+rng = np.random.default_rng(0)
+features, labels = rng.standard_normal((n, 3000)), rng.standard_normal(n)
+with open("/proc/self/statm") as f:
+    before = int(f.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+work = features if sys.argv[1] == "work" else None
+simulator.grid_search_lambda(features, labels, work=work)
+with open("/proc/self/status") as f:
+    peak = next(int(line.split()[1]) * 1024 for line in f if line.startswith("VmHWM:"))
+print((peak - before) / (n * n * 8))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self")
+def test_grid_search_peak_memory():
+    if _openblas._lapack("dsyevd") is None:
+        pytest.skip("numpy's LAPACK has no scipy_dsyevd_64_; eigh needs more memory")
+    env = {**os.environ, "PYTHONPATH": str(Path(simulator.__file__).resolve().parents[1])}
+    peak = {}
+    for mode in ("work", "none"):
+        proc = subprocess.run([sys.executable, "-c", _SEARCH_MEMORY_PROBE, mode], env=env,
+                              capture_output=True, text=True, check=True, timeout=120)
+        peak[mode] = float(proc.stdout)
+    # Measured on x86-64: 1.8 with work (the Gram matrix, 1, and OpenBLAS's
+    # buffers), 5.8 without, where each fold allocates its arrays.
+    assert peak["work"] <= 2.2, peak
+    assert peak["none"] <= 6.2, peak
 
 
 def test_default_cv_grid_shape():
