@@ -42,9 +42,9 @@ from .dataspec import (
     LABEL_COLUMN,
     KernelSpec,
     _check_eigen_floor,
-    _decompose,
     cumulative_tails,
     estimate_alpha_r,
+    feature_decomposition,
     gram_matrix,
     load_dataset_csv,
     tails_to_csv,
@@ -303,7 +303,7 @@ def cmd_estimate(args) -> int:
     gram = gram_matrix(features, kernel)
     del features
     # The only reference to the Gram matrix: it is decomposed in its own buffer.
-    dec = _decompose(gram, labels, args.eigen_floor)
+    dec = feature_decomposition(gram, labels, args.eigen_floor)
     del gram
     cap_tail, src_tail = cumulative_tails(dec.eigenvalues, dec.theta_star ** 2)
     est = estimate_alpha_r(cap_tail, src_tail, args.fit_range_capacity,

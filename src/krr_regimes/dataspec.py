@@ -70,8 +70,8 @@ def gram_matrix(data: np.ndarray, kernel: KernelSpec) -> np.ndarray:
         raise InvalidParameterError(f"data has non-finite value {data[i, j]} at row {i}, "
                                     f"column {j}")
     gram = data @ data.T
-    # An overflow leaves an inf that _decompose reports; numpy's warning would only
-    # repeat it on stderr.
+    # An overflow leaves an inf that feature_decomposition reports; numpy's
+    # warning would only repeat it on stderr.
     with np.errstate(over="ignore"):
         if kernel.kind == "linear":
             gram *= kernel.gamma
@@ -123,10 +123,11 @@ class FeatureDecomposition:
 
     eigenvalues are those of gram / n_tot, descending.  phi is scaled so
     phi^T phi / n_tot is the identity; it is the transposed view of a
-    C-ordered array whose rows are the eigenvectors.  theta_star holds the
-    (signed) teacher coefficients in the rescaled feature basis; modes whose
-    eigenvalue fell below the relative floor are reported in n_floored and
-    carry a zero coefficient.
+    C-ordered array whose rows are the eigenvectors, after dsyevd the buffer
+    of the decomposed gram.  theta_star holds the (signed) teacher
+    coefficients in the rescaled feature basis; modes whose eigenvalue fell
+    below the relative floor are reported in n_floored and carry a zero
+    coefficient.
     """
 
     eigenvalues: np.ndarray
@@ -141,27 +142,24 @@ class FeatureDecomposition:
                     zip(range(1, self.eigenvalues.size + 1), self.eigenvalues, self.theta_star))
 
 
+def _check_eigen_floor(floor_rel: float) -> None:
+    if not (math.isfinite(floor_rel) and 0.0 <= floor_rel < 1.0):
+        raise InvalidParameterError(f"eigenvalue floor must be in [0, 1), got {floor_rel}")
+
+
 def feature_decomposition(gram: np.ndarray, labels: np.ndarray,
                           floor_rel: float = DEFAULT_EIGENVALUE_FLOOR) -> FeatureDecomposition:
     """Diagonalize gram / n_tot and extract the teacher coefficients.
 
     The teacher solves labels = phi Sigma^(1/2) theta_star exactly on the
     modes above the eigenvalue floor; near-null modes are excluded because
-    the extraction divides by the eigenvalues.  gram is not modified: the
-    decomposition works on a copy.
+    the extraction divides by the eigenvalues.  A writeable, C-contiguous
+    float64 gram is decomposed in its own buffer, any other in a copy made
+    first; either way, as with LAPACK's overwritten inputs, the caller must
+    not read gram afterwards.
     """
-    return _decompose(np.array(gram, dtype=float, order="C"), labels, floor_rel)
-
-
-def _check_eigen_floor(floor_rel: float) -> None:
-    if not (math.isfinite(floor_rel) and 0.0 <= floor_rel < 1.0):
-        raise InvalidParameterError(f"eigenvalue floor must be in [0, 1), got {floor_rel}")
-
-
-def _decompose(gram: np.ndarray, labels: np.ndarray, floor_rel: float) -> FeatureDecomposition:
-    """feature_decomposition of a C-contiguous float64 gram, decomposed in its own
-    buffer: gram is overwritten, so the caller must not read it afterwards."""
     _check_eigen_floor(floor_rel)
+    gram = np.require(gram, float, ("C", "W"))
     labels = np.asarray(labels, dtype=float)
     if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
         raise InvalidParameterError("gram must be square")
@@ -184,17 +182,18 @@ def _decompose(gram: np.ndarray, labels: np.ndarray, floor_rel: float) -> Featur
     if asym > 1e-8 * max(hi, -lo, 1.0):
         raise InvalidParameterError(f"gram matrix asymmetric (max |K-K^T| = {asym:.3e})")
 
-    evals, evecs = _openblas._eigh_overwrite(gram)
+    evals, rows = _openblas._eigh_overwrite(gram)
     # Rows are the eigenvectors: gram itself after dsyevd, a copy after eigh.
-    rows = np.ascontiguousarray(evecs.T)
-    del evecs
+    rows = np.ascontiguousarray(rows.T)
     if evals.min() < -1e-8 * max(evals.max(), 0.0):
         raise IndefiniteMatrixError(
             f"gram matrix has eigenvalue {evals.min():.3e} below the PSD tolerance"
         )
-    order = np.argsort(evals)[::-1]
-    evals = np.clip(evals[order], 0.0, None)
-    _permute_rows(rows, order)
+    # Both solvers return the eigenvalues ascending: reverse them, and the rows
+    # in place, one pair at a time.
+    evals = np.clip(evals[::-1], 0.0, None)
+    for i in range(n_tot // 2):
+        rows[[i, -1 - i]] = rows[[-1 - i, i]]
     rows *= np.sqrt(n_tot)
 
     floor = floor_rel * evals[0] if evals[0] > 0 else 0.0
@@ -206,24 +205,6 @@ def _decompose(gram: np.ndarray, labels: np.ndarray, floor_rel: float) -> Featur
     return FeatureDecomposition(eigenvalues=evals, phi=rows.T, theta_star=theta,
                                 n_tot=n_tot, n_floored=n_tot - n_active,
                                 floor=float(floor))
-
-
-def _permute_rows(a: np.ndarray, order: np.ndarray) -> None:
-    """a[:] = a[order] in place, following the permutation's cycles with one row
-    of scratch."""
-    order = order.tolist()
-    done = [False] * len(order)
-    for start in range(len(order)):
-        if done[start]:
-            continue
-        saved = a[start].copy()
-        k = start
-        while order[k] != start:
-            a[k] = a[order[k]]
-            done[k] = True
-            k = order[k]
-        a[k] = saved
-        done[k] = True
 
 
 def cumulative_tails(eigenvalues: np.ndarray, teacher_sq: np.ndarray):

@@ -249,12 +249,15 @@ def excess_error_closed(n: int, lam: float, sigma: float, spectrum: Spectrum,
 
     zsol is the ``solve_z`` root at (n, lam), solved here when not given.
     Raises DegenerateDenominatorError when 1 - S2 <= 0 (truncation or
-    parameters outside the formula's validity).
+    parameters outside the formula's validity), except at a noiseless zero root.
     """
     if zsol is None:
         zsol = solve_z(n, lam, spectrum)
     if not 0 <= sigma < math.inf:
         raise InvalidParameterError(f"noise std must be finite and >= 0, got {sigma}")
+    if zsol.z == 0.0 and sigma == 0.0:
+        # Every sample-variance term carries zeta = 0: exactly 0, even at p = n.
+        return ErrorDecomposition(sample_variance=0.0, noise_variance=0.0, total=0.0)
     (sample_sum,) = _spectral_sums(zsol.z / n, spectrum, (_SAMPLE,))
     s2 = zsol.df2 / n
     denom = 1.0 - s2
@@ -368,11 +371,12 @@ def optimal_lambda(n: int, sigma: float, spectrum: Spectrum,
                    lam_grid) -> tuple[float, float]:
     """Grid minimizer of the closed-form excess error over lam_grid.
 
-    Ties are broken toward larger regularization.  Grid points where the
-    closed form degenerates are skipped; if every point degenerates the
-    degenerate-denominator error is re-raised.  The grid is swept downward,
-    each z solve starting at Newton's first step off the previous, larger
-    root; the winner's excess is solved again cold, so it is sweep-independent.
+    Ties are broken toward larger regularization; a repeated grid point is
+    solved once.  Grid points where the closed form degenerates are skipped;
+    if every point degenerates the degenerate-denominator error is re-raised.
+    The grid is swept downward, each z solve starting at Newton's first step
+    off the previous, larger root; the winner's excess is solved again cold,
+    so it is sweep-independent.
     """
     lam_grid = np.asarray(lam_grid, dtype=float)
     if lam_grid.size == 0:
@@ -381,7 +385,7 @@ def optimal_lambda(n: int, sigma: float, spectrum: Spectrum,
         raise InvalidParameterError("lam_grid entries must be >= 0")
 
     best_lam, best_total, last_error, zsol = None, math.inf, None, None
-    for lam in map(float, np.sort(lam_grid)[::-1]):
+    for lam in map(float, np.unique(lam_grid)[::-1]):
         # At the previous root the gap at lam is n * (lam_prev - lam).
         z = None if zsol is None else zsol.z - n * (lam_prev - lam) / (1.0 - zsol.df2 / n)
         zsol, lam_prev = solve_z(n, lam, spectrum, z), lam

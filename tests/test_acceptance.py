@@ -277,7 +277,7 @@ def test_criterion_09_decomposition_invariants():
         X = rng.standard_normal((n, 2 * n))
         gram = X @ X.T
         y = rng.standard_normal(n)
-        dec = feature_decomposition(gram, y)
+        dec = feature_decomposition(gram.copy(), y)
         worst["orth"] = max(worst["orth"],
                             np.abs(dec.phi.T @ dec.phi / n - np.eye(n)).max())
         worst["rec"] = max(worst["rec"],

@@ -227,6 +227,25 @@ def test_non_finite_noise_is_usage_error_before_any_trial(tmp_path, monkeypatch,
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("n", ["1", "10", "100"])
+def test_square_interpolation_exits_0_without_noise_and_3_with_it(tmp_path, n):
+    # At p = n and lam = 0 the noiseless excess is exactly 0; with noise the
+    # closed form's denominator 1 - S2 vanishes.
+    square = ["--alpha", "2", "--r", "0.5", "--p", n, "--n", n]
+    # With --include-zero this grid holds lam = 0 twice.
+    zero_grid = tmp_path / "zero_grid.json"
+    zero_grid.write_text(json.dumps({"lam_grid": [0.0]}))
+    for sigma, code in (("0", 0), ("0.5", 3)):
+        for argv in (["theory", "--lam", "0"], ["simulate", "--lam", "0", "--trials", "2"],
+                     ["optimal-lambda", "--config", str(zero_grid)]):
+            out = tmp_path / f"{argv[0]}_{sigma}.csv"
+            assert main([*argv, *square, "--sigma", sigma, "--out", str(out)]) == code, argv
+    assert _read_csv(tmp_path / "theory_0.csv")[1][2:5] == ["0", "0", "0"]
+    out = tmp_path / "default_grid.csv"
+    assert main(["optimal-lambda", *square, "--sigma", "0", "--out", str(out)]) == 0
+    assert _read_csv(out)[1][1:] == ["0", "0", "noiseless"]
+
+
 def test_simulate_usage_error(tmp_path):
     assert main(["simulate", "--alpha", "2", "--r", "0.5", "--lam", "0",
                  "--ell", "1", "--n", "32"]) == 2
@@ -373,13 +392,22 @@ def _planted_csv(path, n_tot=600, p=400, seed=3):
             w.writerow([f"{v:.17g}" for v in X[i]] + [f"{y[i]:.17g}"])
 
 
-def test_estimate_planted_csv(tmp_path):
+def test_estimate_planted_csv(tmp_path, monkeypatch):
+    grams = []
+    real_decomposition = cli.feature_decomposition
+
+    def counting_decomposition(gram, *args):
+        grams.append(gram.flags.c_contiguous and gram.flags.writeable)
+        return real_decomposition(gram, *args)
+
+    monkeypatch.setattr(cli, "feature_decomposition", counting_decomposition)
     data = tmp_path / "data.csv"
     _planted_csv(data)
     base = tmp_path / "est"
     code = main(["estimate", str(data), "--kernel", "linear", "--gamma", "1",
                  "--out", str(base)])
     assert code == 0
+    assert grams == [True]  # the public decomposition, in the Gram matrix's own buffer
     report = json.loads((tmp_path / "est_estimate.json").read_text())
     assert abs(report["alpha_hat"] - 2.0) / 2.0 < 0.15
     assert abs(report["r_hat"] - 0.5) / 0.5 < 0.3
@@ -397,6 +425,7 @@ def test_estimate_planted_csv(tmp_path):
                  "--ell", "inf", "--out", str(tmp_path / "est_inf")])
     assert code == 0
     report = _strict_json(tmp_path / "est_inf_estimate.json")
+    assert grams == [True, True]
     assert report["predicted_exponents"]["ell_used"] == "inf"
     assert report["predicted_exponents"]["OrangeNoisyReg_at_ell"] == "-inf"
     assert _strict_json(tmp_path / "est_inf.manifest.json")["params"]["ell"] == "inf"

@@ -510,9 +510,18 @@ def test_excess_not_monotone_in_ridgeless_plateau():
 
 
 def test_degenerate_denominator_square_interpolation():
-    sp = power_law_spectrum(PowerLawParams(2.0, 0.5, 100))
-    with pytest.raises(DegenerateDenominatorError):
-        excess_error_closed(100, 0.0, 0.1, sp)
+    # At p = n and lam = 0, 1 - S2 = 0: the noise term diverges, while without
+    # noise both routes interpolate the teacher exactly.
+    for n in (1, 10, 100):
+        sp = power_law_spectrum(PowerLawParams(2.0, 0.5, n))
+        with pytest.raises(DegenerateDenominatorError):
+            excess_error_closed(n, 0.0, 0.1, sp)
+        with pytest.raises(DegenerateDenominatorError):
+            optimal_lambda(n, 0.1, sp, [0.0, 0.0])  # a repeated point is solved once
+        assert excess_error_closed(n, 0.0, 0.0, sp).total == 0.0
+        assert optimal_lambda(n, 0.0, sp, [0.0, 0.0, 1.0]) == (0.0, 0.0)
+        state = solve_fixed_point(n, 0.0, 0.0, sp)
+        assert state.converged and state.excess == 0.0
 
 
 def test_optimal_lambda_noiseless_plateau_at_zero():
