@@ -385,7 +385,7 @@ def optimal_lambda(n: int, sigma: float, spectrum: Spectrum,
         raise InvalidParameterError("lam_grid entries must be >= 0")
 
     best_lam, best_total, last_error, zsol = None, math.inf, None, None
-    for lam in map(float, np.unique(lam_grid)[::-1]):
+    for lam in sorted(set(lam_grid.tolist()), reverse=True):
         # At the previous root the gap at lam is n * (lam_prev - lam).
         z = None if zsol is None else zsol.z - n * (lam_prev - lam) / (1.0 - zsol.df2 / n)
         zsol, lam_prev = solve_z(n, lam, spectrum, z), lam
