@@ -174,53 +174,39 @@ def sample_dataset(spectrum: Spectrum, n: int, sigma: float, seed, out=None):
     return out, labels
 
 
-def _solve_psd(mat: np.ndarray, rhs: np.ndarray, lam_is_zero: bool) -> np.ndarray:
-    """Cholesky solve with a trace-scaled jitter retry in the ridgeless case.
-
-    mat must be exactly symmetric and C-contiguous; it is factored in its own
-    buffer.  mat.T is that buffer in Fortran order and the same matrix, so the
-    factor has the bits of one computed on a copy.  The factor may overwrite
-    mat's lower triangle; the retry rebuilds mat from the strict upper
-    triangle and the saved diagonal, then factors mat + jitter * I, a fresh
-    matrix.
-    """
-    diagonal = mat.diagonal().copy()
-    try:
-        return _openblas._cholesky_solve(mat.T, rhs)
-    except np.linalg.LinAlgError:
-        if not lam_is_zero:
-            raise SingularSystemError("ridge system is numerically singular")
-    for i in range(1, mat.shape[0]):
-        mat[i, :i] = mat[:i, i]
-    mat[np.diag_indices_from(mat)] = diagonal
-    jitter = _JITTER_REL * np.trace(mat) / mat.shape[0]
-    try:
-        return _openblas._cholesky_solve((mat + jitter * np.eye(mat.shape[0])).T, rhs)
-    except np.linalg.LinAlgError as err:
-        raise SingularSystemError(
-            "Gram matrix singular beyond the configured jitter"
-        ) from err
-
-
 @_openblas._one_blas_thread()
 def ridge_fit(features: np.ndarray, labels: np.ndarray, lam: float) -> np.ndarray:
     """Exact minimizer of the mean squared error plus lam * ||w||^2.
 
     Uses the n x n dual system when there are fewer samples than features
     (which also yields the minimum-norm solution at lam = 0), the p x p
-    normal equations otherwise.
+    normal equations otherwise.  The system is exactly symmetric, so its
+    Fortran view is the same matrix: it is factored in its own buffer, with
+    the bits of a factorization on a copy.  Where the ridgeless system is not
+    numerically positive definite, it is formed again from features, with
+    _JITTER_REL * trace / size added to its diagonal, and factored; otherwise
+    SingularSystemError is raised.
     """
     if not 0 <= lam < math.inf:
         raise InvalidParameterError(f"regularization must be finite and >= 0, got {lam}")
     n, p = features.shape
-    if n < p:
-        gram = features @ features.T
-        gram[np.diag_indices_from(gram)] += n * lam
-        dual = _solve_psd(gram, labels, lam == 0.0)
-        return features.T @ dual
-    normal = features.T @ features
-    normal[np.diag_indices_from(normal)] += n * lam
-    return _solve_psd(normal, features.T @ labels, lam == 0.0)
+    half = features if n < p else features.T  # the system is half @ half.T
+    mat = half @ half.T
+    rhs = labels if n < p else half @ labels
+    mat[np.diag_indices_from(mat)] += n * lam
+    try:
+        solution = _openblas._cholesky_solve(mat.T, rhs)
+    except np.linalg.LinAlgError:
+        if lam != 0.0:
+            raise SingularSystemError("ridge system is numerically singular")
+        mat = half @ half.T
+        mat[np.diag_indices_from(mat)] += _JITTER_REL * np.trace(mat) / mat.shape[0]
+        try:
+            solution = _openblas._cholesky_solve(mat.T, rhs)
+        except np.linalg.LinAlgError as err:
+            raise SingularSystemError(
+                "Gram matrix singular beyond the configured jitter") from err
+    return half.T @ solution if n < p else solution
 
 
 def excess_error_empirical(w: np.ndarray, spectrum: Spectrum) -> float:
@@ -253,10 +239,12 @@ def grid_search_lambda(features: np.ndarray, labels: np.ndarray,
 
     work, a C-contiguous float64 array that the search may overwrite, may be
     features' own buffer: the n x n Gram matrix is formed before the first
-    write.  Each fold carves its arrays from work and puts the eigensolver's
-    workspace after them, about 3 n^2 doubles at 5 folds and the default grid,
-    so where work holds them the search allocates only the Gram matrix.  A
-    fold whose arrays do not fit allocates them.
+    write.  A fold with v validation rows needs n^2 - v^2 + n g doubles for
+    its arrays (g grid points), most at the smallest fold, v = n // k_folds.
+    Every fold carves its arrays from work where work holds that many,
+    otherwise from one block of that size allocated once, and puts the
+    eigensolver's workspace, about 2 (n - v)^2 doubles, after them where it
+    fits: about 3 n^2 in all at 5 folds and the default grid.
     """
     if k_folds < 2:
         raise InvalidParameterError(f"k_folds must be >= 2, got {k_folds}")
@@ -271,26 +259,24 @@ def grid_search_lambda(features: np.ndarray, labels: np.ndarray,
         raise InvalidParameterError("work must be a writeable, C-contiguous float64 array")
 
     gram = features @ features.T
-    work = None if work is None else work.reshape(-1)
     g = lam_grid.size
+    size = n * n - (n // k_folds) ** 2 + n * g
+    work = work.reshape(-1) if work is not None and work.size >= size else np.empty(size)
     mse = np.zeros(g)
     for val_idx in np.array_split(np.arange(n), k_folds):
         lo, hi = int(val_idx[0]), int(val_idx[-1]) + 1
         v, m = hi - lo, n - (hi - lo)
         # The training block, the validation x training block, its projection,
-        # the coefficients and the scores, taken in this order from work where
-        # they all fit, the eigensolver's workspace after them; otherwise each
-        # is allocated when taken, as the fold needs it.
+        # the coefficients and the scores, taken in this order from work, the
+        # eigensolver's workspace after them.
         sizes = (m * m, v * m, v * m, m * g, v * g)
         end = sum(sizes)
-        fits = work is not None and work.size >= end
-        parts = iter(np.split(work[:end], np.cumsum(sizes)[:-1]) if fits
-                     else map(np.empty, sizes))
+        parts = iter(np.split(work[:end], np.cumsum(sizes)[:-1]))
         # The training block, copied in four slices, is exactly symmetric.
         tt = next(parts).reshape(m, m)
         tt[:lo, :lo], tt[:lo, lo:] = gram[:lo, :lo], gram[:lo, hi:]
         tt[lo:, :lo], tt[lo:, lo:] = gram[hi:, :lo], gram[hi:, hi:]
-        evals, evecs = _openblas._eigh_overwrite(tt, work[end:] if fits else None)
+        evals, evecs = _openblas._eigh_overwrite(tt, work[end:])
         evals = np.clip(evals, 0.0, None)
         uty = evecs.T @ np.concatenate((labels[:lo], labels[hi:]))
         # Fortran-ordered, the layout of gram[val, train_idx]: a C-ordered
@@ -330,13 +316,14 @@ def learning_curve(config: SimConfig) -> LearningCurve:
     search there, handing it the whole buffer as its work (its contents are
     dead once the Gram matrix is formed), so the search allocates only that
     n x n matrix where the buffer holds its fold arrays, about 3 n^2 doubles,
-    and its folds allocate them otherwise; trial 0 then draws the same
-    design again, about 140 ms of one core over a p = 4000, n = 32..1024
-    curve.  The calling thread also computes the theory column and the
-    regime label, and reduces the rows in sorted order, each row's trials in
-    trial order, once every row's trials are submitted.  Trial failures are
-    tolerated up to 10% per row, above which the row's first failure is
-    re-raised.  Any raise cancels the queued trials before it leaves.
+    and one block of them otherwise; trial 0 then draws the same design
+    again, about 140 ms of one core over a p = 4000, n = 32..1024 curve.  It
+    then computes the row's theory column and regime label, so a row whose
+    closed form raises runs no trial.  Once every row's trials are submitted,
+    it averages the rows in sorted order, each row's trials in trial order.
+    Trial failures are tolerated up to 10% per row, above which the row's
+    first failure is re-raised.  Any raise cancels the queued trials before
+    it leaves.
     """
     import queue
     from concurrent.futures import ThreadPoolExecutor
@@ -373,8 +360,12 @@ def learning_curve(config: SimConfig) -> LearningCurve:
                     lam = grid_search_lambda(*design(buffer, n, 0), work=buffer.reshape(-1))
                 finally:
                     buffers.put(buffer)
-            submitted.append((n, lam, [pool.submit(trial, n, t, lam) for t in range(trials)]))
-        for n, lam, outcomes in submitted:
+            theory = excess_error_closed(n, lam, sigma, theory_spec).total
+            regime = ("" if spectrum.law is None else
+                      config.lam_schedule.label(*spectrum.law, sigma, n, lam).region.value)
+            submitted.append((n, lam, theory, regime,
+                              [pool.submit(trial, n, t, lam) for t in range(trials)]))
+        for n, lam, theory, regime, outcomes in submitted:
             results = [outcome.result() for outcome in outcomes]
             failures = [o for o in results if isinstance(o, SolverError)]
             values = np.array([o for o in results if not isinstance(o, SolverError)], float)
@@ -382,10 +373,6 @@ def learning_curve(config: SimConfig) -> LearningCurve:
                 raise failures[0]
             mean = float(values.mean())
             std = float(values.std(ddof=1)) if values.size > 1 else 0.0
-            theory = excess_error_closed(n, lam, sigma, theory_spec).total
-            regime = ""
-            if spectrum.law is not None:
-                regime = config.lam_schedule.label(*spectrum.law, sigma, n, lam).region.value
             rows.append(CurveRow(n=int(n), lam_used=float(lam), mean_excess=mean,
                                  std_excess=std, trials=int(values.size),
                                  theory_excess=float(theory), regime=regime))

@@ -312,7 +312,9 @@ def solve_fixed_point(n: int, lam: float, sigma: float, spectrum: Spectrum) -> F
     x_new = (1 - _DAMPING) * x_old + _DAMPING * update.
 
     Non-convergence after _FIXED_POINT_MAX_ITER steps returns a state flagged unconverged.
-    A meaningfully negative excess error raises NegativeExcessError.
+    A meaningfully negative excess error raises NegativeExcessError.  At lam = 0
+    and p = n with noise the excess grows without bound, as the closed form's
+    noise term diverges: DegenerateDenominatorError is raised before any step.
     """
     if n < 1:
         raise InvalidParameterError(f"sample count must be >= 1, got {n}")
@@ -329,6 +331,10 @@ def solve_fixed_point(n: int, lam: float, sigma: float, spectrum: Spectrum) -> F
         zeta = lam
     elif p <= n:
         zeta = 0.0
+        # At zeta = 0 every mode adds 1 to df2, so at p = n the noise adds
+        # sigma^2 * _DAMPING to the excess each step: no fixed point.
+        if p == n and sigma > 0.0:
+            raise DegenerateDenominatorError(f"no fixed point at lam = 0, p = n = {n}, sigma > 0")
     else:
         zeta = spectrum.trace() / n
     excess = 0.0

@@ -228,18 +228,29 @@ def test_non_finite_noise_is_usage_error_before_any_trial(tmp_path, monkeypatch,
 
 
 @pytest.mark.parametrize("n", ["1", "10", "100"])
-def test_square_interpolation_exits_0_without_noise_and_3_with_it(tmp_path, n):
+def test_square_interpolation_exits_0_without_noise_and_3_with_it(tmp_path, monkeypatch, n):
     # At p = n and lam = 0 the noiseless excess is exactly 0; with noise the
     # closed form's denominator 1 - S2 vanishes.
     square = ["--alpha", "2", "--r", "0.5", "--p", n, "--n", n]
     # With --include-zero this grid holds lam = 0 twice.
     zero_grid = tmp_path / "zero_grid.json"
     zero_grid.write_text(json.dumps({"lam_grid": [0.0]}))
+    fits = []
+    real_fit = simulator.ridge_fit
+
+    def counting_fit(*args):
+        fits.append(args)
+        return real_fit(*args)
+
+    monkeypatch.setattr(simulator, "ridge_fit", counting_fit)
     for sigma, code in (("0", 0), ("0.5", 3)):
+        fits.clear()
         for argv in (["theory", "--lam", "0"], ["simulate", "--lam", "0", "--trials", "2"],
                      ["optimal-lambda", "--config", str(zero_grid)]):
             out = tmp_path / f"{argv[0]}_{sigma}.csv"
             assert main([*argv, *square, "--sigma", sigma, "--out", str(out)]) == code, argv
+        # With noise the row's theory column raises before any trial is submitted.
+        assert len(fits) == (2 if code == 0 else 0)
     assert _read_csv(tmp_path / "theory_0.csv")[1][2:5] == ["0", "0", "0"]
     out = tmp_path / "default_grid.csv"
     assert main(["optimal-lambda", *square, "--sigma", "0", "--out", str(out)]) == 0

@@ -156,7 +156,7 @@ def _psd_system(zero_row):
     features = np.random.default_rng(5).standard_normal((200, 300))
     if zero_row:
         features[57] = 0.0  # a zero pivot: the first factorization fails
-    return features @ features.T, features[:, 0].copy()
+    return features, features[:, 0].copy()
 
 
 def _pin_scipy_blas_too(request):
@@ -174,6 +174,23 @@ def _pin_scipy_blas_too(request):
     request.addfinalizer(lambda: setter(previous))
 
 
+def _record_solved_matrices(monkeypatch, features):
+    """Wrap _openblas._cholesky_solve: the returned list gets, per call, the
+    address of the matrix it was handed, or None where that matrix is not one
+    that ridge_fit built (the Fortran view of a fresh C-ordered array, apart
+    from features)."""
+    solved, cholesky_solve = [], _openblas._cholesky_solve
+
+    def recording(a, rhs):
+        built = (a.base is not None and a.base.flags.owndata and a.base.flags.c_contiguous
+                 and not np.shares_memory(a, features))
+        solved.append(a.ctypes.data if built else None)
+        return cholesky_solve(a, rhs)
+
+    monkeypatch.setattr(_openblas, "_cholesky_solve", recording)
+    return solved
+
+
 @pytest.mark.parametrize("zero_row", [False, True], ids=["direct", "jitter-retry"])
 def test_in_place_solve_has_the_copy_solve_bits(monkeypatch, request, zero_row):
     lapack = _openblas._lapack
@@ -181,51 +198,65 @@ def test_in_place_solve_has_the_copy_solve_bits(monkeypatch, request, zero_row):
     if dpotrf is None or lapack("dpotrs") is None:
         pytest.skip("numpy's LAPACK lacks the Cholesky symbols: scipy's solve is the only path")
     _pin_scipy_blas_too(request)
-    gram, rhs = _psd_system(zero_row)
+    features, y = _psd_system(zero_row)
     with _openblas._one_blas_thread():
-        expected = _solve_by_copy(gram.copy(), rhs)
-    start, factored = gram.ctypes.data, []
+        expected = features.T @ _solve_by_copy(features @ features.T, y)
+    factored = []
 
     def recording(uplo, n, a, *rest):
-        factored.append(a - start if 0 <= a - start < gram.nbytes else None)
+        factored.append(a)
         dpotrf(uplo, n, a, *rest)
 
+    solved = _record_solved_matrices(monkeypatch, features)
     monkeypatch.setattr(_openblas, "_lapack",
                         lambda name: recording if name == "dpotrf" else lapack(name))
-    with _openblas._one_blas_thread():
-        solution = simulator._solve_psd(gram, rhs, lam_is_zero=True)
+    solution = ridge_fit(features, y, 0.0)
     assert solution.tobytes() == expected.tobytes()
-    # The first factorization runs in gram's buffer, with no copy; the retry
-    # factors a fresh matrix.
-    assert factored == ([0, None] if zero_row else [0])
+    # Each factorization runs in the buffer of a system that ridge_fit built,
+    # with no copy; the retry builds and factors a second one.
+    assert factored == solved and None not in solved
+    assert len(solved) == (2 if zero_row else 1)
 
 
 @pytest.mark.parametrize("zero_row", [False, True], ids=["direct", "jitter-retry"])
 def test_numpy_fallback_solve_agrees_with_the_main_path(monkeypatch, zero_row):
     # Where numpy's LAPACK lacks dpotrf and dpotrs, numpy's Cholesky tests
     # definiteness and its solve runs.  It rounds differently from the main
-    # path: 1.7e-15 (direct) and 1.4e-15 (retry) relative on an x86-64 VM with
-    # numpy 2.4.6, so 1e-14 leaves a margin of about 6.
+    # path: the weights differ by 1.3e-15 (direct) and 1.1e-15 (retry) relative
+    # on an x86-64 VM with numpy 2.4.6, so 1e-14 leaves a margin of about 8.
     if _openblas._lapack("dpotrf") is None or _openblas._lapack("dpotrs") is None:
         pytest.skip("numpy's LAPACK lacks the Cholesky symbols: the fallback is the only path")
-    gram, rhs = _psd_system(zero_row)
-    with _openblas._one_blas_thread():
-        expected = simulator._solve_psd(gram.copy(), rhs, lam_is_zero=True)
+    features, y = _psd_system(zero_row)
+    expected = ridge_fit(features, y, 0.0)
     factored, cholesky = [], np.linalg.cholesky
 
     def recording(a):
-        try:
-            return cholesky(a)
-        finally:
-            factored.append(np.shares_memory(a, gram))
+        factored.append(a.ctypes.data)
+        return cholesky(a)
 
+    solved = _record_solved_matrices(monkeypatch, features)
     monkeypatch.setattr(_openblas, "_lapack", lambda name: None)
     monkeypatch.setattr(np.linalg, "cholesky", recording)
-    with _openblas._one_blas_thread():
-        solution = simulator._solve_psd(gram, rhs, lam_is_zero=True)
+    solution = ridge_fit(features, y, 0.0)
     assert np.linalg.norm(solution - expected) <= 1e-14 * np.linalg.norm(expected)
-    # The retry fires on the zero row and factors a fresh matrix.
-    assert factored == ([True, False] if zero_row else [True])
+    # The retry fires on the zero row and builds a second system.
+    assert factored == solved and None not in solved
+    assert len(solved) == (2 if zero_row else 1)
+
+
+def test_singular_ridge_system_raises_without_a_retry(monkeypatch):
+    # Only the ridgeless system is retried with a jitter.
+    calls = []
+
+    def failing(a, rhs):
+        calls.append(a.shape)
+        raise np.linalg.LinAlgError("not positive definite")
+
+    features, y = _psd_system(False)
+    monkeypatch.setattr(_openblas, "_cholesky_solve", failing)
+    with pytest.raises(SingularSystemError, match="numerically singular"):
+        ridge_fit(features, y, 1e-3)
+    assert calls == [(200, 200)]
 
 
 def test_excess_empirical_teacher_and_null():

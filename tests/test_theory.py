@@ -518,6 +518,8 @@ def test_degenerate_denominator_square_interpolation():
             excess_error_closed(n, 0.0, 0.1, sp)
         with pytest.raises(DegenerateDenominatorError):
             optimal_lambda(n, 0.1, sp, [0.0, 0.0])  # a repeated point is solved once
+        with pytest.raises(DegenerateDenominatorError):
+            solve_fixed_point(n, 0.0, 0.1, sp)  # the excess would grow every step
         assert excess_error_closed(n, 0.0, 0.0, sp).total == 0.0
         assert optimal_lambda(n, 0.0, sp, [0.0, 0.0, 1.0]) == (0.0, 0.0)
         state = solve_fixed_point(n, 0.0, 0.0, sp)
