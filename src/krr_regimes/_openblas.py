@@ -5,7 +5,7 @@ Every foreign call of the package goes through _library(), one handle on the
 extension module that numpy.linalg runs; its OpenBLAS also runs numpy's
 matrix products.  Where a symbol is missing (numpy links another BLAS or
 LAPACK, or an OpenBLAS older than 0.3.27), each caller falls back: the
-eigensolver to np.linalg.eigh, the Cholesky solve to np.linalg.cholesky and
+eigensolvers to np.linalg.eigh, the Cholesky solve to np.linalg.cholesky and
 np.linalg.solve, and the pin to nothing, so the solves' rounding then
 follows the BLAS thread count.
 """
@@ -46,6 +46,16 @@ _LAPACK_ARGS = {
     # JOBZ, UPLO, N, A, LDA, W, WORK, LWORK, IWORK, LIWORK, INFO
     "dsyevd": (ctypes.c_char_p, ctypes.c_char_p, _INT_P, _PTR, _INT_P, _PTR, _PTR, _INT_P,
                _PTR, _INT_P, _INT_P, ctypes.c_size_t, ctypes.c_size_t),
+    # UPLO, N, A, LDA, D, E, TAU, WORK, LWORK, INFO
+    "dsytrd": (ctypes.c_char_p, _INT_P, _PTR, _INT_P, _PTR, _PTR, _PTR, _PTR, _INT_P, _INT_P,
+               ctypes.c_size_t),
+    # SIDE, UPLO, TRANS, M, N, A, LDA, TAU, C, LDC, WORK, LWORK, INFO
+    "dormtr": (ctypes.c_char_p, ctypes.c_char_p, ctypes.c_char_p, _INT_P, _INT_P, _PTR, _INT_P,
+               _PTR, _PTR, _INT_P, _PTR, _INT_P, _INT_P, ctypes.c_size_t, ctypes.c_size_t,
+               ctypes.c_size_t),
+    # COMPZ, N, D, E, Z, LDZ, WORK, LWORK, IWORK, LIWORK, INFO
+    "dstedc": (ctypes.c_char_p, _INT_P, _PTR, _PTR, _PTR, _INT_P, _PTR, _INT_P, _PTR, _INT_P,
+               _INT_P, ctypes.c_size_t),
     # UPLO, N, A, LDA, INFO
     "dpotrf": (ctypes.c_char_p, _INT_P, _PTR, _INT_P, _INT_P, ctypes.c_size_t),
     # UPLO, N, NRHS, A, LDA, B, LDB, INFO
@@ -65,10 +75,17 @@ def _setter():
     return _function("openblas_set_num_threads_local", (ctypes.c_int,), ctypes.c_int)
 
 
+def _check_matrix(a: np.ndarray) -> None:
+    if not (a.dtype == np.float64 and a.flags.c_contiguous and a.flags.writeable
+            and a.ndim == 2 and a.shape[0] == a.shape[1]):
+        raise ValueError("LAPACK needs a square, writeable, C-contiguous float64 matrix")
+
+
 def _eigh_overwrite(a: np.ndarray, work: np.ndarray | None = None
                     ) -> tuple[np.ndarray, np.ndarray]:
     """np.linalg.eigh(a) of a symmetric, C-contiguous float64 matrix, computed in
-    a's buffer, which then holds the eigenvectors.
+    a's buffer, which then holds the eigenvectors.  The cv search uses it: its
+    scores need every eigenvector.
 
     numpy's eigh runs dsyevd('V', 'L') with the queried workspace on a Fortran
     copy of its input; for a symmetric a that copy holds a's own bytes, so the
@@ -81,9 +98,7 @@ def _eigh_overwrite(a: np.ndarray, work: np.ndarray | None = None
     dsyevd = _lapack("dsyevd")
     if dsyevd is None:
         return np.linalg.eigh(a)
-    if not (a.dtype == np.float64 and a.flags.c_contiguous and a.flags.writeable
-            and a.ndim == 2 and a.shape[0] == a.shape[1]):
-        raise ValueError("dsyevd needs a square, writeable, C-contiguous float64 matrix")
+    _check_matrix(a)
     if work is not None and not (work.dtype == np.float64 and work.flags.c_contiguous
                                  and work.flags.writeable and work.ndim == 1
                                  and not np.may_share_memory(a, work)):
@@ -107,6 +122,77 @@ def _eigh_overwrite(a: np.ndarray, work: np.ndarray | None = None
     lwork.value, liwork.value = work.size, iwork.size
     call(work.ctypes.data, iwork.ctypes.data)
     return evals, a.T
+
+
+# dsyevd scales a matrix whose largest |entry| lies outside [_RMIN, _RMAX]:
+# sqrt(safe minimum / precision) and its reciprocal.
+_RMIN, _RMAX = 2.0 ** -485, 2.0 ** 485
+
+
+def _eigh_projections(a: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of a symmetric, C-contiguous float64 matrix, ascending, and
+    the projections of y onto its eigenvectors, which are not formed; a's
+    buffer is overwritten.
+
+    np.linalg.eigh runs dsyevd('V', 'L'): it scales a whose largest |entry|
+    lies outside [_RMIN, _RMAX], dsytrd reduces a to a tridiagonal
+    T = Q^T a Q, dstedc('I') finds T's eigenvectors Z, and Q Z are a's.  The
+    same scaling, dsytrd (whose queried workspace keeps its block size) and
+    dstedc run here, so the eigenvalues carry eigh's bits.  dormtr forms
+    w = Q^T y while a still holds Q's reflectors, dstedc writes Z into a's
+    buffer, and the projections are Z^T w: eigh's eigenvectors^T y up to
+    rounding.  Memory beyond a: dstedc's n^2 + 4 n + 1 doubles of workspace.
+    Without the symbols it calls eigh.
+    """
+    w = np.array(y, dtype=np.float64)  # y, then Q^T y
+    routines = [_lapack(name) for name in ("dsytrd", "dormtr", "dstedc")]
+    if None in routines:
+        evals, vecs = np.linalg.eigh(a)
+        return evals, vecs.T @ w
+    dsytrd, dormtr, dstedc = routines
+    _check_matrix(a)
+    if w.shape != a.shape[:1]:
+        raise ValueError("y must have one entry per row of the matrix")
+    size = a.shape[0]
+    sigma = None
+    if size > 1:  # dsyevd returns a 1 x 1 matrix's entry unscaled
+        anrm = max(float(a.max()), -float(a.min()))
+        if 0.0 < anrm < _RMIN:
+            sigma = _RMIN / anrm
+        elif anrm > _RMAX:
+            sigma = _RMAX / anrm
+        if sigma is not None:
+            a *= sigma
+    n, one, info = ctypes.c_int64(size), ctypes.c_int64(1), ctypes.c_int64(0)
+    d, e, tau = np.empty(size), np.empty(max(size - 1, 1)), np.empty(max(size - 1, 1))
+    lwork, liwork = ctypes.c_int64(-1), ctypes.c_int64(-1)
+    ref = ctypes.byref
+
+    def steps(work, iwork):
+        """dsytrd, dormtr and dstedc, yielding each one's name after its call;
+        with lwork = -1 each call is a workspace query."""
+        dsytrd(b"L", ref(n), a.ctypes.data, ref(n), d.ctypes.data, e.ctypes.data,
+               tau.ctypes.data, work, ref(lwork), ref(info), 1)
+        yield "dsytrd"
+        dormtr(b"L", b"L", b"T", ref(n), ref(one), a.ctypes.data, ref(n), tau.ctypes.data,
+               w.ctypes.data, ref(n), work, ref(lwork), ref(info), 1, 1, 1)
+        yield "dormtr"
+        dstedc(b"I", ref(n), d.ctypes.data, e.ctypes.data, a.ctypes.data, ref(n), work,
+               ref(lwork), iwork, ref(liwork), ref(info), 1)
+        yield "dstedc"
+
+    work_size, iwork_size, sizes = ctypes.c_double(0.0), ctypes.c_int64(0), []
+    for _ in steps(ctypes.addressof(work_size), ctypes.addressof(iwork_size)):
+        sizes.append(int(work_size.value))
+    work, iwork = np.empty(max(sizes)), np.empty(iwork_size.value, dtype=np.int64)
+    lwork.value, liwork.value = work.size, iwork.size
+    for name in steps(work.ctypes.data, iwork.ctypes.data):
+        if info.value != 0:
+            raise np.linalg.LinAlgError(f"Eigenvalues did not converge ({name} info {info.value})")
+    if sigma is not None:
+        d *= 1.0 / sigma
+    # a holds Z column-major, so its rows are Z's columns and a @ w is Z^T w.
+    return d, a @ w
 
 
 def _cholesky_solve(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:

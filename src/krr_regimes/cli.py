@@ -284,6 +284,10 @@ def cmd_estimate(args) -> int:
     if args.cap < 1 or (args.subsample is not None and args.subsample < 1):
         raise InvalidParameterError(
             f"--cap and --subsample must be >= 1, got {args.cap} and {args.subsample}")
+    if args.subsample is not None and args.subsample > args.cap:
+        raise InvalidParameterError(
+            f"--subsample {args.subsample} is above --cap {args.cap}; the cap bounds the "
+            "rows decomposed")
     kernel = KernelSpec(args.kernel, gamma=args.gamma, degree=args.degree)
     _check_eigen_floor(args.eigen_floor)
     features, labels = load_dataset_csv(args.dataset)
@@ -454,9 +458,9 @@ def build_parser(supplied=()):
     p.add_argument("--fit-range-capacity", type=_fit_range, default=None)
     p.add_argument("--fit-range-source", type=_fit_range, default=None)
     p.add_argument("--cap", type=_int, default=8000,
-                   help="refuse datasets above this size unless --subsample is given; "
-                   "the decomposition needs about 24 bytes per row^2, so the default "
-                   "implies about 1.5 GB of memory")
+                   help="refuse datasets above this size unless --subsample is given, "
+                   "and a --subsample above it; the decomposition needs about 16 bytes "
+                   "per row^2, so the default implies about 1.0 GB of memory")
     p.add_argument("--subsample", type=_int, default=None)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--eigen-floor", type=float, default=1e-12)

@@ -1,10 +1,11 @@
 """Real-dataset pipeline: kernels, Gram matrices, feature decomposition under
 the empirical measure, teacher extraction and capacity/source estimation.
 
-The feature basis is orthonormal under the empirical measure of the dataset
-itself, so the decomposition is exact at the dataset scale: the Gram matrix
-factors as phi diag(eigenvalues) phi^T and the extracted teacher interpolates
-the labels whenever the Gram matrix is full rank.  Capacity and source
+The feature basis is the Gram matrix's eigenbasis, orthonormal under the
+empirical measure of the dataset itself, so the decomposition is exact at the
+dataset scale and the extracted teacher interpolates the labels whenever the
+Gram matrix is full rank.  Only the eigenvalues and the labels' projections
+onto the basis are computed, never the basis itself.  Capacity and source
 exponents are then read off the log-log slopes of the cumulative eigenvalue
 and signal tails.
 """
@@ -119,19 +120,16 @@ def _symmetrize(gram: np.ndarray, n_tot: int | None = None) -> float:
 
 @dataclass(frozen=True)
 class FeatureDecomposition:
-    """Eigenbasis of the Gram matrix under the empirical measure.
+    """Spectrum of the Gram matrix under the empirical measure, with the teacher.
 
-    eigenvalues are those of gram / n_tot, descending.  phi is scaled so
-    phi^T phi / n_tot is the identity; it is the transposed view of a
-    C-ordered array whose rows are the eigenvectors, after dsyevd the buffer
-    of the decomposed gram.  theta_star holds the (signed) teacher
-    coefficients in the rescaled feature basis; modes whose eigenvalue fell
+    eigenvalues are those of gram / n_tot, descending.  theta_star holds the
+    (signed) teacher coefficients in the feature basis phi, the eigenvectors
+    scaled so phi^T phi / n_tot is the identity; modes whose eigenvalue fell
     below the relative floor are reported in n_floored and carry a zero
     coefficient.
     """
 
     eigenvalues: np.ndarray
-    phi: np.ndarray
     theta_star: np.ndarray
     n_tot: int
     n_floored: int
@@ -147,16 +145,22 @@ def _check_eigen_floor(floor_rel: float) -> None:
         raise InvalidParameterError(f"eigenvalue floor must be in [0, 1), got {floor_rel}")
 
 
+# Symmetrizing adds an entry to its mirror, which overflows from here up.
+_SUM_OVERFLOW = 2.0 ** 1023
+
+
 def feature_decomposition(gram: np.ndarray, labels: np.ndarray,
                           floor_rel: float = DEFAULT_EIGENVALUE_FLOOR) -> FeatureDecomposition:
-    """Diagonalize gram / n_tot and extract the teacher coefficients.
+    """Eigenvalues of gram / n_tot and the teacher coefficients.
 
     The teacher solves labels = phi Sigma^(1/2) theta_star exactly on the
-    modes above the eigenvalue floor; near-null modes are excluded because
-    the extraction divides by the eigenvalues.  A writeable, C-contiguous
-    float64 gram is decomposed in its own buffer, any other in a copy made
-    first; either way, as with LAPACK's overwritten inputs, the caller must
-    not read gram afterwards.
+    modes above the eigenvalue floor, so theta_star is Sigma^(-1/2) phi^T
+    labels / n_tot there; near-null modes are excluded because the
+    extraction divides by the eigenvalues.  phi^T labels comes from the
+    labels' projections onto the eigenvectors, which are not formed.  A
+    writeable, C-contiguous float64 gram is decomposed in its own buffer,
+    any other in a copy made first; either way, as with LAPACK's overwritten
+    inputs, the caller must not read gram afterwards.
     """
     _check_eigen_floor(floor_rel)
     gram = np.require(gram, float, ("C", "W"))
@@ -178,33 +182,31 @@ def feature_decomposition(gram: np.ndarray, labels: np.ndarray,
         raise InvalidParameterError(
             f"gram matrix has non-finite entry {gram[i, j]} at ({i}, {j}); "
             "the kernel may have overflowed (try a smaller gamma or degree)")
+    if max(hi, -lo) >= _SUM_OVERFLOW:
+        i, j = divmod(int(np.argmax(np.abs(gram) >= _SUM_OVERFLOW)), n_tot)
+        raise InvalidParameterError(
+            f"gram matrix entry {gram[i, j]} at ({i}, {j}) is 2**1023 or more in magnitude, "
+            "where symmetrizing overflows (try a smaller gamma or degree)")
     asym = _symmetrize(gram, n_tot)
     if asym > 1e-8 * max(hi, -lo, 1.0):
         raise InvalidParameterError(f"gram matrix asymmetric (max |K-K^T| = {asym:.3e})")
 
-    evals, rows = _openblas._eigh_overwrite(gram)
-    # Rows are the eigenvectors: gram itself after dsyevd, a copy after eigh.
-    rows = np.ascontiguousarray(rows.T)
+    evals, proj = _openblas._eigh_projections(gram, labels)
     if evals.min() < -1e-8 * max(evals.max(), 0.0):
         raise IndefiniteMatrixError(
             f"gram matrix has eigenvalue {evals.min():.3e} below the PSD tolerance"
         )
-    # Both solvers return the eigenvalues ascending: reverse them, and the rows
-    # in place, one pair at a time.
-    evals = np.clip(evals[::-1], 0.0, None)
-    for i in range(n_tot // 2):
-        rows[[i, -1 - i]] = rows[[-1 - i, i]]
-    rows *= np.sqrt(n_tot)
+    # The eigenvalues come ascending.
+    evals, proj = np.clip(evals[::-1], 0.0, None), proj[::-1]
 
     floor = floor_rel * evals[0] if evals[0] > 0 else 0.0
     # evals descend, so the modes above the floor are a prefix.
     n_active = int(np.sum(evals > floor))
     theta = np.zeros(n_tot)
-    # theta = Sigma^(-1/2) phi^T y / n_tot on the active modes.
-    theta[:n_active] = (rows[:n_active] @ labels) / (np.sqrt(evals[:n_active]) * n_tot)
-    return FeatureDecomposition(eigenvalues=evals, phi=rows.T, theta_star=theta,
-                                n_tot=n_tot, n_floored=n_tot - n_active,
-                                floor=float(floor))
+    # phi = sqrt(n_tot) * eigenvectors, so phi^T labels = sqrt(n_tot) * proj.
+    theta[:n_active] = np.sqrt(n_tot) * proj[:n_active] / (np.sqrt(evals[:n_active]) * n_tot)
+    return FeatureDecomposition(eigenvalues=evals, theta_star=theta, n_tot=n_tot,
+                                n_floored=n_tot - n_active, floor=float(floor))
 
 
 def cumulative_tails(eigenvalues: np.ndarray, teacher_sq: np.ndarray):

@@ -271,28 +271,29 @@ def test_criterion_08_estimation_pipeline():
 
 
 def test_criterion_09_decomposition_invariants():
-    worst = {"orth": 0.0, "rec": 0.0, "interp": 0.0}
+    # The eigenvalues carry eigh's bits, and the teacher reproduces the label
+    # moments: sum_k lambda_k^(j+1) theta_k^2 = y^T (K/n)^j y / n.
+    worst = {"eig_bits": 0, "moment": 0.0}
     for n in (100, 400, 1000):
         rng = np.random.default_rng(n)
         X = rng.standard_normal((n, 2 * n))
         gram = X @ X.T
         y = rng.standard_normal(n)
         dec = feature_decomposition(gram.copy(), y)
-        worst["orth"] = max(worst["orth"],
-                            np.abs(dec.phi.T @ dec.phi / n - np.eye(n)).max())
-        worst["rec"] = max(worst["rec"],
-                           np.linalg.norm(dec.phi * dec.eigenvalues @ dec.phi.T - gram)
-                           / np.linalg.norm(gram))
-        psi = dec.phi * np.sqrt(dec.eigenvalues)
-        worst["interp"] = max(worst["interp"],
-                              np.abs(psi @ dec.theta_star - y).max() / np.abs(y).max())
-    ok = worst["orth"] <= 1e-8 and worst["rec"] <= 1e-6 and worst["interp"] <= 1e-6
-    _report(9, ok, f"decomposition invariants up to n_tot=1000: orthonormality "
-                   f"{worst['orth']:.2e} (<=1e-8), reconstruction {worst['rec']:.2e} "
-                   f"(<=1e-6), interpolation {worst['interp']:.2e} (<=1e-6)")
-    assert worst["orth"] <= 1e-8
-    assert worst["rec"] <= 1e-6
-    assert worst["interp"] <= 1e-6
+        want = np.linalg.eigh(gram / n)[0][::-1]
+        worst["eig_bits"] += int(np.sum(dec.eigenvalues != want))
+        power = y.copy()
+        for j in range(3):
+            moment = float(dec.eigenvalues ** (j + 1) @ dec.theta_star ** 2)
+            direct = float(y @ power) / n
+            worst["moment"] = max(worst["moment"], abs(moment - direct) / abs(direct))
+            power = gram @ power / n
+    ok = worst["eig_bits"] == 0 and worst["moment"] <= 1e-8
+    _report(9, ok, f"decomposition invariants up to n_tot=1000: eigenvalues differing from "
+                   f"eigh's {worst['eig_bits']} (0 allowed), label moments j = 0, 1, 2 "
+                   f"{worst['moment']:.2e} relative (<=1e-8)")
+    assert worst["eig_bits"] == 0
+    assert worst["moment"] <= 1e-8
 
 
 def test_criterion_10_determinism(tmp_path):

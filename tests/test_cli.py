@@ -564,6 +564,22 @@ def test_estimate_bad_eigen_floor_is_usage_error_before_the_data_is_read(tmp_pat
     assert not (tmp_path / "e_estimate.json").exists()
 
 
+def test_estimate_subsample_above_cap_is_usage_error_before_the_data_is_read(tmp_path, capsys,
+                                                                         monkeypatch):
+    data = tmp_path / "data.csv"
+    _planted_csv(data, n_tot=30, p=5)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"cap": 10, "subsample": 20}))
+    called = _data_calls(monkeypatch)
+    for flags in (["--cap", "10", "--subsample", "20"], ["--config", str(cfg)]):
+        code = main(["estimate", str(data), "--kernel", "rbf", "--gamma", "0.1", *flags,
+                     "--out", str(tmp_path / "e")])
+        assert code == 2, flags
+        assert "--subsample 20 is above --cap 10" in capsys.readouterr().err
+    assert called == []
+    assert not (tmp_path / "e_estimate.json").exists()
+
+
 def test_estimate_rejects_nan_cell(tmp_path, capsys):
     data = tmp_path / "data.csv"
     _planted_csv(data, n_tot=60, p=5)

@@ -1,6 +1,8 @@
 import csv
+import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -88,10 +90,9 @@ def test_decomposition_isotropic_gram():
     n = 40
     rng = np.random.default_rng(2)
     y = rng.standard_normal(n)
-    dec = feature_decomposition(n * np.eye(n), y)
+    dec = _assert_decomposition_matches(n * np.eye(n), y)
     assert np.allclose(dec.eigenvalues, 1.0)
-    psi = dec.phi * np.sqrt(dec.eigenvalues)
-    assert np.abs(psi @ dec.theta_star - y).max() < 1e-10
+    assert _interpolation_error(n * np.eye(n), dec, y) < 1e-10
 
 
 @pytest.mark.parametrize("n", [50, 200, 600])
@@ -100,13 +101,8 @@ def test_decomposition_invariants_random_spd(n):
     X = rng.standard_normal((n, 2 * n))
     K = X @ X.T
     y = rng.standard_normal(n)
-    dec = feature_decomposition(K.copy(), y)
-    orth = np.abs(dec.phi.T @ dec.phi / n - np.eye(n)).max()
-    assert orth <= 1e-8
-    rec = np.linalg.norm(dec.phi * dec.eigenvalues @ dec.phi.T - K)
-    assert rec <= 1e-6 * np.linalg.norm(K)
-    psi = dec.phi * np.sqrt(dec.eigenvalues)
-    assert np.abs(psi @ dec.theta_star - y).max() <= 1e-6 * np.abs(y).max()
+    dec = _assert_decomposition_matches(K, y)
+    assert _interpolation_error(K, dec, y) <= 1e-6 * np.abs(y).max()
     assert np.all(np.diff(dec.eigenvalues) <= 0)
 
 
@@ -117,11 +113,10 @@ def test_decomposition_floors_null_modes():
     X = rng.standard_normal((n, 10))
     K = X @ X.T
     y = X @ rng.standard_normal(10)  # in the column span, still interpolable
-    dec = feature_decomposition(K, y)
+    dec = _assert_decomposition_matches(K, y)
     assert dec.n_floored == n - 10
     assert np.all(dec.theta_star[-dec.n_floored:] == 0.0)
-    psi = dec.phi * np.sqrt(dec.eigenvalues)
-    assert np.abs(psi @ dec.theta_star - y).max() <= 1e-6 * np.abs(y).max()
+    assert _interpolation_error(K, dec, y) <= 1e-6 * np.abs(y).max()
 
 
 def test_decomposition_rejects_indefinite():
@@ -356,25 +351,47 @@ def _gram_reference(data, kernel):
 
 
 def _decomposition_reference(gram, labels, floor_rel=1e-12):
+    """eigh's descending eigenvalues of the symmetrized gram / n_tot, the
+    feature basis phi (eigenvectors times sqrt(n_tot)) and the labels'
+    projections onto the eigenvectors, zero on the floored modes."""
     n_tot = gram.shape[0]
     evals, evecs = np.linalg.eigh(0.5 * (gram + gram.T) / n_tot)
     order = np.argsort(evals)[::-1]
     evals = np.clip(evals[order], 0.0, None)
     phi = np.sqrt(n_tot) * evecs[:, order]
     floor = floor_rel * evals[0] if evals[0] > 0 else 0.0
-    active = evals > floor
-    theta = np.zeros(n_tot)
-    theta[active] = (phi[:, active].T @ labels) / (np.sqrt(evals[active]) * n_tot)
-    return evals, phi, theta
+    proj = np.where(evals > floor, evecs[:, order].T @ labels, 0.0)
+    return evals, phi, proj
+
+
+# Largest |proj - proj_ref| / ||labels|| allowed, proj being a projection of the
+# labels onto an eigenvector.  The projections from dstedc's eigenvectors and
+# eigh's agree to rounding: at most 3.2e-16 measured on these tests' matrices.
+_PROJECTION_BOUND = 1e-13
+
+
+def _assert_theta_matches(dec, evals, proj, labels):
+    """theta_star is zero on the floored modes and, converted back to the
+    projections (theta = proj / sqrt(eigenvalue * n_tot)), within
+    _PROJECTION_BOUND of proj on the others."""
+    assert np.all(dec.theta_star[dec.n_tot - dec.n_floored:] == 0.0)
+    gap = np.abs(dec.theta_star * np.sqrt(evals * dec.n_tot) - proj)
+    assert gap.max() <= _PROJECTION_BOUND * np.linalg.norm(labels)
 
 
 def _assert_decomposition_matches(gram, labels):
     dec = feature_decomposition(gram.copy(), labels)
-    evals, phi, theta = _decomposition_reference(gram, labels)
+    evals, _, proj = _decomposition_reference(gram, labels)
     assert dec.eigenvalues.tobytes() == evals.tobytes()
-    assert dec.phi.tobytes() == phi.tobytes()
-    assert dec.theta_star.tobytes() == theta.tobytes()
+    assert dec.n_floored == int(np.sum(evals <= dec.floor))
+    _assert_theta_matches(dec, evals, proj, labels)
     return dec
+
+
+def _interpolation_error(gram, dec, labels):
+    """max |phi Sigma^(1/2) theta_star - labels|, phi from eigh."""
+    _, phi, _ = _decomposition_reference(gram, labels)
+    return np.abs(phi * np.sqrt(dec.eigenvalues) @ dec.theta_star - labels).max()
 
 
 _KERNELS = [KernelSpec("linear", gamma=1.7), KernelSpec("rbf", gamma=0.05),
@@ -447,8 +464,23 @@ def test_gram_and_decomposition_bit_identical_above_half_max():
     with np.errstate(over="ignore", invalid="ignore"):
         gram = gram_matrix(data, kernel)
         assert gram.tobytes() == _gram_reference(data, kernel).tobytes()
-        big = np.diag([0.9 * _MAX, 2.0, 1.0])
-        _assert_decomposition_matches(big, np.ones(3))
+    # The decomposition refuses such an entry instead of symmetrizing it to inf.
+    with pytest.raises(InvalidParameterError, match=r"entry 1\.6\d*e\+308 at \(0, 0\)"):
+        feature_decomposition(np.diag([0.9 * _MAX, 2.0, 1.0]), np.ones(3))
+
+
+def test_decomposition_rejects_entries_whose_symmetrization_overflows():
+    for entry, at in ((1e308, (0, 0)), (-2.0 ** 1023, (1, 2))):
+        gram = np.diag([8e307, 5e307, 2.5e307])
+        gram[at] = gram[at[::-1]] = entry
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidParameterError, match=re.escape(f"entry {entry} at {at}")):
+                feature_decomposition(gram, np.ones(3))
+    # Below 2**1023 an entry and its mirror add up to at most the largest float.
+    below = np.diag([np.nextafter(2.0 ** 1023, 0.0), 5e307, 2.5e307])
+    dec = _assert_decomposition_matches(below, np.ones(3))
+    assert np.isfinite(dec.eigenvalues).all()
 
 
 @pytest.mark.parametrize("floor_rel", [float("nan"), float("inf"), -1.0, 1.0])
@@ -497,25 +529,31 @@ def test_decomposition_consumes_only_a_writeable_c_contiguous_input():
                "strided": big[::2, ::2], "read_only": read_only}
     y = rng.standard_normal(30)
     for name, gram in layouts.items():
-        reference = _decomposition_reference(np.ascontiguousarray(gram), y)
+        evals, _, proj = _decomposition_reference(np.ascontiguousarray(gram), y)
         before = gram.tobytes(order="A")
         dec = feature_decomposition(gram, y)
-        # Only the writeable C-contiguous float64 input is decomposed in its own buffer.
+        # Only the writeable C-contiguous float64 input is decomposed in its own
+        # buffer, which then holds dstedc's orthogonal eigenvector matrix.
         assert (gram.tobytes(order="A") == before) == (name != "c"), name
-        if _openblas._lapack("dsyevd") is not None:
-            assert np.shares_memory(dec.phi, gram) == (name == "c"), name
-        for got, want in zip((dec.eigenvalues, dec.phi, dec.theta_star), reference):
-            assert got.tobytes() == want.tobytes(), name
+        if name == "c" and _openblas._lapack("dstedc") is not None:
+            assert np.abs(gram @ gram.T - np.eye(30)).max() <= 1e-12
+        assert dec.eigenvalues.tobytes() == evals.tobytes(), name
+        _assert_theta_matches(dec, evals, proj, y)
 
 
-def _estimate_outputs(data: Path, outdir: Path) -> dict[str, bytes]:
+def _estimate_outputs(data: Path, outdir: Path) -> dict[str, dict]:
+    """Each kernel's estimate report, and its tails and decomposition CSVs as
+    columns of floats."""
     outputs = {}
     for kind in ("linear", "rbf", "polynomial"):
         base = outdir / kind
         assert main(["estimate", str(data), "--kernel", kind, "--gamma", "0.01",
                      "--out", str(base), "--decomposition-out", f"{base}_dec.csv"]) == 0
-        for suffix in ("_estimate.json", "_tails.csv", "_dec.csv"):
-            outputs[kind + suffix] = Path(f"{base}{suffix}").read_bytes()
+        outputs[kind + "_estimate.json"] = json.loads(Path(f"{base}_estimate.json").read_text())
+        for suffix in ("_tails.csv", "_dec.csv"):
+            with open(f"{base}{suffix}", newline="") as f:
+                header, *rows = csv.reader(f)
+            outputs[kind + suffix] = dict(zip(header, np.array(rows, dtype=float).T))
     return outputs
 
 
@@ -537,9 +575,32 @@ def test_decomposition_without_the_lapack_symbol_is_bit_identical(tmp_path, monk
         fallback = [feature_decomposition(g.copy(), y) for g in grams]
         fallback_files = _estimate_outputs(data, tmp_path / "fallback")
     for a, b in zip(in_place, fallback):
-        for name in ("eigenvalues", "phi", "theta_star"):
-            assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
-    assert in_place_files == fallback_files
+        assert a.eigenvalues.tobytes() == b.eigenvalues.tobytes()
+        assert a.n_floored == b.n_floored
+        _assert_theta_matches(a, b.eigenvalues, b.theta_star * np.sqrt(b.eigenvalues * b.n_tot), y)
+    # What the eigenvalues alone determine has the same bits; what the
+    # projections enter agrees within the bound they imply.
+    n, norm = len(y), np.linalg.norm(y)
+    for kind in ("linear", "rbf", "polynomial"):
+        got, want = ({suffix: files[kind + suffix] for suffix in ("_estimate.json", "_tails.csv",
+                                                                   "_dec.csv")}
+                     for files in (in_place_files, fallback_files))
+        r_keys = ("r_hat", "r2_source", "predicted_exponents")
+        report, want_report = got["_estimate.json"], want["_estimate.json"]
+        assert ({k: v for k, v in report.items() if k not in r_keys}
+                == {k: v for k, v in want_report.items() if k not in r_keys})
+        for key in r_keys:
+            assert report[key] == pytest.approx(want_report[key], rel=1e-12), key
+        dec, want_dec = got["_dec.csv"], want["_dec.csv"]
+        assert np.array_equal(dec["eigenvalue"], want_dec["eigenvalue"])
+        gap = np.abs(dec["theta_star"] - want_dec["theta_star"])
+        assert (gap * np.sqrt(want_dec["eigenvalue"] * n)).max() <= _PROJECTION_BOUND * norm
+        tails, want_tails = got["_tails.csv"], want["_tails.csv"]
+        assert np.array_equal(tails["cap_tail"], want_tails["cap_tail"])
+        # src_tail sums proj^2 / n, so projection gaps of at most d move it by at
+        # most 2 d sum |proj| / n <= 2 d sqrt(n) ||y|| / n, d being bound * ||y||.
+        src_gap = np.abs(tails["src_tail"] - want_tails["src_tail"]).max()
+        assert src_gap <= 2 * _PROJECTION_BOUND * norm ** 2 / np.sqrt(n)
 
 
 def test_dsyevd_found_with_numpy_ilp64_openblas():
@@ -550,7 +611,36 @@ def test_dsyevd_found_with_numpy_ilp64_openblas():
     if lapack.get("name") != "scipy-openblas" or \
             "USE64BITINT" not in lapack.get("openblas configuration", ""):
         pytest.skip(f"numpy links {lapack.get('name')!r}, not the ILP64 scipy-openblas")
-    assert _openblas._lapack("dsyevd") is not None
+    for name in ("dsyevd", "dsytrd", "dormtr", "dstedc"):
+        assert _openblas._lapack(name) is not None, name
+
+
+@pytest.fixture(params=[1, 2], ids=["1-thread", "2-threads"])
+def blas_threads(request):
+    setter = _openblas._setter()
+    if setter is None:
+        pytest.skip("no OpenBLAS per-thread setter found")
+    before = setter(request.param)
+    yield
+    setter(before)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e200, 1e-200])
+@pytest.mark.parametrize("n", [1, 2, 26, 150, 600])
+def test_eigh_projections_match_eigh(n, scale, blas_threads):
+    # Past 2**485 and below 2**-485 the bits hold only because dsyevd's scaling
+    # is mirrored.  The second matrix has each eigenvalue n // 2 times or more.
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal((n, n + 3))
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    tied = (q * np.resize([2.0, 0.5], n)) @ q.T
+    y = rng.standard_normal(n)
+    for a in (x @ x.T / n, 0.5 * (tied + tied.T)):
+        a *= scale
+        want, vecs = np.linalg.eigh(a)
+        got, proj = _openblas._eigh_projections(a.copy(), y)
+        assert got.tobytes() == want.tobytes()
+        assert np.abs(proj - vecs.T @ y).max() <= _PROJECTION_BOUND * np.linalg.norm(y)
 
 
 # Resident memory just before a call on n x n data, and the peak after it, in
@@ -588,13 +678,14 @@ def _peak_memory(kind: str) -> float:
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self")
 def test_in_place_decomposition_peak_memory():
-    # The in-place dsyevd (LAPACK's 2 n^2 workspace plus OpenBLAS's own buffers)
-    # measures about 2.2 on x86-64.  Each further n x n temporary adds 1: the
-    # asymmetry check's difference, numpy's buffered copy in an in-place
-    # gram + gram.T, or a reordered copy of the eigenvectors.
-    if _openblas._lapack("dsyevd") is None:
-        pytest.skip("numpy's LAPACK has no scipy_dsyevd_64_; eigh needs more memory")
-    assert _peak_memory("decompose") <= 2.6
+    # The in-place decomposition (dstedc's n^2 workspace plus OpenBLAS's own
+    # buffers) measures about 1.09 on x86-64.  Each further n x n temporary adds
+    # 1: the asymmetry check's difference, numpy's buffered copy in an in-place
+    # gram + gram.T, an eigenvector matrix apart from the Gram buffer, or the
+    # 2 n^2 workspace of dsyevd('V').
+    if any(_openblas._lapack(name) is None for name in ("dsytrd", "dormtr", "dstedc")):
+        pytest.skip("numpy's LAPACK lacks dsytrd, dormtr or dstedc; eigh needs more memory")
+    assert _peak_memory("decompose") <= 1.5
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self")
