@@ -5,7 +5,7 @@ Every foreign call of the package goes through _library(), one handle on the
 extension module that numpy.linalg runs; its OpenBLAS also runs numpy's
 matrix products.  Where a symbol is missing (numpy links another BLAS or
 LAPACK, or an OpenBLAS older than 0.3.27), each caller falls back: the
-eigensolvers to np.linalg.eigh, the Cholesky solve to np.linalg.cholesky and
+eigensolver to np.linalg.eigh, the Cholesky solve to np.linalg.cholesky and
 np.linalg.solve, and the pin to nothing, so the solves' rounding then
 follows the BLAS thread count.
 """
@@ -43,9 +43,6 @@ _INT_P, _PTR = ctypes.POINTER(ctypes.c_int64), ctypes.c_void_p
 # Arguments of the LAPACK routines called through ctypes: the Fortran ones, then
 # the hidden lengths of the character arguments.
 _LAPACK_ARGS = {
-    # JOBZ, UPLO, N, A, LDA, W, WORK, LWORK, IWORK, LIWORK, INFO
-    "dsyevd": (ctypes.c_char_p, ctypes.c_char_p, _INT_P, _PTR, _INT_P, _PTR, _PTR, _INT_P,
-               _PTR, _INT_P, _INT_P, ctypes.c_size_t, ctypes.c_size_t),
     # UPLO, N, A, LDA, D, E, TAU, WORK, LWORK, INFO
     "dsytrd": (ctypes.c_char_p, _INT_P, _PTR, _INT_P, _PTR, _PTR, _PTR, _PTR, _INT_P, _INT_P,
                ctypes.c_size_t),
@@ -75,85 +72,49 @@ def _setter():
     return _function("openblas_set_num_threads_local", (ctypes.c_int,), ctypes.c_int)
 
 
-def _check_matrix(a: np.ndarray) -> None:
-    if not (a.dtype == np.float64 and a.flags.c_contiguous and a.flags.writeable
-            and a.ndim == 2 and a.shape[0] == a.shape[1]):
-        raise ValueError("LAPACK needs a square, writeable, C-contiguous float64 matrix")
-
-
-def _eigh_overwrite(a: np.ndarray, work: np.ndarray | None = None
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    """np.linalg.eigh(a) of a symmetric, C-contiguous float64 matrix, computed in
-    a's buffer, which then holds the eigenvectors.  The cv search uses it: its
-    scores need every eigenvector.
-
-    numpy's eigh runs dsyevd('V', 'L') with the queried workspace on a Fortran
-    copy of its input; for a symmetric a that copy holds a's own bytes, so the
-    same call on a's buffer gives the same bits without the copy and the
-    separate eigenvector output.  work, a 1-D writeable, contiguous float64
-    array that must not overlap a, supplies that workspace where it holds
-    enough (2 n^2 + 6 n + 1 doubles); otherwise the workspace is allocated.
-    Without the symbol it calls eigh.
-    """
-    dsyevd = _lapack("dsyevd")
-    if dsyevd is None:
-        return np.linalg.eigh(a)
-    _check_matrix(a)
-    if work is not None and not (work.dtype == np.float64 and work.flags.c_contiguous
-                                 and work.flags.writeable and work.ndim == 1
-                                 and not np.may_share_memory(a, work)):
-        raise ValueError("dsyevd's workspace must be a 1-D, writeable, contiguous float64 "
-                         "array apart from the matrix")
-    n = ctypes.c_int64(a.shape[0])
-    evals = np.empty(a.shape[0])
-    lwork, liwork, info = ctypes.c_int64(-1), ctypes.c_int64(-1), ctypes.c_int64(0)
-    work_size, iwork_size = ctypes.c_double(0.0), ctypes.c_int64(0)
-
-    def call(work, iwork):
-        dsyevd(b"V", b"L", ctypes.byref(n), a.ctypes.data, ctypes.byref(n), evals.ctypes.data,
-               work, ctypes.byref(lwork), iwork, ctypes.byref(liwork), ctypes.byref(info), 1, 1)
-        if info.value != 0:
-            raise np.linalg.LinAlgError(f"Eigenvalues did not converge (dsyevd info {info.value})")
-
-    call(ctypes.addressof(work_size), ctypes.addressof(iwork_size))
-    size = int(work_size.value)
-    work = work[:size] if work is not None and work.size >= size else np.empty(size)
-    iwork = np.empty(iwork_size.value, dtype=np.int64)
-    lwork.value, liwork.value = work.size, iwork.size
-    call(work.ctypes.data, iwork.ctypes.data)
-    return evals, a.T
-
-
 # dsyevd scales a matrix whose largest |entry| lies outside [_RMIN, _RMAX]:
 # sqrt(safe minimum / precision) and its reciprocal.
 _RMIN, _RMAX = 2.0 ** -485, 2.0 ** 485
 
 
-def _eigh_projections(a: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _eigh_projections(a: np.ndarray, rhs: np.ndarray, work: np.ndarray | None = None
+                      ) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues of a symmetric, C-contiguous float64 matrix, ascending, and
-    the projections of y onto its eigenvectors, which are not formed; a's
-    buffer is overwritten.
+    the projections of rhs, a vector or an n x k block, onto its eigenvectors,
+    which are not formed; a's buffer is overwritten.
 
     np.linalg.eigh runs dsyevd('V', 'L'): it scales a whose largest |entry|
     lies outside [_RMIN, _RMAX], dsytrd reduces a to a tridiagonal
     T = Q^T a Q, dstedc('I') finds T's eigenvectors Z, and Q Z are a's.  The
     same scaling, dsytrd (whose queried workspace keeps its block size) and
     dstedc run here, so the eigenvalues carry eigh's bits.  dormtr forms
-    w = Q^T y while a still holds Q's reflectors, dstedc writes Z into a's
-    buffer, and the projections are Z^T w: eigh's eigenvectors^T y up to
-    rounding.  Memory beyond a: dstedc's n^2 + 4 n + 1 doubles of workspace.
-    Without the symbols it calls eigh.
+    w = Q^T rhs on all k columns while a still holds Q's reflectors, in rhs's
+    own buffer where rhs is a writeable, Fortran-ordered float64 array and in
+    a copy otherwise; dstedc writes Z into a's buffer, and the projections
+    are Z^T w, eigh's eigenvectors^T rhs up to rounding, written to the front
+    of the workspace once dstedc is done with it.  work, a 1-D writeable,
+    contiguous float64 array apart from a and rhs, supplies that workspace
+    where it holds enough (n^2 + 4 n + 1 doubles past n = 25); otherwise it
+    is allocated.  Without the symbols it calls eigh.
     """
-    w = np.array(y, dtype=np.float64)  # y, then Q^T y
     routines = [_lapack(name) for name in ("dsytrd", "dormtr", "dstedc")]
     if None in routines:
         evals, vecs = np.linalg.eigh(a)
-        return evals, vecs.T @ w
+        return evals, vecs.T @ rhs
     dsytrd, dormtr, dstedc = routines
-    _check_matrix(a)
-    if w.shape != a.shape[:1]:
-        raise ValueError("y must have one entry per row of the matrix")
+    if not (a.dtype == np.float64 and a.flags.c_contiguous and a.flags.writeable
+            and a.ndim == 2 and a.shape[0] == a.shape[1]):
+        raise ValueError("LAPACK needs a square, writeable, C-contiguous float64 matrix")
+    w = np.require(rhs, np.float64, ("F", "W"))  # rhs, then Q^T rhs
     size = a.shape[0]
+    if w.ndim not in (1, 2) or w.shape[0] != size:
+        raise ValueError("rhs must have one row per row of the matrix")
+    if work is not None and not (work.dtype == np.float64 and work.flags.c_contiguous
+                                 and work.flags.writeable and work.ndim == 1
+                                 and not np.may_share_memory(a, work)
+                                 and not np.may_share_memory(w, work)):
+        raise ValueError("the workspace must be a 1-D, writeable, contiguous float64 "
+                         "array apart from the matrix and the right-hand side")
     sigma = None
     if size > 1:  # dsyevd returns a 1 x 1 matrix's entry unscaled
         anrm = max(float(a.max()), -float(a.min()))
@@ -163,7 +124,8 @@ def _eigh_projections(a: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndar
             sigma = _RMAX / anrm
         if sigma is not None:
             a *= sigma
-    n, one, info = ctypes.c_int64(size), ctypes.c_int64(1), ctypes.c_int64(0)
+    n, info = ctypes.c_int64(size), ctypes.c_int64(0)
+    cols = ctypes.c_int64(1 if w.ndim == 1 else w.shape[1])
     d, e, tau = np.empty(size), np.empty(max(size - 1, 1)), np.empty(max(size - 1, 1))
     lwork, liwork = ctypes.c_int64(-1), ctypes.c_int64(-1)
     ref = ctypes.byref
@@ -174,17 +136,20 @@ def _eigh_projections(a: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndar
         dsytrd(b"L", ref(n), a.ctypes.data, ref(n), d.ctypes.data, e.ctypes.data,
                tau.ctypes.data, work, ref(lwork), ref(info), 1)
         yield "dsytrd"
-        dormtr(b"L", b"L", b"T", ref(n), ref(one), a.ctypes.data, ref(n), tau.ctypes.data,
+        dormtr(b"L", b"L", b"T", ref(n), ref(cols), a.ctypes.data, ref(n), tau.ctypes.data,
                w.ctypes.data, ref(n), work, ref(lwork), ref(info), 1, 1, 1)
         yield "dormtr"
         dstedc(b"I", ref(n), d.ctypes.data, e.ctypes.data, a.ctypes.data, ref(n), work,
                ref(lwork), iwork, ref(liwork), ref(info), 1)
         yield "dstedc"
 
-    work_size, iwork_size, sizes = ctypes.c_double(0.0), ctypes.c_int64(0), []
+    # The workspace takes each routine's queried size, then the projections.
+    work_size, iwork_size, sizes = ctypes.c_double(0.0), ctypes.c_int64(0), [w.size]
     for _ in steps(ctypes.addressof(work_size), ctypes.addressof(iwork_size)):
         sizes.append(int(work_size.value))
-    work, iwork = np.empty(max(sizes)), np.empty(iwork_size.value, dtype=np.int64)
+    need = max(sizes)
+    work = work[:need] if work is not None and work.size >= need else np.empty(need)
+    iwork = np.empty(iwork_size.value, dtype=np.int64)
     lwork.value, liwork.value = work.size, iwork.size
     for name in steps(work.ctypes.data, iwork.ctypes.data):
         if info.value != 0:
@@ -192,7 +157,7 @@ def _eigh_projections(a: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndar
     if sigma is not None:
         d *= 1.0 / sigma
     # a holds Z column-major, so its rows are Z's columns and a @ w is Z^T w.
-    return d, a @ w
+    return d, np.matmul(a, w, out=work[:w.size].reshape(w.shape, order="F"))
 
 
 def _cholesky_solve(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:

@@ -191,7 +191,7 @@ def feature_decomposition(gram: np.ndarray, labels: np.ndarray,
     if asym > 1e-8 * max(hi, -lo, 1.0):
         raise InvalidParameterError(f"gram matrix asymmetric (max |K-K^T| = {asym:.3e})")
 
-    evals, proj = _openblas._eigh_projections(gram, labels)
+    evals, proj = _openblas._eigh_projections(gram, labels.copy())
     if evals.min() < -1e-8 * max(evals.max(), 0.0):
         raise IndefiniteMatrixError(
             f"gram matrix has eigenvalue {evals.min():.3e} below the PSD tolerance"
@@ -278,6 +278,8 @@ def _loglog_fit(x, y) -> tuple[float, float, float]:
     if np.any(y <= 0) or np.any(x <= 0):
         raise DegenerateWindowError("log-log fit needs strictly positive values")
     lx, ly = np.log(x), np.log(y)
+    if lx.min() == lx.max():
+        raise DegenerateWindowError(f"log-log fit needs two distinct x values, all are {x[0]:g}")
     slope, intercept = np.polyfit(lx, ly, 1)
     dof, sxx = x.size - 2, float(((lx - lx.mean()) ** 2).sum())
     ss_res = float(((ly - (slope * lx + intercept)) ** 2).sum())

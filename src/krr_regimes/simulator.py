@@ -235,16 +235,19 @@ def grid_search_lambda(features: np.ndarray, labels: np.ndarray,
     of rows.  The per-fold eigendecomposition of the training Gram matrix,
     computed in the block's own buffer, turns every grid point into a filter
     of the eigenvalues, so one (validation x m) @ (m x grid) product per fold
-    scores the whole grid.
+    scores the whole grid.  The eigensolver projects the training labels and
+    the training x validation Gram block onto the eigenvectors without
+    forming them.
 
     work, a C-contiguous float64 array that the search may overwrite, may be
     features' own buffer: the n x n Gram matrix is formed before the first
-    write.  A fold with v validation rows needs n^2 - v^2 + n g doubles for
-    its arrays (g grid points), most at the smallest fold, v = n // k_folds.
-    Every fold carves its arrays from work where work holds that many,
-    otherwise from one block of that size allocated once, and puts the
-    eigensolver's workspace, about 2 (n - v)^2 doubles, after them where it
-    fits: about 3 n^2 in all at 5 folds and the default grid.
+    write.  A fold with v validation rows and m = n - v training rows needs
+    m (n + 1) + n g doubles for its arrays (g grid points), most at the
+    smallest fold, v = n // k_folds.  Every fold carves its arrays from work
+    where work holds that many, otherwise from one block of that size
+    allocated once, and puts the eigensolver's workspace, about m^2 doubles,
+    after them where it fits: about 2 n^2 in all at 5 folds, the default
+    grid and n = 1024.
     """
     if k_folds < 2:
         raise InvalidParameterError(f"k_folds must be >= 2, got {k_folds}")
@@ -260,30 +263,30 @@ def grid_search_lambda(features: np.ndarray, labels: np.ndarray,
 
     gram = features @ features.T
     g = lam_grid.size
-    size = n * n - (n // k_folds) ** 2 + n * g
+    size = (n - n // k_folds) * (n + 1) + n * g
     work = work.reshape(-1) if work is not None and work.size >= size else np.empty(size)
     mse = np.zeros(g)
     for val_idx in np.array_split(np.arange(n), k_folds):
         lo, hi = int(val_idx[0]), int(val_idx[-1]) + 1
         v, m = hi - lo, n - (hi - lo)
-        # The training block, the validation x training block, its projection,
-        # the coefficients and the scores, taken in this order from work, the
-        # eigensolver's workspace after them.
-        sizes = (m * m, v * m, v * m, m * g, v * g)
+        # The training block, the right-hand sides, the coefficients and the
+        # scores, taken in this order from work, the eigensolver's workspace
+        # after them.
+        sizes = (m * m, m * (v + 1), m * g, v * g)
         end = sum(sizes)
         parts = iter(np.split(work[:end], np.cumsum(sizes)[:-1]))
         # The training block, copied in four slices, is exactly symmetric.
         tt = next(parts).reshape(m, m)
         tt[:lo, :lo], tt[:lo, lo:] = gram[:lo, :lo], gram[:lo, hi:]
         tt[lo:, :lo], tt[lo:, lo:] = gram[hi:, :lo], gram[hi:, hi:]
-        evals, evecs = _openblas._eigh_overwrite(tt, work[end:])
+        # The training labels, then the training x validation block, which is
+        # the validation x training block transposed: gram is exactly symmetric.
+        rhs = next(parts).reshape((m, v + 1), order="F")
+        rhs[:lo, 0], rhs[lo:, 0] = labels[:lo], labels[hi:]
+        rhs[:lo, 1:], rhs[lo:, 1:] = gram[:lo, lo:hi], gram[hi:, lo:hi]
+        evals, proj = _openblas._eigh_projections(tt, rhs, work[end:])
         evals = np.clip(evals, 0.0, None)
-        uty = evecs.T @ np.concatenate((labels[:lo], labels[hi:]))
-        # Fortran-ordered, the layout of gram[val, train_idx]: a C-ordered
-        # copy changes the product's rounding.
-        vt = next(parts).reshape(m, v).T
-        vt[:, :lo], vt[:, lo:] = gram[lo:hi, :lo], gram[lo:hi, hi:]
-        b = np.matmul(vt, evecs, out=next(parts).reshape(v, m))
+        uty, b = proj[:, 0], proj[:, 1:].T
         floor = max(evals.max(), 1.0) * np.finfo(float).eps * m
         # coef[:, i] is the filtered coefficient vector at lam_grid[i].
         coef = np.add(evals[:, None], m * lam_grid, out=next(parts).reshape(m, g))
@@ -315,7 +318,7 @@ def learning_curve(config: SimConfig) -> LearningCurve:
     borrows a buffer, draws trial 0's design into it and runs the grid
     search there, handing it the whole buffer as its work (its contents are
     dead once the Gram matrix is formed), so the search allocates only that
-    n x n matrix where the buffer holds its fold arrays, about 3 n^2 doubles,
+    n x n matrix where the buffer holds its fold arrays, about 2 n^2 doubles,
     and one block of them otherwise; trial 0 then draws the same design
     again, about 140 ms of one core over a p = 4000, n = 32..1024 curve.  It
     then computes the row's theory column and regime label, so a row whose

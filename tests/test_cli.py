@@ -618,7 +618,7 @@ def test_fit_slope_constant(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["slope"] == pytest.approx(0.0, abs=1e-12)
 
 
-def test_fit_slope_degenerate_window(tmp_path):
+def test_fit_slope_degenerate_window(tmp_path, capsys):
     path = tmp_path / "c.csv"
     _slope_csv(path, [(10, 1.0), (100, 0.5), (1000, 0.25)])
     assert main(["fit-slope", str(path), "--window", "0,1"]) == 4
@@ -627,6 +627,10 @@ def test_fit_slope_degenerate_window(tmp_path):
     assert main(["fit-slope", str(path), "--window=0,100"]) == 4
     for window in ("-1,3", "2,1"):
         assert main(["fit-slope", str(path), f"--window={window}"]) == 2, window
+    # rows that share one n, as simulate --n 24,24,24 writes them, have no slope
+    _slope_csv(path, [(24, 1.0), (24, 0.5), (24, 0.25)])
+    assert main(["fit-slope", str(path)]) == 4
+    assert "two distinct x values" in capsys.readouterr().err
     # a row shorter than the header is a schema error, not a crash
     with open(path, "a", newline="") as f:
         f.write("10000,0,0.125\r\n")

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -846,16 +847,23 @@ def _reference_grid_search(features, labels, lam_grid=None, k_folds=5):
 
 
 def test_grid_search_picks_the_per_lambda_loop_choice():
-    # The CV spec of the mc-curves benchmark: trial 0 of each row, 20 seeds.
+    # The CV spec of the mc-curves benchmark: trial 0 of each row, 20 seeds,
+    # split over two threads, each on one BLAS thread.
     sp = power_law_spectrum(PowerLawParams(2.0, 0.5, 4000))
-    flips = []
-    with _openblas._one_blas_thread():
-        for seed in range(20):
-            for n in (32, 64, 128, 256, 512, 1024):
-                X, y = sample_dataset(sp, n, 0.5, trial_seed(seed, n, 0))
-                got, want = grid_search_lambda(X, y), _reference_grid_search(X, y)
-                if got != want:
-                    flips.append((seed, n, want, got))
+
+    def search(seeds):
+        found = []
+        with _openblas._one_blas_thread():
+            for seed in seeds:
+                for n in (32, 64, 128, 256, 512, 1024):
+                    X, y = sample_dataset(sp, n, 0.5, trial_seed(seed, n, 0))
+                    got, want = grid_search_lambda(X, y), _reference_grid_search(X, y)
+                    if got != want:
+                        found.append((seed, n, want, got))
+        return found
+
+    with ThreadPoolExecutor(2) as pool:
+        flips = [f for half in pool.map(search, (range(0, 20, 2), range(1, 20, 2))) for f in half]
     assert flips == []
 
 
@@ -877,26 +885,37 @@ def test_grid_search_ties_go_to_the_largest_lambda(grid):
     assert _reference_grid_search(X, np.zeros(64), grid) == largest
 
 
+# Largest |proj - proj_ref| / ||rhs column|| allowed, as in test_dataspec: the
+# projections onto dstedc's eigenvectors and onto eigh's agree to rounding.
+_PROJECTION_BOUND = 1e-13
+
+
+def _lapack_projections() -> bool:
+    return all(_openblas._lapack(name) is not None for name in ("dsytrd", "dormtr", "dstedc"))
+
+
 @pytest.mark.parametrize("eigensolver", ["dsyevd", "eigh"])
 def test_grid_search_folds_get_the_eigh_bits(monkeypatch, eigensolver):
+    # "dsyevd" is the LAPACK route that mirrors eigh's dsyevd, "eigh" the fallback.
     features, labels = sample_dataset(power_law_spectrum(PowerLawParams(2.0, 0.5, 300)),
                                       120, 0.5, 4)
     lam = grid_search_lambda(features, labels)
-    eigh_overwrite = _openblas._eigh_overwrite
+    eigh_projections = _openblas._eigh_projections
     if eigensolver == "eigh":
         monkeypatch.setattr(_openblas, "_lapack", lambda name: None)
-    elif _openblas._lapack("dsyevd") is None:
-        pytest.skip("numpy's LAPACK has no scipy_dsyevd_64_")
+    elif not _lapack_projections():
+        pytest.skip("numpy's LAPACK lacks dsytrd, dormtr or dstedc")
     same = []
 
-    def compared(block, work=None):
-        evals, evecs = np.linalg.eigh(block)
-        in_place = eigh_overwrite(block, work)
-        same.append(in_place[0].tobytes() == evals.tobytes()
-                    and in_place[1].tobytes() == evecs.tobytes())
-        return in_place
+    def compared(block, rhs, work=None):
+        evals, vecs = np.linalg.eigh(block)
+        want, bound = vecs.T @ rhs, _PROJECTION_BOUND * np.linalg.norm(rhs, axis=0)
+        got = eigh_projections(block, rhs, work)
+        same.append(got[0].tobytes() == evals.tobytes()
+                    and bool((np.abs(got[1] - want) <= bound).all()))
+        return got
 
-    monkeypatch.setattr(_openblas, "_eigh_overwrite", compared)
+    monkeypatch.setattr(_openblas, "_eigh_projections", compared)
     assert grid_search_lambda(features, labels) == lam
     assert same == [True] * 5
 
@@ -927,10 +946,10 @@ def _fold_terms(features, labels, lam_grid, k_folds):
         val = slice(val_idx[0], val_idx[-1] + 1)
         train_idx = np.delete(np.arange(n), val)
         m = train_idx.size
-        evals, evecs = _openblas._eigh_overwrite(gram[np.ix_(train_idx, train_idx)])
+        rhs = np.asfortranarray(np.column_stack((labels[train_idx], gram[train_idx, val])))
+        evals, proj = _openblas._eigh_projections(gram[np.ix_(train_idx, train_idx)], rhs)
         evals = np.clip(evals, 0.0, None)
-        uty = evecs.T @ labels[train_idx]
-        b = gram[val, train_idx] @ evecs
+        uty, b = proj[:, 0], proj[:, 1:].T
         floor = max(evals.max(), 1.0) * np.finfo(float).eps * m
         coef = evals[:, None] + m * lam_grid
         dropped = coef <= floor
@@ -949,7 +968,8 @@ def test_grid_search_in_a_work_buffer_keeps_every_bit(monkeypatch, n, k_folds, w
     # At p = 3n + 64 an n x p buffer holds every fold's arrays and the
     # eigensolver's workspace for the 41-point grid; "features" searches in the
     # design's own buffer, as learning_curve does.  n^2 + 41 n doubles hold a
-    # fold's arrays but not its workspace, whose 2 m^2 exceed v^2.
+    # fold's arrays, and its workspace after them only where the v validation
+    # rows leave room for the m^2 of it (about v n > m^2).
     sp = power_law_spectrum(PowerLawParams(2.0, 0.5, 3 * n + 64))
     grid = np.concatenate([[0.0], np.geomspace(1e-6, 10.0, 40)])
     seed = trial_seed(3, n, k_folds)
@@ -969,22 +989,31 @@ def test_grid_search_in_a_work_buffer_keeps_every_bit(monkeypatch, n, k_folds, w
 
 
 @pytest.mark.parametrize("offset", [0, 1, 3])
-def test_eigh_overwrite_takes_its_workspace_from_work(offset):
-    if _openblas._lapack("dsyevd") is None:
-        pytest.skip("numpy's LAPACK has no scipy_dsyevd_64_")
-    x = np.random.default_rng(offset).standard_normal((60, 40))
-    gram = x @ x.T
-    want = [a.tobytes() for a in _openblas._eigh_overwrite(gram.copy())]
+def test_eigh_projections_take_their_workspace_from_work(offset):
+    if not _lapack_projections():
+        pytest.skip("numpy's LAPACK lacks dsytrd, dormtr or dstedc")
+    rng = np.random.default_rng(offset)
+    x = rng.standard_normal((60, 40))
+    gram, rhs = x @ x.T, np.asfortranarray(rng.standard_normal((60, 7)))
+    want = [a.tobytes() for a in _openblas._eigh_projections(gram.copy(), rhs.copy(order="F"))]
     work, small = np.full(offset + 3 * 60 * 60, np.nan)[offset:], np.full(60, np.nan)
     for buffer in (work, small):
-        assert [a.tobytes() for a in _openblas._eigh_overwrite(gram.copy(), buffer)] == want
+        got = _openblas._eigh_projections(gram.copy(), rhs.copy(order="F"), buffer)
+        assert [a.tobytes() for a in got] == want
     assert not np.isnan(work).all() and np.isnan(small).all()
+    # A Fortran-ordered block is transformed in its own buffer, any other in a copy.
+    c_ordered, fortran = np.ascontiguousarray(rhs), rhs.copy(order="F")
+    for block in (c_ordered, fortran):
+        _openblas._eigh_projections(gram.copy(), block)
+    assert np.array_equal(c_ordered, rhs) and not np.array_equal(fortran, rhs)
     for bad in (np.empty((60, 200)), np.empty(20000, dtype=np.float32), np.empty(40000)[::2]):
         with pytest.raises(ValueError):
-            _openblas._eigh_overwrite(gram.copy(), bad)
+            _openblas._eigh_projections(gram.copy(), rhs.copy(order="F"), bad)
+    both = np.empty(60 * 60 + 20000)
     with pytest.raises(ValueError):
-        both = np.empty(60 * 60 + 20000)
-        _openblas._eigh_overwrite(both[:3600].reshape(60, 60), both)
+        _openblas._eigh_projections(both[:3600].reshape(60, 60), rhs.copy(order="F"), both)
+    with pytest.raises(ValueError):
+        _openblas._eigh_projections(gram.copy(), both[:420].reshape((60, 7), order="F"), both)
 
 
 # Peak memory of one search on 1024 x 3000 data, above what was resident
@@ -1010,8 +1039,8 @@ print((peak - before) / (n * n * 8))
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self")
 def test_grid_search_peak_memory():
-    if _openblas._lapack("dsyevd") is None:
-        pytest.skip("numpy's LAPACK has no scipy_dsyevd_64_; eigh needs more memory")
+    if not _lapack_projections():
+        pytest.skip("numpy's LAPACK lacks dsytrd, dormtr or dstedc; eigh needs more memory")
     env = {**os.environ, "PYTHONPATH": str(Path(simulator.__file__).resolve().parents[1])}
     peak = {}
     for mode in ("work", "none"):
@@ -1019,7 +1048,8 @@ def test_grid_search_peak_memory():
                               capture_output=True, text=True, check=True, timeout=120)
         peak[mode] = float(proc.stdout)
     # Measured on x86-64: 1.8 with work (the Gram matrix, 1, and OpenBLAS's
-    # buffers), 5.8 without, where each fold allocates its arrays.
+    # buffers), 4.4 without, where the search allocates its fold arrays and
+    # each fold its eigensolver's workspace.
     assert peak["work"] <= 2.2, peak
     assert peak["none"] <= 6.2, peak
 
@@ -1065,6 +1095,11 @@ def test_fit_decay_exponent_degenerate_window():
 def test_fit_loglog_slope_rejects_non_finite_values(x, y, cause):
     with pytest.raises(DegenerateWindowError, match=cause):
         fit_loglog_slope(x, y)
+
+
+def test_fit_loglog_slope_rejects_a_single_distinct_x():
+    with pytest.raises(DegenerateWindowError, match="two distinct x values"):
+        fit_loglog_slope([5, 5, 5, 5], [1, 2, 3, 4])
 
 
 def test_curve_csv_roundtrip(tmp_path):
