@@ -1,13 +1,16 @@
-"""The OpenBLAS that numpy bundles, called through ctypes: the in-place LAPACK
-routines and the one-thread pin.
+"""The package's foreign calls, through ctypes: the in-place LAPACK routines
+and the one-thread pin of the OpenBLAS that numpy bundles, and the C
+library's heap trim.
 
-Every foreign call of the package goes through _library(), one handle on the
-extension module that numpy.linalg runs; its OpenBLAS also runs numpy's
-matrix products.  Where a symbol is missing (numpy links another BLAS or
-LAPACK, or an OpenBLAS older than 0.3.27), each caller falls back: the
-eigensolver to np.linalg.eigh, the Cholesky solve to np.linalg.cholesky and
-np.linalg.solve, and the pin to nothing, so the solves' rounding then
-follows the BLAS thread count.
+Every foreign call goes through _library(), one handle on the extension
+module that numpy.linalg runs; its OpenBLAS also runs numpy's matrix
+products, and the C library it links supplies malloc_trim.  Where a symbol
+is missing (numpy links another BLAS or LAPACK, or an OpenBLAS older than
+0.3.27), each caller falls back: the eigensolver to np.linalg.eigh, the
+Cholesky solve to np.linalg.cholesky and np.linalg.solve, and the pin to
+nothing, so the solves' rounding then follows the BLAS thread count.  The
+trim is glibc's, and does nothing where the C library has none (macOS,
+musl, Windows).
 """
 
 from __future__ import annotations
@@ -70,6 +73,26 @@ def _lapack(name: str):
 def _setter():
     """OpenBLAS's openblas_set_num_threads_local, which returns the count it replaces, or None."""
     return _function("openblas_set_num_threads_local", (ctypes.c_int,), ctypes.c_int)
+
+
+@functools.cache
+def _malloc_trim():
+    """The C library's malloc_trim, or None where it has none."""
+    return _function("malloc_trim", (ctypes.c_size_t,), ctypes.c_int)
+
+
+def _trim_heap() -> None:
+    """Hand the heap's free pages back to the OS.
+
+    Once a large array allocated with mmap is freed, glibc raises its mmap
+    threshold, so later arrays of that size come from the heap, and free()
+    leaves their pages resident.  A large allocation made after such frees
+    would sit on top of dead but resident pages; malloc_trim(0) releases
+    every whole free page first.  Without malloc_trim this does nothing.
+    """
+    trim = _malloc_trim()
+    if trim is not None:
+        trim(0)
 
 
 # dsyevd scales a matrix whose largest |entry| lies outside [_RMIN, _RMAX]:

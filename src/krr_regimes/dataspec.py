@@ -13,7 +13,6 @@ and signal tails.
 from __future__ import annotations
 
 import csv
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -57,10 +56,12 @@ _BLOCK = 256  # rows per block of the in-place n x n passes
 
 
 def gram_matrix(data: np.ndarray, kernel: KernelSpec) -> np.ndarray:
-    """Pairwise kernel evaluations, symmetric by construction.
+    """Pairwise kernel evaluations, exactly symmetric by construction.
 
-    The kernel and its symmetrization run in place, one block of rows at a
-    time, so one n x n array is alive.
+    numpy forms data @ data.T with syrk and mirrors one triangle, so the
+    product is exactly symmetric, and every kernel step after it is
+    elementwise or symmetric in (i, j).  The kernel runs in place, one block
+    of rows at a time, so one n x n array is alive.
     """
     data = np.asarray(data, dtype=float)
     if data.ndim != 2 or data.shape[0] == 0:
@@ -92,16 +93,15 @@ def gram_matrix(data: np.ndarray, kernel: KernelSpec) -> np.ndarray:
                 np.clip(dist, 0.0, None, out=dist)
                 dist *= -0.5 * kernel.gamma
                 np.exp(dist, out=block)
-        _symmetrize(gram)
     if kernel.kind == "rbf":
         np.fill_diagonal(gram, 1.0)
     return gram
 
 
-def _symmetrize(gram: np.ndarray, n_tot: int | None = None) -> float:
-    """Overwrite a square gram with (gram + gram^T) * 0.5, then divided by n_tot
-    when given, one pair of blocks at a time; returns max |gram - gram^T| of the
-    input, which is only meaningful for a finite gram."""
+def _symmetrize(gram: np.ndarray, n_tot: int) -> float:
+    """Overwrite a square gram with (gram + gram^T) * 0.5 / n_tot, one pair of
+    blocks at a time; returns max |gram - gram^T| of the input, which is only
+    meaningful for a finite gram."""
     asym, n = 0.0, gram.shape[0]
     for i in range(0, n, _BLOCK):
         for j in range(i, n, _BLOCK):
@@ -111,8 +111,7 @@ def _symmetrize(gram: np.ndarray, n_tot: int | None = None) -> float:
             asym = max(asym, float(np.abs(diff, out=diff).max()))
             np.add(upper, lower, out=diff)
             diff *= 0.5
-            if n_tot is not None:
-                diff /= n_tot
+            diff /= n_tot
             upper[...] = diff
             lower[...] = diff
     return asym
@@ -160,7 +159,11 @@ def feature_decomposition(gram: np.ndarray, labels: np.ndarray,
     labels' projections onto the eigenvectors, which are not formed.  A
     writeable, C-contiguous float64 gram is decomposed in its own buffer,
     any other in a copy made first; either way, as with LAPACK's overwritten
-    inputs, the caller must not read gram afterwards.
+    inputs, the caller must not read gram afterwards.  gram is symmetrized
+    here, whatever built it.  The heap's free pages go back to the OS before
+    the eigensolver allocates its n^2 workspace, so that workspace does not
+    sit on top of dead pages that an earlier call or the CSV parse left
+    resident.
     """
     _check_eigen_floor(floor_rel)
     gram = np.require(gram, float, ("C", "W"))
@@ -191,6 +194,7 @@ def feature_decomposition(gram: np.ndarray, labels: np.ndarray,
     if asym > 1e-8 * max(hi, -lo, 1.0):
         raise InvalidParameterError(f"gram matrix asymmetric (max |K-K^T| = {asym:.3e})")
 
+    _openblas._trim_heap()
     evals, proj = _openblas._eigh_projections(gram, labels.copy())
     if evals.min() < -1e-8 * max(evals.max(), 0.0):
         raise IndefiniteMatrixError(
@@ -328,22 +332,27 @@ def load_dataset_csv(path):
 
     The body is parsed by numpy's C reader: comma-separated fields, optionally
     in double quotes, blank lines skipped, no comment lines.  Every value must
-    be a finite float literal.
+    be a finite float literal, and at most one column may be LABEL_COLUMN.
+    With a label column, the features are a view of the parsed table, whose
+    label column is moved to the end in place, and the labels a copy.
     """
     with open(path, newline="") as f:
-        header = next(csv.reader(f), None)
+        # readline, unlike iteration, leaves f.tell() usable.
+        header = next(csv.reader(iter(f.readline, "")), None)
         if header is None:
             raise SchemaError(f"{path}: missing header row")
-        # Finding the first data line here keeps numpy from warning on an empty body.
-        first = next((line for line in f if line.strip("\r\n")), None)
-        if first is None:
+        header = [h.strip() for h in header]
+        if header.count(LABEL_COLUMN) > 1:
+            raise SchemaError(f"{path}: column {LABEL_COLUMN!r} appears more than once")
+        # Finding a data line here keeps numpy from warning on an empty body.
+        body = f.tell()
+        if not any(line.strip("\r\n") for line in iter(f.readline, "")):
             raise SchemaError(f"{path}: no data rows")
+        f.seek(body)
         try:
-            values = np.loadtxt(itertools.chain([first], f), delimiter=",", ndmin=2,
-                                comments=None, quotechar='"')
+            values = np.loadtxt(f, delimiter=",", ndmin=2, comments=None, quotechar='"')
         except ValueError as err:
             raise SchemaError(f"{path}: non-numeric entries ({err})") from err
-    header = [h.strip() for h in header]
     if values.shape[1] != len(header):
         raise SchemaError(f"{path}: row width differs from header width")
     finite = np.isfinite(values)
@@ -351,9 +360,13 @@ def load_dataset_csv(path):
         i, j = divmod(int(np.argmin(finite)), values.shape[1])
         raise SchemaError(f"{path}: non-finite value {values[i, j]} in data row {i + 1}, "
                           f"column {header[j]!r}")
-    if LABEL_COLUMN in header:
-        j = header.index(LABEL_COLUMN)
-        labels = values[:, j].copy()
-        features = np.delete(values, j, axis=1)
-        return features, labels
-    return values, None
+    if LABEL_COLUMN not in header:
+        return values, None
+    j = header.index(LABEL_COLUMN)
+    labels = values[:, j].copy()
+    # Shifting the later columns left one block of rows at a time bounds the
+    # copy numpy makes of an overlapping source.
+    for i in range(0, values.shape[0], _BLOCK):
+        values[i:i + _BLOCK, j:-1] = values[i:i + _BLOCK, j + 1:]
+    values[:, -1] = labels
+    return values[:, :-1], labels

@@ -304,6 +304,19 @@ def test_loader_matches_reference_bit_for_bit(csv_dir, table, label_at, style):
         assert labels.base is None  # a copy, not a view into the parsed table
 
 
+@pytest.mark.parametrize("label_at", [0, 2, 4])
+def test_loader_moves_the_label_column_across_row_blocks(tmp_path, label_at):
+    # The label column is shifted out one block of rows at a time.
+    table = np.random.default_rng(25).standard_normal((2 * dataspec._BLOCK + 37, 5))
+    header = [f"x{j}" for j in range(5)]
+    header[label_at] = "y"
+    path = tmp_path / "table.csv"
+    np.savetxt(path, table, fmt="%.17g", delimiter=",", header=",".join(header), comments="")
+    features, labels = load_dataset_csv(path)
+    assert features.tobytes() == np.delete(table, label_at, axis=1).tobytes()
+    assert labels.tobytes() == table[:, label_at].tobytes()
+
+
 @pytest.mark.parametrize("text, message", [
     ("", "missing header row"),
     ("x,y\n", "no data rows"),
@@ -315,6 +328,7 @@ def test_loader_matches_reference_bit_for_bit(csv_dir, table, label_at, style):
     ("x,y\n1,oops\n", "non-numeric"),
     ("x,y\n1_000,2\n", "non-numeric"),
     ("x,y\n1,2,3\n", "row width"),
+    ("x, y ,y\n1,2,2\n", "column 'y' appears more than once"),
 ])
 def test_loader_schema_errors(tmp_path, text, message):
     path = tmp_path / "bad.csv"
@@ -456,17 +470,31 @@ def test_decomposition_bit_identical_on_nearly_symmetric_gram():
 
 
 def test_gram_and_decomposition_bit_identical_above_half_max():
-    # Doubling an entry above max / 2 overflows, so symmetrization is not a no-op.
+    # Doubling an entry above max / 2 overflows.  gram_matrix does not
+    # symmetrize, so it keeps the product's finite bits; the decomposition,
+    # which does, refuses such an entry instead of symmetrizing it to inf.
     data = np.zeros((4, 3))
     data[0, 0] = 1e154
     data[1:, :] = np.arange(9.0).reshape(3, 3)
-    kernel = KernelSpec("linear", gamma=1.0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        gram = gram_matrix(data, kernel)
-        assert gram.tobytes() == _gram_reference(data, kernel).tobytes()
-    # The decomposition refuses such an entry instead of symmetrizing it to inf.
+    gram = gram_matrix(data, KernelSpec("linear", gamma=1.0))
+    assert gram.tobytes() == (data @ data.T).tobytes()
+    assert gram[0, 0] > _MAX / 2
+    with pytest.raises(InvalidParameterError, match=r"entry 1(\.\d+)?e\+308 at \(0, 0\)"):
+        feature_decomposition(gram, np.ones(4))
     with pytest.raises(InvalidParameterError, match=r"entry 1\.6\d*e\+308 at \(0, 0\)"):
         feature_decomposition(np.diag([0.9 * _MAX, 2.0, 1.0]), np.ones(3))
+
+
+@pytest.mark.parametrize("kernel", _KERNELS, ids=lambda k: f"{k.kind}{k.degree}")
+def test_gram_matrix_is_exactly_symmetric(kernel):
+    # gram_matrix has no symmetrization pass: numpy's syrk product and the
+    # kernel's elementwise steps keep it symmetric to the bit, whatever the
+    # layout of the data, the loader's column view included.
+    table = np.random.default_rng(23).standard_normal((2 * dataspec._BLOCK + 37, 41))
+    for data in (np.ascontiguousarray(table[:, :40]), np.asfortranarray(table[:, :40]),
+                 table[:, :-1]):
+        gram = gram_matrix(data, kernel)
+        assert gram.tobytes() == gram.T.tobytes()
 
 
 def test_decomposition_rejects_entries_whose_symmetrization_overflows():
@@ -649,12 +677,29 @@ def test_eigh_projections_match_eigh(n, scale, blas_threads):
 # units of one n x n float64 array.  The peak is VmHWM, the high-water mark of
 # this process's own address space: ru_maxrss keeps the parent's peak across
 # fork and exec.  The 40-column data is made first, and for the decomposition
-# its Gram matrix too.
+# its Gram matrix too.  Kind "estimate" instead runs the estimate command three
+# times on the data.csv of its working directory, writing its outputs there,
+# and reports how far the third call's peak rose above the first call's.
 _MEMORY_PROBE = """
-import os, sys
+import json, os, sys
 import numpy as np
-from krr_regimes import dataspec
+from krr_regimes import cli, dataspec
+
+def vmhwm():
+    with open("/proc/self/status") as f:
+        return next(int(line.split()[1]) * 1024 for line in f if line.startswith("VmHWM:"))
+
 n, kind = int(sys.argv[1]), sys.argv[2]
+if kind == "estimate":
+    peaks = []
+    for kernel in ("linear", "rbf", "polynomial"):
+        cli.main(["estimate", "data.csv", "--kernel", kernel, "--gamma", "1", "--out", kernel,
+                  "--decomposition-out", kernel + "_dec.csv"])
+        peaks.append(vmhwm())
+    with open("linear_estimate.json") as f:
+        n = json.load(f)["n_tot"]
+    print((peaks[2] - peaks[0]) / (n * n * 8))
+    sys.exit()
 x = np.random.default_rng(0).standard_normal((n, 40))
 if kind == "decompose":
     gram = x @ x.T
@@ -665,17 +710,24 @@ if kind == "decompose":
     dataspec.feature_decomposition(gram, np.ones(n))
 else:
     dataspec.gram_matrix(x, dataspec.KernelSpec(kind, gamma=0.01))
-with open("/proc/self/status") as f:
-    peak = next(int(line.split()[1]) * 1024 for line in f if line.startswith("VmHWM:"))
-print((peak - before) / (n * n * 8))
+print((vmhwm() - before) / (n * n * 8))
 """
 
 
-def _peak_memory(kind: str) -> float:
+def _peak_memory(kind: str, workdir: Path | None = None) -> float:
+    """The probe's reading for kind, run in workdir (by default the current directory)."""
     env = {**os.environ, "PYTHONPATH": str(Path(krr_regimes.__file__).resolve().parents[1])}
     proc = subprocess.run([sys.executable, "-c", _MEMORY_PROBE, "1500", kind], env=env,
-                          capture_output=True, text=True, check=True, timeout=120)
-    return float(proc.stdout)
+                          cwd=workdir, capture_output=True, text=True, check=True, timeout=120)
+    return float(proc.stdout.split()[-1])  # after the estimate reports
+
+
+def _has_vmhwm() -> bool:
+    try:
+        with open("/proc/self/status") as f:
+            return any(line.startswith("VmHWM:") for line in f)
+    except OSError:
+        return False
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self")
@@ -693,6 +745,37 @@ def test_in_place_decomposition_peak_memory():
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self")
 @pytest.mark.parametrize("kind", ["linear", "rbf", "polynomial"])
 def test_gram_matrix_peak_memory(kind):
-    # The product itself is 1; the blocked kernel and symmetrization add a few
-    # row blocks.  A symmetrized copy, or rbf's full distance matrix, adds 1 each.
+    # The product itself is 1; the blocked kernel adds a few row blocks.  A
+    # symmetrized copy, or rbf's full distance matrix, adds 1 each.
     assert _peak_memory(kind) <= 1.5
+
+
+@pytest.mark.skipif(not _has_vmhwm(), reason="/proc/self/status has no VmHWM")
+def test_repeated_estimate_peak_memory(tmp_path, monkeypatch):
+    # Three estimate calls in one process, as a library user or notebook makes
+    # them.  Measured on x86-64 with glibc, in units of one n x n float64 array:
+    # the third call peaks 0.14-0.16 above the first, 0.46-0.48 with the heap
+    # trim patched out, and 0.81-0.84 with the loader's column-deletion copy
+    # as well.  Once the first call frees its mmapped Gram matrix, glibc serves
+    # the later calls' tables and Gram matrices from the heap, and the
+    # eigensolver's n^2 workspace would sit on top of their resident pages.
+    if _openblas._malloc_trim() is None:
+        pytest.skip("the C library has no malloc_trim")
+    if any(_openblas._lapack(name) is None for name in ("dsytrd", "dormtr", "dstedc")):
+        pytest.skip("numpy's LAPACK lacks dsytrd, dormtr or dstedc; eigh needs more memory")
+    rng = np.random.default_rng(24)
+    k = np.arange(1, 401, dtype=float)
+    features = rng.standard_normal((1000, k.size)) / k
+    header = ",".join([f"x{j}" for j in range(k.size)] + ["y"])
+    np.savetxt(tmp_path / "data.csv", np.column_stack([features, features @ (1 / k)]),
+               fmt="%.17g", delimiter=",", header=header, comments="")
+    assert _peak_memory("estimate", tmp_path) <= 0.3
+    # The trim only hands pages back: without it the outputs keep their bytes.
+    monkeypatch.setattr(_openblas, "_trim_heap", lambda: None)
+    for kernel in ("linear", "rbf", "polynomial"):
+        base = tmp_path / f"{kernel}_no_trim"
+        assert main(["estimate", str(tmp_path / "data.csv"), "--kernel", kernel, "--gamma", "1",
+                     "--out", str(base), "--decomposition-out", f"{base}_dec.csv"]) == 0
+        for suffix in ("_estimate.json", "_tails.csv", "_dec.csv"):
+            got = Path(f"{base}{suffix}").read_bytes()
+            assert got == (tmp_path / f"{kernel}{suffix}").read_bytes(), (kernel, suffix)
